@@ -67,6 +67,7 @@ __all__ = [
     "measure_dispatch_tiers",
     "measure_engine",
     "measure_kernels",
+    "measure_prober_lanes",
     "measure_scale",
     "merge_latest_section",
     "quarter_block_fixture",
@@ -81,6 +82,7 @@ DEFAULT_SECTIONS = (
     "kernels",
     "batched",
     "cusum_rows_scaling",
+    "prober_lanes",
     "dispatch_tiers",
     "engine",
     "scale",
@@ -94,6 +96,7 @@ SCALE_SWEEP = (1_600, 25_000, 100_000)
 SCALE_SHARD_BLOCKS = 2_000  # target shard width for the scale sweep
 DISPATCH_BATCH_SIZES = (64, 256, 1024)
 DISPATCH_TASKS = 2  # tasks per map: enough to engage the pool, cheap to run
+PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,104 @@ def measure_cusum_scaling(
     return out
 
 
+def measure_prober_lanes(
+    lane_counts: Sequence[int] = PROBER_LANE_COUNTS,
+) -> dict[str, dict[str, float]]:
+    """Lane-parallel ``observe_batch`` against per-lane ``observe``.
+
+    The lanes are the (block, observer) pairs of a covid world's
+    responsive blocks over ``ENGINE_DATASET`` (the benchmark's
+    ``funnel-2w`` window), with the runtime's own loss models, cursors
+    and generator seeds; the first ``L`` lanes are timed both ways for
+    each ``L``.  Both sides include building every probe log (the batch
+    assembles them on access), and every log is asserted equal before
+    anything is recorded.  Keyed by ``L``; the keys avoid the gate's
+    ``vectorized_s``/``batched_s`` names (like ``dispatch_tiers``), so
+    the crossover curve is a record, not a gated metric.
+    """
+    from .datasets.builder import _lane_rng, _start_cursor
+    from .datasets.catalog import TRINOCULAR_SITES, dataset
+    from .net.prober import (
+        ProbeLane,
+        ProbeTarget,
+        TrinocularObserver,
+        observe_batch,
+        probe_order,
+    )
+    from .net.world import WorldModel, scenario_covid2020
+
+    ds = dataset(ENGINE_DATASET)
+    n_lanes = max(lane_counts)
+    n_blocks = 3 * n_lanes // len(ds.observers)  # ~47% of blocks respond
+    world = WorldModel(scenario_covid2020(), n_blocks=n_blocks, seed=11)
+    start = ds.start_s(world.epoch)
+    end = start + ds.duration_s
+    observers = {
+        n: TrinocularObserver(n, phase_offset_s=TRINOCULAR_SITES[n]) for n in ds.observers
+    }
+    lanes: list[tuple[Any, ...]] = []  # (spec, observer, truth, order, target)
+    for spec in world.blocks:
+        if len(lanes) >= n_lanes:
+            break
+        if not spec.responsive_by_design:
+            continue
+        truth = world.truth(spec, end)
+        order = probe_order(truth.n_addresses, spec.seed)
+        target = ProbeTarget.of(truth, order, start, end)
+        lanes.extend((spec, observers[n], truth, order, target) for n in ds.observers)
+    if len(lanes) < n_lanes:
+        raise RuntimeError(f"prober_lanes: world has only {len(lanes)} lanes")
+
+    def per_lane(chosen: list[tuple[Any, ...]]) -> list[Any]:
+        return [
+            obs.observe(
+                truth,
+                order,
+                world.loss_model(spec, obs.name),
+                _lane_rng(spec, obs.name),
+                start_s=start,
+                duration_s=ds.duration_s,
+                start_cursor=_start_cursor(spec, obs.name, truth.n_addresses),
+            )
+            for spec, obs, truth, order, _ in chosen
+        ]
+
+    def batched(chosen: list[tuple[Any, ...]]) -> list[Any]:
+        logs = observe_batch(
+            [
+                ProbeLane(
+                    obs,
+                    target,
+                    world.loss_model(spec, obs.name),
+                    _lane_rng(spec, obs.name),
+                    start_s=start,
+                    duration_s=ds.duration_s,
+                    start_cursor=_start_cursor(spec, obs.name, truth.n_addresses),
+                )
+                for spec, obs, truth, _, target in chosen
+            ]
+        )
+        return list(logs)
+
+    out: dict[str, dict[str, float]] = {}
+    for n in lane_counts:
+        chosen = lanes[:n]
+        lane_s, lane_logs = _best_of(per_lane, chosen, repeats=2)
+        batch_s, batch_logs = _best_of(batched, chosen, repeats=2)
+        for a, b in zip(batch_logs, lane_logs):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.addresses, b.addresses)
+            assert np.array_equal(a.results, b.results)
+        out[str(n)] = {
+            "lanes": float(n),
+            "probes": float(sum(len(log) for log in lane_logs)),
+            "per_lane_s": lane_s,
+            "lanes_s": batch_s,
+            "speedup": lane_s / batch_s,
+        }
+    return out
+
+
 def _dispatch_tier_task(task: dict[str, Any]) -> np.ndarray:
     """The dispatch-tier bench job: row sums over one shipped matrix.
 
@@ -427,6 +528,7 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "kernels": measure_kernels,
         "batched": measure_batched_kernels,
         "cusum_rows_scaling": measure_cusum_scaling,
+        "prober_lanes": measure_prober_lanes,
         "dispatch_tiers": measure_dispatch_tiers,
         "engine": measure_engine,
         "scale": measure_scale,

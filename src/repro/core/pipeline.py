@@ -18,15 +18,13 @@ aggregates the per-stage records across blocks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..net.observations import ObservationSeries
 from ..net.usage import ROUND_SECONDS
-from ..obs.resources import peak_rss_bytes, thread_cpu_seconds
 from ..timeseries.detect import zscore_rows
 from ..timeseries.series import BlockMatrix, TimeSeries, group_block_matrices
 from .changes import ChangeDetector, ChangeReport
@@ -35,40 +33,10 @@ from .outages import OutageDetector, corroborate_changes
 from .reconstruction import Reconstruction, reconstruct
 from .repair import one_loss_repair
 from .sensitivity import BlockClassification, SensitivityClassifier
-from .stages import StageContext
+from .stages import StageContext, StageMeter
 from .trend import MIN_ABS_SCALE, MIN_REL_SCALE, TrendExtractor, TrendResult
 
 __all__ = ["BlockAnalysis", "BlockPipeline"]
-
-
-class _StageShares(NamedTuple):
-    """One block's even share of a batched stage's measured cost."""
-
-    wall_s: float
-    cpu_s: float
-    rss_delta: int
-
-
-class _BatchMeter:
-    """Wall/CPU/RSS-high-water cost of one batched stage, split per block.
-
-    The batched path attributes an even ``1/n`` share of the batch's
-    cost to every member block so aggregated stage totals stay shaped
-    like the per-block path's (where each block is measured directly).
-    """
-
-    __slots__ = ("_rss", "_cpu", "_wall")
-
-    def __init__(self) -> None:
-        self._rss = peak_rss_bytes()
-        self._cpu = thread_cpu_seconds()
-        self._wall = time.perf_counter()
-
-    def shares(self, n: int) -> _StageShares:
-        wall = time.perf_counter() - self._wall
-        cpu = thread_cpu_seconds() - self._cpu
-        rss = max(peak_rss_bytes() - self._rss, 0)
-        return _StageShares(wall_s=wall / n, cpu_s=cpu / n, rss_delta=rss // n)
 
 
 @dataclass(frozen=True)
@@ -290,7 +258,7 @@ class BlockPipeline:
         analyses: list[BlockAnalysis | None] = [None] * len(recons)
         for indices, matrix in group_block_matrices([r.counts for r in recons]):
             n_batch = len(indices)
-            meter = _BatchMeter()
+            meter = StageMeter()
             classifications = self.classifier.classify_batch(matrix)
             share = meter.shares(n_batch)
             for pos, i in enumerate(indices):
@@ -321,7 +289,7 @@ class BlockPipeline:
                 )
                 ctxs[indices[pos]].skip("trend", reason, n_in=matrix.n_samples)
             if selected:
-                meter = _BatchMeter()
+                meter = StageMeter()
                 extracted = self.trend_extractor.extract_batch(matrix.take(selected))
                 share = meter.shares(len(selected))
                 for k, pos in enumerate(selected):
@@ -342,7 +310,7 @@ class BlockPipeline:
                 if trends[pos] is None:
                     ctxs[indices[pos]].skip("detect", "no-trend")
             if with_trend:
-                meter = _BatchMeter()
+                meter = StageMeter()
                 stacked = np.stack([trends[pos].trend.values for pos in with_trend])
                 normalized = BlockMatrix(
                     trends[with_trend[0]].trend.times,

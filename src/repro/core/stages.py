@@ -16,18 +16,19 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from ..obs.metrics import get_registry
 from ..obs.names import metric_name
 from ..obs.resources import peak_rss_bytes, thread_cpu_seconds
 from ..obs.trace import get_tracer
 
-__all__ = ["PIPELINE_STAGES", "StageContext", "StageRecord"]
+__all__ = ["PIPELINE_STAGES", "StageContext", "StageMeter", "StageRecord", "StageShare"]
 
 #: Canonical stage order of :meth:`repro.core.pipeline.BlockPipeline.analyze`.
-#: Extra ad-hoc stages (e.g. the builder's ``simulate``) may appear in a
-#: context as well; this tuple is the pipeline's own contract.
+#: Extra ad-hoc stages (the dataset builder's ``truth`` and ``probe``)
+#: may appear in a context as well; this tuple is the pipeline's own
+#: contract.
 PIPELINE_STAGES = ("repair", "combine", "reconstruct", "classify", "trend", "detect")
 
 
@@ -53,6 +54,50 @@ class StageRecord:
     @property
     def ran(self) -> bool:
         return self.skipped is None
+
+
+class StageShare(NamedTuple):
+    """One block's share of a shared computation's measured cost."""
+
+    wall_s: float
+    cpu_s: float
+    rss_delta: int
+
+
+class StageMeter:
+    """Wall/CPU/RSS-high-water cost of one computation shared by blocks.
+
+    Batched stages run once for many blocks; the meter measures the run
+    and splits it into per-block :class:`StageShare` entries, so stage
+    totals aggregated over blocks stay shaped like the per-block path's
+    (where each block is measured directly).
+    """
+
+    __slots__ = ("_rss", "_cpu", "_wall")
+
+    def __init__(self) -> None:
+        self._rss = peak_rss_bytes()
+        self._cpu = thread_cpu_seconds()
+        self._wall = time.perf_counter()
+
+    def _elapsed(self) -> tuple[float, float, int]:
+        wall = time.perf_counter() - self._wall
+        cpu = thread_cpu_seconds() - self._cpu
+        return wall, cpu, max(peak_rss_bytes() - self._rss, 0)
+
+    def shares(self, n: int) -> StageShare:
+        """An even ``1/n`` share for each of ``n`` blocks."""
+        wall, cpu, rss = self._elapsed()
+        return StageShare(wall_s=wall / n, cpu_s=cpu / n, rss_delta=rss // n)
+
+    def split(self, weights: Sequence[float]) -> list[StageShare]:
+        """Shares in proportion to ``weights`` (even when they sum to 0)."""
+        wall, cpu, rss = self._elapsed()
+        total = float(sum(weights))
+        fractions = (
+            [w / total for w in weights] if total > 0 else [1.0 / len(weights)] * len(weights)
+        )
+        return [StageShare(wall * f, cpu * f, int(rss * f)) for f in fractions]
 
 
 class _ActiveStage:

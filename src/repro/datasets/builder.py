@@ -4,6 +4,9 @@ The builder glues the substrate to the pipeline: for each block of a
 :class:`~repro.net.world.WorldModel` it generates ground truth, runs the
 requested observers over a dataset window (with per-path loss models),
 and hands the probe logs to a :class:`~repro.core.pipeline.BlockPipeline`.
+:func:`simulate_chunk` does the same simulation for a whole chunk of
+blocks at once (the batched runtime path): every (block, observer) lane
+of the chunk is probed in one :func:`~repro.net.prober.observe_batch`.
 
 Observations are cached per (block, observer) and *sliced* for narrower
 windows — mirroring the paper, which reuses one measurement stream for
@@ -26,10 +29,18 @@ import numpy as np
 from ..core.pipeline import BlockAnalysis, BlockPipeline
 from ..core.aggregate import BlockRecord
 from ..core.reconstruction import Reconstruction
-from ..core.stages import StageContext
+from ..core.stages import StageContext, StageMeter, StageShare
 from ..net.bayesian import BayesianTrinocularObserver
 from ..net.observations import ObservationSeries
-from ..net.prober import AdditionalProber, TrinocularObserver, probe_order
+from ..net.prober import (
+    AdditionalProber,
+    ProbeLane,
+    ProbeLogs,
+    ProbeTarget,
+    TrinocularObserver,
+    observe_batch,
+    probe_order,
+)
 from ..net.survey import SurveyObserver
 from ..net.usage import ROUND_SECONDS, BlockTruth
 from ..net.world import BlockSpec, WorldModel
@@ -39,13 +50,22 @@ from ..runtime.spill import SpilledResults
 from .catalog import TRINOCULAR_SITES, DatasetSpec, dataset
 
 __all__ = [
+    "ChunkSimulation",
     "DatasetBuilder",
     "DatasetResult",
     "FunnelCounts",
     "SpilledAnalyses",
+    "batches_lanes",
     "block_record",
+    "reconstruct_logs",
+    "simulate_chunk",
     "unresponsive_analysis",
 ]
+
+#: Below this many lanes in a chunk, per-lane ``observe`` beats the lane
+#: kernel's fixed per-round cost (``repro bench``'s ``prober_lanes``
+#: section puts the crossover at 16-32 lanes).
+MIN_BATCH_LANES = 32
 
 
 class SpilledAnalyses(Mapping[str, BlockAnalysis]):
@@ -268,7 +288,7 @@ class DatasetBuilder:
     ) -> ObservationSeries:
         truth = self.truth(spec, start_s, duration_s)
         order = probe_order(truth.n_addresses, spec.seed)
-        rng = np.random.default_rng([spec.seed, 0xC, _observer_stream(observer)])
+        rng = _lane_rng(spec, observer)
         loss = self.world.loss_model(spec, observer)
         if observer == "survey":
             return self.survey.observe(
@@ -278,17 +298,14 @@ class DatasetBuilder:
             return self.additional.observe(
                 truth, order, loss, rng, start_s=start_s, duration_s=duration_s
             )
-        prober = self.observers[observer]
-        # each observer starts its cursor at an independent position
-        cursor = int(np.random.default_rng([spec.seed, 0xD, _observer_stream(observer)]).integers(truth.n_addresses))
-        return prober.observe(
+        return self.observers[observer].observe(
             truth,
             order,
             loss,
             rng,
             start_s=start_s,
             duration_s=duration_s,
-            start_cursor=cursor,
+            start_cursor=_start_cursor(spec, observer, truth.n_addresses),
         )
 
     def observe_dataset(
@@ -310,23 +327,24 @@ class DatasetBuilder:
     ) -> Reconstruction:
         """Simulate one block's observers and reconstruct its count series.
 
-        This is the front half of :meth:`analyze_block` (simulate,
-        repair, combine, reconstruct); the batched runtime path fans it
-        out per block and regroups the reconstructions into matrix
-        batches for the analysis tail.
+        This is the front half of :meth:`analyze_block` (truth, probe,
+        repair, combine, reconstruct).  The batched runtime path gets the
+        same reconstructions, byte for byte, from :func:`simulate_chunk`
+        plus :func:`reconstruct_logs` per block; this per-block form is
+        its oracle (and what it runs for chunks :func:`batches_lanes`
+        declines).
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         pipeline = pipeline or self.pipeline
         ctx = ctx if ctx is not None else StageContext()
         start = ds.start_s(self.world.epoch)
-        with ctx.stage("simulate") as active:
-            logs = self.observe_dataset(spec, ds)
+        with ctx.stage("truth") as active:
             truth = self.truth(spec, start, ds.duration_s)
+            active.n_out = truth.active.size
+        with ctx.stage("probe", n_in=len(ds.observers)) as active:
+            logs = self.observe_dataset(spec, ds)
             active.n_out = sum(len(log) for log in logs)
-        grid = start + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
-        per_observer = pipeline.stage_repair(logs, ctx)
-        merged = pipeline.stage_combine(per_observer, ctx)
-        return pipeline.stage_reconstruct(merged, truth.addresses, grid, ctx)
+        return reconstruct_logs(pipeline, logs, truth.addresses, start, ds, ctx)
 
     def analyze_block(
         self,
@@ -397,6 +415,134 @@ class DatasetBuilder:
 def _observer_stream(observer: str) -> int:
     """Stable small integer per observer name for seeding."""
     return sum(ord(ch) << (8 * i) for i, ch in enumerate(observer[:4]))
+
+
+def _lane_rng(spec: BlockSpec, observer: str) -> np.random.Generator:
+    """The loss-draw stream of one (block, observer) pair."""
+    return np.random.default_rng([spec.seed, 0xC, _observer_stream(observer)])
+
+
+def _start_cursor(spec: BlockSpec, observer: str, n_addresses: int) -> int:
+    """Each observer starts its cursor at an independent position."""
+    rng = np.random.default_rng([spec.seed, 0xD, _observer_stream(observer)])
+    return int(rng.integers(n_addresses))
+
+
+def reconstruct_logs(
+    pipeline: BlockPipeline,
+    logs: list[ObservationSeries],
+    addresses: np.ndarray,
+    start_s: float,
+    ds: DatasetSpec,
+    ctx: StageContext,
+) -> Reconstruction:
+    """Repair, combine and reconstruct one block's probe logs."""
+    grid = start_s + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
+    per_observer = pipeline.stage_repair(logs, ctx)
+    merged = pipeline.stage_combine(per_observer, ctx)
+    return pipeline.stage_reconstruct(merged, addresses, grid, ctx)
+
+
+def batches_lanes(ds: DatasetSpec, observer_style: str, n_blocks: int) -> bool:
+    """Whether :func:`simulate_chunk` probes a chunk of ``n_blocks``.
+
+    It does for the adaptive Trinocular sites with at least
+    :data:`MIN_BATCH_LANES` lanes; other chunks (the survey, the §2.8
+    prober, the bayesian style, small chunks) are simulated per block.
+    """
+    return (
+        observer_style == "adaptive"
+        and all(name in TRINOCULAR_SITES for name in ds.observers)
+        and n_blocks * len(ds.observers) >= MIN_BATCH_LANES
+    )
+
+
+@dataclass
+class ChunkSimulation:
+    """Truth and probe logs of a chunk of responsive blocks.
+
+    Built by :func:`simulate_chunk`.  Block ``j``'s logs are assembled
+    by :meth:`logs` on demand, so a caller that reconstructs block by
+    block holds one block's logs at a time.  Costs are per block:
+    ``truth_cost`` as measured, ``probe_cost`` the block's share of the
+    chunk's probing by probe count.
+    """
+
+    ds: DatasetSpec
+    start_s: float
+    lanes: ProbeLogs  # block-major: block j's observers are lanes j*n .. j*n+n-1
+    addresses: list[np.ndarray]  # E(b) per block
+    truth_cells: list[int]
+    truth_cost: list[StageShare]
+    probe_cost: list[StageShare]
+    n_probes: list[int]
+
+    def logs(self, j: int) -> list[ObservationSeries]:
+        """Block ``j``'s probe logs, in the dataset's observer order."""
+        n = len(self.ds.observers)
+        end_s = self.start_s + self.ds.duration_s
+        return [self.lanes[j * n + k].slice_time(self.start_s, end_s) for k in range(n)]
+
+
+def simulate_chunk(
+    world: WorldModel, specs: Sequence[BlockSpec], ds: DatasetSpec
+) -> ChunkSimulation:
+    """Generate truth and probe every site observer of a chunk of blocks.
+
+    Each block's truth is generated through :meth:`WorldModel.truth`
+    and only the window's columns are kept (packed, in probe order);
+    every (block, observer) lane of the chunk then runs in one
+    :func:`~repro.net.prober.observe_batch`, on the streams
+    :meth:`DatasetBuilder.observe` uses, so every log is bit-identical
+    to the per-block one.
+    """
+    start = ds.start_s(world.epoch)
+    end = start + ds.duration_s
+    targets: list[ProbeTarget] = []
+    truth_cost: list[StageShare] = []
+    truth_cells: list[int] = []
+    for spec in specs:
+        meter = StageMeter()
+        truth = world.truth(spec, end)
+        order = probe_order(truth.n_addresses, spec.seed)
+        targets.append(ProbeTarget.of(truth, order, start, end))
+        truth_cost.append(meter.shares(1))
+        truth_cells.append(truth.active.size)
+
+    meter = StageMeter()
+    observers = [
+        TrinocularObserver(name, phase_offset_s=TRINOCULAR_SITES[name])
+        for name in ds.observers
+    ]
+    logs = observe_batch(
+        [
+            ProbeLane(
+                observer=obs,
+                target=target,
+                loss=world.loss_model(spec, obs.name),
+                rng=_lane_rng(spec, obs.name),
+                start_s=start,
+                duration_s=ds.duration_s,
+                start_cursor=_start_cursor(spec, obs.name, target.m),
+            )
+            for spec, target in zip(specs, targets)
+            for obs in observers
+        ]
+    )
+    n = len(observers)
+    n_probes = [
+        sum(logs.n_probes(j * n + k) for k in range(n)) for j in range(len(specs))
+    ]
+    return ChunkSimulation(
+        ds=ds,
+        start_s=start,
+        lanes=logs,
+        addresses=[target.addresses for target in targets],
+        truth_cells=truth_cells,
+        truth_cost=truth_cost,
+        probe_cost=meter.split(n_probes),
+        n_probes=n_probes,
+    )
 
 
 def block_record(

@@ -402,6 +402,83 @@ class SparseUsage(UsageModel):
     def _generate_core(
         self, rng: np.random.Generator, col_times: np.ndarray, calendar: Calendar
     ) -> np.ndarray:
+        """Alternating on/off spans per address, drawn one vector at a time.
+
+        Bit-identical to :meth:`_generate_core_reference`, generator end
+        state included.  Each address draws its initial state, then its
+        whole span sequence as one ``standard_exponential`` vector
+        (``exponential(mean)`` is ``mean * standard_exponential()`` on
+        the same stream): the bit generator is snapshotted, spans are
+        over-drawn until their running sum reaches the horizon, and the
+        generator is restored and advanced by exactly the spans the
+        scalar loop would have drawn.  ``cumsum`` accumulates
+        sequentially, so span end times equal the loop's ``t += span``.
+        """
+        n_cols = col_times.size
+        duration = n_cols * ROUND_SECONDS
+        active = np.zeros((self.n_addresses, n_cols), dtype=bool)
+        means = (self.mean_on_days, self.mean_off_days)
+        if duration <= 0 or self.n_addresses == 0:
+            rng.random(self.n_addresses)  # the initial states, as the loop draws them
+            return active
+        if min(means) < 0 or sum(means) <= 0:
+            raise ValueError("span means must be non-negative and not both zero")
+        guess = int(duration / (0.5 * sum(means) * 86_400.0) * 1.25) + 16
+        # span k's mean for an address starting on (row 0) or off (row 1)
+        scales = np.array([means, means[::-1]])[:, np.arange(guess) % 2]
+        bitgen = rng.bit_generator
+        states: list[bool] = []
+        span_ends: list[np.ndarray] = []
+        for _ in range(self.n_addresses):
+            state = bool(rng.random() < 0.5)
+            snapshot = bitgen.state
+            ends = rng.standard_exponential(guess)
+            ends *= scales[0 if state else 1]
+            ends *= 86_400.0
+            np.cumsum(ends, out=ends)
+            while ends[-1] < duration:  # rare: the over-draw fell short
+                k = np.arange(ends.size, 2 * ends.size)
+                more = np.where((k % 2 == 0) == state, means[0], means[1])
+                more = more * rng.standard_exponential(k.size) * 86_400.0
+                ends = np.concatenate((ends, np.cumsum(np.append(ends[-1], more))[1:]))
+            n_spans = int(ends.searchsorted(duration)) + 1
+            bitgen.state = snapshot
+            rng.standard_exponential(n_spans)
+            states.append(state)
+            span_ends.append(ends[:n_spans])
+
+        # on-spans of every address at once: [start, end) -> columns
+        counts = np.array([e.size for e in span_ends])
+        first = np.cumsum(counts) - counts
+        ends = np.concatenate(span_ends)
+        starts = np.empty_like(ends)
+        starts[1:] = ends[:-1]
+        starts[first] = 0.0
+        index = np.arange(ends.size) - np.repeat(first, counts)
+        on = (index % 2 == 0) == np.repeat(states, counts)
+        base = np.repeat(np.arange(self.n_addresses) * n_cols, counts)[on]
+        lo = base + np.floor_divide(starts[on], ROUND_SECONDS).astype(np.int64)
+        hi = base + np.minimum(
+            np.floor_divide(ends[on], ROUND_SECONDS).astype(np.int64) + 1, n_cols
+        )
+        if lo.size == 0:
+            return active
+        # the flat on-intervals are sorted and overlap their predecessor
+        # by at most one column: merge, then paint off/on runs in one go
+        gap = lo[1:] > hi[:-1]
+        lo = lo[np.concatenate(([True], gap))]
+        hi = hi[np.concatenate((gap, [True]))]
+        edges = np.empty(2 * lo.size + 2, dtype=np.int64)
+        edges[0], edges[-1] = 0, active.size
+        edges[1:-1:2], edges[2:-1:2] = lo, hi
+        runs = np.zeros(edges.size - 1, dtype=bool)
+        runs[1::2] = True
+        return np.repeat(runs, np.diff(edges)).reshape(active.shape)
+
+    def _generate_core_reference(
+        self, rng: np.random.Generator, col_times: np.ndarray, calendar: Calendar
+    ) -> np.ndarray:
+        """Span-by-span oracle for :meth:`_generate_core` (tests only)."""
         n_cols = col_times.size
         duration = n_cols * ROUND_SECONDS
         active = np.zeros((self.n_addresses, n_cols), dtype=bool)

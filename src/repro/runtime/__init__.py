@@ -45,7 +45,7 @@ from .executors import (
     SerialExecutor,
     SharedMemoryExecutor,
 )
-from .jobs import BatchTailJob, BlockAnalysisJob, BlockReconstructJob, ReconstructedBlock
+from .jobs import BatchTailJob, BlockAnalysisJob, ChunkReconstructJob, ReconstructedBlock
 from .sharding import ShardPlan, resolve_shards
 from .shm import ArrayDescriptor, SharedArrayPool
 from .spill import SpillDir, SpilledResults
@@ -55,10 +55,10 @@ __all__ = [
     "ArrayDescriptor",
     "BatchTailJob",
     "BlockAnalysisJob",
-    "BlockReconstructJob",
     "BlockResult",
     "CACHE_SCHEMA",
     "CampaignEngine",
+    "ChunkReconstructJob",
     "EngineRun",
     "Executor",
     "ParallelExecutor",

@@ -92,22 +92,31 @@ class TracedCall:
     trace_id: str
     parent_id: str
     #: span name per task — "block" for per-block jobs, "batch" for the
-    #: batched path's per-chunk tail calls (so block-span accounting
-    #: still counts exactly one span per block)
-    span_name: str = "block"
+    #: batched path's per-chunk tail calls, None for jobs that open one
+    #: ``block`` span per block themselves (the batched path's chunked
+    #: phase A), so block-span accounting counts exactly one per block
+    span_name: str | None = "block"
 
     def __call__(self, task: Any) -> ShippedResult:
         tracer = Tracer(trace_id=self.trace_id, root_parent_id=self.parent_id)
         with scoped_registry() as registry, use_tracer(tracer):
             cpu_start = cpu_seconds()
-            with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
-                value = self.fn(task)
+            if self.span_name is None:
+                with tracer.tagged(pid=os.getpid()):
+                    value = self.fn(task)
+            else:
+                with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
+                    value = self.fn(task)
             # per-worker accounting rides home in the meter snapshot:
             # the histogram's sum/count aggregate CPU across tasks and
-            # the max-gauge keeps each worker process's RSS high-water
-            registry.histogram("resources.worker.cpu_s").observe(
-                cpu_seconds() - cpu_start
-            )
+            # the max-gauge keeps each worker process's RSS high-water.
+            # A job reporting per block counts once per block it
+            # carried, each with an even share of the task's CPU.
+            cpu_s = cpu_seconds() - cpu_start
+            n_blocks = 1 if self.span_name is not None else max(len(value), 1)
+            histogram = registry.histogram("resources.worker.cpu_s")
+            for _ in range(n_blocks):
+                histogram.observe(cpu_s / n_blocks)
             registry.max_gauge("resources.worker.rss_peak_bytes").set(peak_rss_bytes())
         return ShippedResult(
             value=value, spans=tuple(tracer.finished), meters=registry.snapshot()
@@ -415,9 +424,9 @@ class _TracedDispatch:
 def _chunk_group(
     members: list[tuple[int, Any]], workers: int, min_rows: int = 8
 ) -> list[list[tuple[int, Any]]]:
-    """Split one grid group into tail-job chunks.
+    """Split a batched phase's work into chunks (blocks or grid groups).
 
-    Serial execution keeps the whole group as one chunk (maximum batch
+    Serial execution keeps everything as one chunk (maximum batch
     width); a parallel executor gets about two chunks per worker so the
     pool load-balances, but never chunks below ``min_rows`` — tiny
     batches forfeit the columnar win to dispatch overhead.
@@ -629,11 +638,12 @@ class CampaignEngine:
 
         When the engine is :attr:`batched` and ``fn`` exposes
         ``batched_split()``, dispatch happens in two phases inside this
-        one run: the per-block phase fans out, survivors regroup by
-        shared sample grid into matrix chunks, and the batch phase maps
-        the tail job over the chunks.  Cache keys, results, and stage
-        records are those of the per-block path, byte for byte;
-        :attr:`RunMetrics.batched` records what was regrouped.
+        one run: the reconstruct phase maps over chunks of blocks,
+        survivors regroup by shared sample grid into matrix chunks, and
+        the batch phase maps the tail job over the chunks.  Cache keys,
+        results, and stage records are those of the per-block path,
+        byte for byte; :attr:`RunMetrics.batched` records what was
+        regrouped.
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
@@ -1001,21 +1011,24 @@ class CampaignEngine:
         fn: Callable[[Any], Any],
         tasks: list[Any],
         traced: "_TracedDispatch | None",
-        span_name: str,
-        tick_weight: int = 1,
+        span_name: str | None,
+        blocks_done: Callable[[Any], int] = lambda _result: 1,
     ) -> list[Any]:
         """One executor fan-out, through :class:`TracedCall` when traced.
 
-        Every completed result ticks the ambient progress emitter;
-        ``tick_weight`` is 1 for fan-outs that complete one block per
-        result and 0 for the batched tail phase (whose blocks were
-        already counted by phase A), so ``done`` converges to the task
-        total exactly once per block.
+        Every completed result ticks the ambient progress emitter by
+        ``blocks_done(result)``: 1 for fan-outs that complete one block
+        per result, the chunk's length for the batched phase A, and 0
+        for the batched tail phase (whose blocks phase A already
+        counted), so ``done`` converges to the task total exactly once
+        per block.
         """
         progress = get_progress()
 
-        def on_result(_result: Any) -> None:
-            progress.tick(tick_weight)
+        def on_result(result: Any) -> None:
+            if isinstance(result, ShippedResult):
+                result = result.value
+            progress.tick(blocks_done(result))
 
         if traced is None:
             return self.executor.map(fn, tasks, on_result)
@@ -1039,30 +1052,39 @@ class CampaignEngine:
         pending_tasks: list[Any],
         traced: "_TracedDispatch | None" = None,
     ) -> tuple[list[Any], dict[str, int]]:
-        """Two-phase dispatch: per-block reconstruction, then batched tails.
+        """Two-phase dispatch: chunked reconstruction, then batched tails.
 
-        Phase A maps the reconstruct job over every pending task (one
-        ``block`` span each, exactly like per-block dispatch).  Tasks
-        that short-circuited already hold their final result; the rest
+        Phase A maps the reconstruct job over chunks of the pending
+        tasks (the :func:`_chunk_group` policy: one chunk when serial);
+        the job opens one ``block`` span per block itself.  Tasks that
+        short-circuited already hold their final result; the rest
         regroup by shared sample grid, are chunked to keep a parallel
         executor's pool busy, and phase B maps the tail job over the
         chunks (one ``batch`` span each).  Slot order is preserved, so
         the caller merges results exactly as in the per-block path.
         """
         recon_fn, tail_fn = fn.batched_split()
-        produced = self._map_tasks(recon_fn, pending_tasks, traced, "block")
-        slots: list[Any] = [None] * len(produced)
+        workers = getattr(self.executor, "workers", 1)
+        a_chunks = _chunk_group(list(enumerate(pending_tasks)), workers)
+        produced = self._map_tasks(
+            recon_fn,
+            [tuple(task for _, task in c) for c in a_chunks],
+            traced,
+            None,
+            blocks_done=len,
+        )
+        slots: list[Any] = [None] * len(pending_tasks)
         survivors: list[tuple[int, Any]] = []
-        for i, item in enumerate(produced):
-            if isinstance(item, BlockResult):
-                slots[i] = item  # firewalled short-circuit: already final
-            else:
-                survivors.append((i, item))
+        for members, items in zip(a_chunks, produced):
+            for (i, _), item in zip(members, items):
+                if isinstance(item, BlockResult):
+                    slots[i] = item  # firewalled short-circuit: already final
+                else:
+                    survivors.append((i, item))
         groups: dict[bytes, list[tuple[int, Any]]] = {}
         for i, rb in survivors:
             grid = rb.reconstruction.counts.times.tobytes()
             groups.setdefault(grid, []).append((i, rb))
-        workers = getattr(self.executor, "workers", 1)
         chunks: list[list[tuple[int, Any]]] = []
         for members in groups.values():
             chunks.extend(_chunk_group(members, workers))
@@ -1071,7 +1093,7 @@ class CampaignEngine:
             [tuple(rb for _, rb in c) for c in chunks],
             traced,
             "batch",
-            tick_weight=0,  # phase A already counted these blocks as done
+            blocks_done=lambda _result: 0,  # phase A already counted these blocks
         )
         for members, block_results in zip(chunks, computed):
             for (i, _), result in zip(members, block_results):

@@ -9,8 +9,9 @@ results byte-identical between serial and parallel execution (no shared
 mutable caches).
 
 The batched dispatch path splits :class:`BlockAnalysisJob` in two via
-:meth:`BlockAnalysisJob.batched_split`: a :class:`BlockReconstructJob`
-that fans out per block (simulation dominates and does not batch) and a
+:meth:`BlockAnalysisJob.batched_split`: a :class:`ChunkReconstructJob`
+that simulates and reconstructs a whole chunk of blocks (every observer
+lane of the chunk probed together by the lane-parallel prober) and a
 :class:`BatchTailJob` that runs the analysis tail — classify, trend,
 detect — over a whole chunk of reconstructions at once through the
 batched columnar kernels.
@@ -30,23 +31,27 @@ the same pickled job works on every executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.pipeline import BlockPipeline
 from ..core.reconstruction import Reconstruction
-from ..core.stages import PIPELINE_STAGES, StageContext, StageRecord
+from ..core.stages import PIPELINE_STAGES, StageContext, StageMeter, StageRecord
 from ..datasets.catalog import DatasetSpec
 from ..net.world import BlockSpec, WorldModel
 from ..obs.metrics import get_registry
-from ..obs.trace import annotate
+from ..obs.trace import annotate, get_tracer
 from .cache import task_key
 from .engine import BlockResult
+
+if TYPE_CHECKING:  # datasets.builder composes over this package
+    from ..datasets.builder import ChunkSimulation
 
 __all__ = [
     "BatchTailJob",
     "BlockAnalysisJob",
-    "BlockReconstructJob",
+    "ChunkReconstructJob",
     "ReconstructedBlock",
 ]
 
@@ -55,7 +60,7 @@ __all__ = [
 class ReconstructedBlock:
     """Phase-A output of the batched path: one block, reconstructed.
 
-    Carries the stage records of the front half (simulate, repair,
+    Carries the stage records of the front half (truth, probe, repair,
     combine, reconstruct) so the tail job can prepend them to its own
     and return a :class:`BlockResult` indistinguishable from the
     per-block path's.
@@ -101,17 +106,17 @@ class BlockAnalysisJob:
             },
         )
 
-    def batched_split(self) -> "tuple[BlockReconstructJob, BatchTailJob]":
-        """The (per-block, per-batch) job pair of the batched dispatch path.
+    def batched_split(self) -> "tuple[ChunkReconstructJob, BatchTailJob]":
+        """The (per-chunk, per-chunk) job pair of the batched dispatch path.
 
-        The engine maps the reconstruct job over blocks exactly like
-        this job, regroups surviving reconstructions by sample grid,
-        and maps the tail job over chunks; per-chunk results carry the
-        same keys, analyses, and stage-record shapes as ``self`` would
+        The engine maps the reconstruct job over chunks of blocks,
+        regroups surviving reconstructions by sample grid, and maps the
+        tail job over chunks of those; per-block results carry the same
+        keys, analyses, and stage-record shapes as ``self`` would
         produce, byte for byte.
         """
         return (
-            BlockReconstructJob(
+            ChunkReconstructJob(
                 world=self.world,
                 ds=self.ds,
                 pipeline=self.pipeline,
@@ -142,13 +147,20 @@ class BlockAnalysisJob:
 
 
 @dataclass(frozen=True)
-class BlockReconstructJob:
-    """Phase A of the batched path: simulate + reconstruct one block.
+class ChunkReconstructJob:
+    """Phase A of the batched path: simulate + reconstruct a chunk of blocks.
 
-    Mirrors :class:`BlockAnalysisJob` exactly up to the reconstruction:
-    same firewalled short-circuit (returning the finished
-    :class:`BlockResult` — those blocks never reach the tail), same
-    funnel counters, same span annotations.
+    One call generates every responsive block's truth and probes all
+    their observer lanes together
+    (:func:`~repro.datasets.builder.simulate_chunk`, in one ``chunk``
+    span), then repairs, combines and reconstructs block by block.
+    Chunks that :func:`~repro.datasets.builder.batches_lanes` declines
+    are simulated per block exactly as :class:`BlockAnalysisJob` does.
+    Either way each block gets its own ``block`` span, firewalled
+    short-circuit (returning the finished :class:`BlockResult` — those
+    blocks never reach the tail), funnel counters and ``truth``/
+    ``probe`` stage records; a chunk's probing time is split across its
+    blocks by probe count.
     """
 
     world: WorldModel
@@ -156,21 +168,71 @@ class BlockReconstructJob:
     pipeline: BlockPipeline
     observer_style: str = "adaptive"
 
-    def __call__(self, spec: BlockSpec) -> BlockResult | ReconstructedBlock:
-        from ..datasets.builder import DatasetBuilder
+    def __call__(
+        self, chunk: tuple[BlockSpec, ...]
+    ) -> tuple[BlockResult | ReconstructedBlock, ...]:
+        from ..datasets.builder import DatasetBuilder, batches_lanes, simulate_chunk
 
-        annotate(block=spec.block.cidr, dataset=self.ds.name)
-        short = _firewalled_result(spec)
-        if short is not None:
-            return short
-        get_registry().counter("blocks.analyzed").inc()
-        ctx = StageContext()
-        builder = DatasetBuilder(
-            self.world, self.pipeline, observer_style=self.observer_style
+        tracer = get_tracer()
+        out: dict[int, BlockResult | ReconstructedBlock] = {}
+        live: list[int] = []
+        for i, spec in enumerate(chunk):
+            if spec.responsive_by_design:
+                live.append(i)
+                continue
+            with tracer.span("block"):
+                annotate(block=spec.block.cidr, dataset=self.ds.name)
+                out[i] = _unresponsive_result(spec)
+        specs = [chunk[i] for i in live]
+        sim: ChunkSimulation | None = None
+        if batches_lanes(self.ds, self.observer_style, len(specs)):
+            with tracer.span("chunk", attrs={"n_blocks": len(specs)}):
+                sim = simulate_chunk(self.world, specs, self.ds)
+        for j, (i, spec) in enumerate(zip(live, specs)):
+            with tracer.span("block"):
+                annotate(block=spec.block.cidr, dataset=self.ds.name)
+                get_registry().counter("blocks.analyzed").inc()
+                ctx = StageContext()
+                if sim is None:
+                    builder = DatasetBuilder(
+                        self.world, self.pipeline, observer_style=self.observer_style
+                    )
+                    recon = builder.reconstruct_block(spec, self.ds, ctx=ctx)
+                else:
+                    recon = self._reconstruct(sim, j, ctx)
+            out[i] = ReconstructedBlock(
+                key=spec.block.cidr, reconstruction=recon, stages=tuple(ctx.records)
+            )
+        return tuple(out[i] for i in range(len(chunk)))
+
+    def _reconstruct(
+        self, sim: ChunkSimulation, j: int, ctx: StageContext
+    ) -> Reconstruction:
+        """Block ``j`` of a simulated chunk, recorded like the per-block path."""
+        from ..datasets.builder import reconstruct_logs
+
+        meter = StageMeter()
+        logs = sim.logs(j)  # assembling the logs is probing work too
+        assembly = meter.shares(1)
+        truth, probe = sim.truth_cost[j], sim.probe_cost[j]
+        ctx.record_batched(
+            "truth",
+            wall_s=truth.wall_s,
+            n_out=sim.truth_cells[j],
+            cpu_s=truth.cpu_s,
+            rss_delta=truth.rss_delta,
         )
-        recon = builder.reconstruct_block(spec, self.ds, ctx=ctx)
-        return ReconstructedBlock(
-            key=spec.block.cidr, reconstruction=recon, stages=tuple(ctx.records)
+        ctx.record_batched(
+            "probe",
+            wall_s=probe.wall_s + assembly.wall_s,
+            n_in=len(self.ds.observers),
+            n_out=sim.n_probes[j],
+            n_batch=len(sim.addresses),
+            cpu_s=probe.cpu_s + assembly.cpu_s,
+            rss_delta=probe.rss_delta + assembly.rss_delta,
+        )
+        return reconstruct_logs(
+            self.pipeline, logs, sim.addresses[j], sim.start_s, self.ds, ctx
         )
 
 
@@ -237,10 +299,12 @@ def _canonical_reconstruction(recon: Reconstruction) -> Reconstruction:
 
 def _firewalled_result(spec: BlockSpec) -> BlockResult | None:
     """The shared short-circuit for blocks that never answer probes."""
+    return None if spec.responsive_by_design else _unresponsive_result(spec)
+
+
+def _unresponsive_result(spec: BlockSpec) -> BlockResult:
     from ..datasets.builder import unresponsive_analysis
 
-    if spec.responsive_by_design:
-        return None
     get_registry().counter("blocks.firewalled").inc()
     ctx = StageContext()
     for name in PIPELINE_STAGES:

@@ -20,9 +20,17 @@ from repro.core.reconstruction import (
     full_scan_durations_reference,
 )
 from repro.net.events import Calendar
-from repro.net.loss import BernoulliLoss, NoLoss
+from repro.net.loss import BernoulliLoss, DiurnalCongestionLoss, NoLoss
 from repro.net.observations import ObservationSeries
-from repro.net.prober import TrinocularObserver, probe_order
+from repro.net.prober import (
+    DRAW_BLOCK,
+    ProbeLane,
+    ProbeTarget,
+    TrinocularObserver,
+    observe_batch,
+    probe_order,
+)
+from repro.obs.metrics import scoped_registry
 from repro.net.usage import (
     NatGatewayUsage,
     ServerFarmUsage,
@@ -173,6 +181,216 @@ class TestProberEquivalence:
             duration_s=86_400.0,
             start_cursor=11,
         )
+
+
+# ---------------------------------------------------------------------------
+# lane-parallel prober vs the per-lane prober and its scalar oracle
+# ---------------------------------------------------------------------------
+def probe_counters(registry) -> dict:
+    return {
+        name: metric["value"]
+        for name, metric in registry.snapshot().items()
+        if name.startswith("probes.")
+    }
+
+
+def check_lanes(specs):
+    """Run ``observe_batch`` over lanes built from ``specs`` and compare
+    every lane with ``observe`` and ``observe_reference`` on twin
+    generators: arrays, dtypes, probe counters and each generator's
+    next draw must all match.
+
+    A spec is ``(observer, truth, order, loss, seed, kwargs)``; lanes
+    with the same ``truth`` and ``order`` objects share one packed target.
+    """
+    targets: dict[tuple[int, int, float], ProbeTarget] = {}
+    lanes = []
+    for obs, truth, order, loss, seed, kwargs in specs:
+        start = kwargs.get("start_s", 0.0)
+        key = (id(truth), id(order), start)
+        if key not in targets:
+            targets[key] = ProbeTarget.of(truth, order, start)
+        lanes.append(
+            ProbeLane(obs, targets[key], loss, np.random.default_rng(seed), **kwargs)
+        )
+    with scoped_registry() as batch_registry:
+        logs = observe_batch(lanes)
+    fast_rngs = []
+    with scoped_registry() as lane_registry:
+        fast = []
+        for obs, truth, order, loss, seed, kwargs in specs:
+            fast_rngs.append(np.random.default_rng(seed))
+            fast.append(obs.observe(truth, order, loss, fast_rngs[-1], **kwargs))
+    assert probe_counters(batch_registry) == probe_counters(lane_registry)
+    assert len(logs) == len(specs)
+    for i, (obs, truth, order, loss, seed, kwargs) in enumerate(specs):
+        slow_rng = np.random.default_rng(seed)
+        slow = obs.observe_reference(truth, order, loss, slow_rng, **kwargs)
+        got = logs[i]
+        assert logs.n_probes(i) == len(got)
+        for series in (got, fast[i]):
+            assert_same_series(series, slow)
+            assert series.times.dtype == slow.times.dtype
+            assert series.addresses.dtype == slow.addresses.dtype
+            assert series.observer == slow.observer
+        next_draw = slow_rng.random()
+        assert lanes[i].rng.random() == next_draw
+        assert fast_rngs[i].random() == next_draw
+    return logs
+
+
+def random_lane_specs(seed: int) -> list:
+    """Blocks of several sizes (m < 15 included), each probed by a few
+    observers with mixed loss models, phases, budgets, cursors and
+    window lengths."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for b in range(int(rng.integers(2, 6))):
+        usage = [
+            WorkplaceUsage(n_desktops=int(rng.integers(1, 60)), n_servers=2),
+            SparseUsage(n_addresses=int(rng.integers(2, 14))),
+            NatGatewayUsage(n_routers=2, stale_addresses=int(rng.integers(0, 12))),
+            ServerFarmUsage(n_servers=int(rng.integers(1, 40))),
+        ][int(rng.integers(4))]
+        truth = make_truth(usage, days=float(rng.uniform(0.5, 3.0)), seed=seed * 7 + b)
+        order = probe_order(truth.n_addresses, seed * 7 + b)
+        start = float(rng.choice([0.0, 3_000.0]))
+        for o in range(int(rng.integers(1, 5))):
+            loss = [
+                NoLoss(),
+                BernoulliLoss(p=float(rng.uniform(0.0, 0.9))),
+                DiurnalCongestionLoss(base=0.05, peak=0.8, tz_hours=float(o)),
+            ][int(rng.integers(3))]
+            obs = TrinocularObserver(
+                "ejnw"[o],
+                # 656 s: every round's probes straddle a truth column edge
+                phase_offset_s=float(rng.choice([rng.uniform(0.0, 660.0), 656.0])),
+                max_probes_per_round=int(rng.integers(1, 20)),
+            )
+            kwargs = {
+                "start_s": start,
+                "duration_s": float(rng.uniform(0.2, 1.0)) * (truth.duration_s - start),
+                # cursors anywhere, the last position included
+                "start_cursor": int(rng.choice([rng.integers(truth.n_addresses),
+                                                truth.n_addresses - 1])),
+            }
+            specs.append((obs, truth, order, loss, int(rng.integers(2**32)), kwargs))
+    return specs
+
+
+class TestObserveBatchEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_lane_sets(self, seed):
+        check_lanes(random_lane_specs(seed))
+
+    def test_draw_buffer_runs_out_mid_round(self):
+        """Always-active targets under heavy loss: every probe draws, so
+        buffers refill repeatedly, inside rounds and inside resumed
+        (lost-reply) walks."""
+        truth = make_truth(ServerFarmUsage(n_servers=30), days=8.0, seed=11)
+        order = probe_order(truth.n_addresses, 11)
+        specs = [
+            (TrinocularObserver(name), truth, order, BernoulliLoss(p=0.95), 100 + i, {})
+            for i, name in enumerate("ejnw")
+        ]
+        logs = check_lanes(specs)
+        assert min(len(logs[i]) for i in range(len(logs))) > 2 * DRAW_BLOCK
+
+    def test_zero_round_and_empty_lanes(self):
+        """Empty windows still consume the prefilled draws; empty orders
+        return empty logs and leave counters and generators alone."""
+        truth = make_truth(WorkplaceUsage(n_desktops=20, n_servers=1), days=1.0, seed=12)
+        order = probe_order(truth.n_addresses, 12)
+        empty = order[:0]
+        specs = [
+            (TrinocularObserver("e"), truth, order, BernoulliLoss(p=0.2), 1, {"duration_s": 0.0}),
+            (TrinocularObserver("j", phase_offset_s=600.0), truth, order, NoLoss(), 2,
+             {"duration_s": 500.0}),
+            (TrinocularObserver("n"), truth, empty, BernoulliLoss(p=0.2), 3, {}),
+            (TrinocularObserver("w"), truth, order, BernoulliLoss(p=0.2), 4, {}),
+        ]
+        logs = check_lanes(specs)
+        assert [len(logs[i]) == 0 for i in range(3)] == [True, True, True]
+        assert len(logs[3]) > 0
+
+    def test_small_blocks_and_window_lengths(self):
+        """m < 15 caps the budget at m; lanes of one block with different
+        window lengths share one target."""
+        truth = make_truth(SparseUsage(n_addresses=5, stale_addresses=1), days=2.0, seed=13)
+        order = probe_order(truth.n_addresses, 13)
+        specs = [
+            (TrinocularObserver(name, phase_offset_s=137.0 * (i + 1)), truth, order,
+             BernoulliLoss(p=0.3), 20 + i, {"duration_s": 86_400.0 * (0.5 + i / 3)})
+            for i, name in enumerate("ejnw")
+        ]
+        check_lanes(specs)
+
+    def test_windowed_target_matches_whole_truth(self):
+        """A target packing only the window's columns (as the batched
+        runtime path builds it) gives the whole-truth logs."""
+        truth = make_truth(WorkplaceUsage(n_desktops=30, n_servers=2), days=3.0, seed=14)
+        order = probe_order(truth.n_addresses, 14)
+        start, end = 86_400.0, 2 * 86_400.0
+        obs = TrinocularObserver("e", phase_offset_s=137.0)
+        loss = BernoulliLoss(p=0.1)
+        lane = ProbeLane(
+            obs, ProbeTarget.of(truth, order, start, end), loss,
+            np.random.default_rng(5), start_s=start, duration_s=end - start, start_cursor=3,
+        )
+        assert lane.target.width < truth.n_cols / 2
+        want = obs.observe_reference(
+            truth, order, loss, np.random.default_rng(5),
+            start_s=start, duration_s=end - start, start_cursor=3,
+        )
+        assert_same_series(observe_batch([lane])[0], want)
+
+    def test_shared_generator_is_rejected(self):
+        truth = make_truth(ServerFarmUsage(n_servers=8), days=0.5, seed=15)
+        target = ProbeTarget.of(truth, probe_order(truth.n_addresses, 15))
+        rng = np.random.default_rng(0)
+        lanes = [ProbeLane(TrinocularObserver(n), target, rng=rng) for n in "ej"]
+        with pytest.raises(ValueError, match="share a Generator"):
+            observe_batch(lanes)
+
+
+class TestSparseUsageEquivalence:
+    """The bulk on/off span draw against the span-by-span loop."""
+
+    @staticmethod
+    def check_spans(usage, days, seed):
+        grid = round_grid(days * 86_400.0)
+        cal = Calendar(epoch=EPOCH)
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = usage._generate_core(fast_rng, grid, cal)
+        slow = usage._generate_core_reference(slow_rng, grid, cal)
+        assert fast.dtype == slow.dtype and fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_parameters(self, seed):
+        rng = np.random.default_rng(seed)
+        usage = SparseUsage(
+            n_addresses=int(rng.integers(1, 80)),
+            mean_on_days=float(rng.uniform(0.01, 6.0)),
+            mean_off_days=float(rng.uniform(0.01, 6.0)),
+        )
+        self.check_spans(usage, float(rng.uniform(0.01, 200.0)), seed)
+
+    @pytest.mark.parametrize("days", [14.0, 31.0, 182.0])
+    def test_world_parameters(self, days):
+        """The churn and sparse kinds' parameter ranges at campaign horizons."""
+        self.check_spans(SparseUsage(n_addresses=80, mean_on_days=0.4, mean_off_days=0.5), days, 1)
+        self.check_spans(SparseUsage(n_addresses=24, mean_on_days=1.4, mean_off_days=2.0), days, 2)
+        self.check_spans(SparseUsage(n_addresses=4, mean_on_days=5.0, mean_off_days=6.0), days, 3)
+
+    def test_edge_cases(self):
+        self.check_spans(SparseUsage(n_addresses=10), 0.0, 4)  # no columns
+        self.check_spans(SparseUsage(n_addresses=0), 3.0, 5)  # no addresses
+        self.check_spans(SparseUsage(n_addresses=10, mean_on_days=0.0), 3.0, 6)  # empty on-spans
+        # spans far longer than the horizon: one span per address
+        long_spans = SparseUsage(n_addresses=30, mean_on_days=500.0, mean_off_days=500.0)
+        self.check_spans(long_spans, 1.0, 7)
 
 
 class TestFullScanEquivalence:

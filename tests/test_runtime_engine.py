@@ -98,8 +98,12 @@ class TestRunMetrics:
         assert d["funnel"]["routed"] == 200
 
     def test_simulate_stage_dominates(self, serial_result):
-        # observation simulation is the hot path; the record must exist
-        assert serial_result.metrics.stages["simulate"].calls > 0
+        # simulation (truth synthesis, then probing) is the hot path; its
+        # two records must exist, one call each per responsive block
+        stages = serial_result.metrics.stages
+        responsive = stages["repair"].calls
+        assert stages["truth"].calls == stages["probe"].calls == responsive > 0
+        assert stages["probe"].n_out == stages["repair"].n_in  # every probe logged
 
 
 class TestFallback:
@@ -393,15 +397,20 @@ class TestBatchedDispatch:
         assert pickle.loads(pickle.dumps(tail_fn)) == tail_fn
 
     def test_firewalled_short_circuits_reconstruction(self, world200):
-        from repro.runtime import BlockReconstructJob
+        from repro.runtime import ChunkReconstructJob, ReconstructedBlock
 
-        spec = next(s for s in world200.blocks if not s.responsive_by_design)
-        job = BlockReconstructJob(
+        firewalled = next(s for s in world200.blocks if not s.responsive_by_design)
+        responsive = next(s for s in world200.blocks if s.responsive_by_design)
+        job = ChunkReconstructJob(
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
-        result = job(spec)
-        assert isinstance(result, BlockResult)
-        assert all(r.skipped for r in result.stages)
+        short, rebuilt = job((firewalled, responsive))
+        assert isinstance(short, BlockResult)
+        assert all(r.skipped for r in short.stages)
+        assert isinstance(rebuilt, ReconstructedBlock)
+        assert [r.name for r in rebuilt.stages] == [
+            "truth", "probe", "repair", "combine", "reconstruct"
+        ]
 
     def test_cache_is_path_agnostic(self, world200, serial_result, tmp_path):
         # a cache written by the per-block path must be served verbatim
@@ -445,3 +454,88 @@ class TestBatchedDispatch:
         monkeypatch.setenv("REPRO_BATCHED", "sideways")
         with pytest.warns(RuntimeWarning, match="REPRO_BATCHED"):
             assert _resolve_batched(None) is True
+
+
+class TestChunkedPhaseA:
+    """Phase A probes a whole chunk's lanes at once; every execution mode
+    of it must match the per-block oracle byte for byte."""
+
+    N = 120  # blocks per run: enough lanes per pool chunk / shard to batch
+
+    @pytest.fixture(scope="class")
+    def blocks(self, world200):
+        return list(world200.blocks)[: self.N]
+
+    @pytest.fixture(scope="class")
+    def oracle(self, world200, blocks):
+        engine = CampaignEngine(SerialExecutor(), batched=False)
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        return {cidr: pickle.dumps(a) for cidr, a in result.analyses.items()}
+
+    @staticmethod
+    def assert_matches(result, oracle):
+        assert list(result.analyses) == list(oracle)
+        for cidr, analysis in result.analyses.items():
+            assert pickle.dumps(analysis) == oracle[cidr], cidr
+
+    def test_serial_chunk(self, world200, blocks, oracle):
+        engine = CampaignEngine(SerialExecutor(), batched=True)
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        self.assert_matches(result, oracle)
+        stages = result.metrics.stages
+        assert stages["truth"].calls == stages["probe"].calls == result.metrics.batched["blocks"]
+
+    def test_shm_pool(self, world200, blocks, oracle):
+        from repro.runtime import SharedMemoryExecutor
+
+        with CampaignEngine(SharedMemoryExecutor(workers=2), batched=True) as engine:
+            result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+            assert engine.executor.fallback_reason is None
+        self.assert_matches(result, oracle)
+
+    def test_three_shards(self, world200, blocks, oracle):
+        engine = CampaignEngine(SerialExecutor(), batched=True, shards=3)
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        assert result.metrics.shards["shards"] == 3
+        self.assert_matches(result, oracle)
+
+    def test_warm_cache(self, world200, blocks, oracle, tmp_path):
+        cold = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), batched=True)
+        self.assert_matches(
+            DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=cold), oracle
+        )
+        warm = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), batched=True)
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=warm)
+        assert result.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
+        self.assert_matches(result, oracle)
+
+    def test_lane_threshold_is_invisible(self, world200, blocks, oracle, monkeypatch):
+        """Chunks below MIN_BATCH_LANES probe per lane; forcing either
+        side of the threshold gives the same bytes."""
+        import repro.datasets.builder as builder_mod
+
+        job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
+        recon_fn, _ = job.batched_split()
+        chunk = tuple(blocks[:12])
+        outputs = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(builder_mod, "MIN_BATCH_LANES", threshold)
+            outputs.append([pickle.dumps(r.reconstruction) for r in recon_fn(chunk)
+                            if not isinstance(r, BlockResult)])
+        assert outputs[0] == outputs[1] and len(outputs[0]) > 0
+        for spec, blob in zip([s for s in chunk if s.responsive_by_design], outputs[0]):
+            want = DatasetBuilder(world200).reconstruct_block(spec, DATASET)
+            assert pickle.dumps(want) == blob
+
+    def test_progress_counts_every_block_once(self, world200, blocks, tmp_path):
+        import json
+
+        from repro.obs.progress import ProgressEmitter, use_progress
+
+        emitter = ProgressEmitter(tmp_path, interval_s=0.0)
+        with use_progress(emitter):
+            engine = CampaignEngine(ParallelExecutor(workers=2), batched=True)
+            DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        records = [json.loads(line) for line in emitter.path.read_text().splitlines()]
+        assert records[-1]["done"] == records[-1]["total"] == self.N
+        assert max(r["done"] for r in records) == self.N
