@@ -40,9 +40,9 @@ from .core import (
 from .datasets import CATALOG, DatasetBuilder, DatasetSpec, dataset
 from .runtime import (
     CampaignEngine,
-    ParallelExecutor,
     RunMetrics,
     SerialExecutor,
+    SharedMemoryExecutor,
     default_engine,
 )
 from .net import (
@@ -81,9 +81,9 @@ __all__ = [
     "DatasetSpec",
     "dataset",
     "CampaignEngine",
-    "ParallelExecutor",
     "RunMetrics",
     "SerialExecutor",
+    "SharedMemoryExecutor",
     "default_engine",
     "BlockAddress",
     "BlockTruth",

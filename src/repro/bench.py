@@ -64,7 +64,6 @@ __all__ = [
     "machine_fingerprint",
     "measure_batched_kernels",
     "measure_cusum_scaling",
-    "measure_dispatch_tiers",
     "measure_engine",
     "measure_kernels",
     "measure_prober_lanes",
@@ -83,7 +82,6 @@ DEFAULT_SECTIONS = (
     "batched",
     "cusum_rows_scaling",
     "prober_lanes",
-    "dispatch_tiers",
     "engine",
     "scale",
 )
@@ -94,8 +92,6 @@ ENGINE_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 SCALE_SWEEP = (1_600, 25_000, 100_000)
 SCALE_SHARD_BLOCKS = 2_000  # target shard width for the scale sweep
-DISPATCH_BATCH_SIZES = (64, 256, 1024)
-DISPATCH_TASKS = 2  # tasks per map: enough to engage the pool, cheap to run
 PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
 
 
@@ -283,8 +279,8 @@ def measure_prober_lanes(
     each ``L``.  Both sides include building every probe log (the batch
     assembles them on access), and every log is asserted equal before
     anything is recorded.  Keyed by ``L``; the keys avoid the gate's
-    ``vectorized_s``/``batched_s`` names (like ``dispatch_tiers``), so
-    the crossover curve is a record, not a gated metric.
+    ``vectorized_s``/``batched_s`` names, so the crossover curve is a
+    record, not a gated metric.
     """
     from .datasets.builder import _lane_rng, _start_cursor
     from .datasets.catalog import TRINOCULAR_SITES, dataset
@@ -369,94 +365,6 @@ def measure_prober_lanes(
     return out
 
 
-def _dispatch_tier_task(task: dict[str, Any]) -> np.ndarray:
-    """The dispatch-tier bench job: row sums over one shipped matrix.
-
-    Deliberately trivial compute — the section measures the *dispatch*
-    plane (pickle vs shared-memory array handoff), so the kernel must
-    not dominate.  Module-level so both pool executors can pickle it.
-    """
-    return np.nansum(task["values"], axis=1) + float(task["tag"])
-
-
-def measure_dispatch_tiers(
-    batch_sizes: Sequence[int] = DISPATCH_BATCH_SIZES,
-) -> dict[str, dict[str, float]]:
-    """Pickle-vs-shared-memory dispatch cost across matrix batch sizes.
-
-    For each B the same ``(B, n)`` count matrix rides inside
-    ``DISPATCH_TASKS`` tasks through a :class:`ParallelExecutor` (full
-    array pickles) and a :class:`SharedMemoryExecutor` (descriptors +
-    one shm publication), after a warm-up map so the persistent pool's
-    spawn does not land in the timing.  Records what each tier actually
-    shipped — ``pickle_task_bytes`` vs ``shm_task_bytes`` (+
-    ``shm_bytes`` published out-of-band) — and blocks/sec per tier;
-    results are asserted byte-identical before anything is recorded.
-    Keyed by B, like :func:`measure_cusum_scaling`.
-    """
-    from .runtime import envconfig
-    from .runtime.executors import ParallelExecutor, SharedMemoryExecutor
-
-    out: dict[str, dict[str, float]] = {}
-    # the pickle path's task-byte measurement is accounting-gated
-    with envconfig.overriding("REPRO_PAYLOAD_ACCOUNTING", "1"):
-        for b in batch_sizes:
-            _, matrix = count_matrix_fixture(b)
-            tasks = [
-                {"values": matrix.values, "tag": i} for i in range(DISPATCH_TASKS)
-            ]
-            expected = [_dispatch_tier_task(t) for t in tasks]
-
-            tiers: dict[str, tuple[Any, dict[str, float]]] = {}
-            for tier, executor in (
-                ("pickle", ParallelExecutor(workers=2)),
-                ("shm", SharedMemoryExecutor(workers=2)),
-            ):
-                executor.map(_dispatch_tier_task, tasks)  # warm-up (spawns)
-                before = dict(executor.payload)
-                t0 = time.perf_counter()
-                results = executor.map(_dispatch_tier_task, tasks)
-                wall_s = time.perf_counter() - t0
-                delta = {
-                    k: executor.payload.get(k, 0) - before.get(k, 0)
-                    for k in executor.payload
-                }
-                if executor.fallback_reason is not None or delta.get("maps") != 1:
-                    raise RuntimeError(
-                        f"dispatch_tiers[{tier}] B={b} did not dispatch through "
-                        f"the pool: {executor.fallback_reason!r}"
-                    )
-                for got, want in zip(results, expected):
-                    assert pickle.dumps(got) == pickle.dumps(want)
-                tiers[tier] = (delta, {"wall_s": wall_s})
-                closer = getattr(executor, "close", None)
-                if callable(closer):
-                    closer()
-
-            pickle_delta, pickle_t = tiers["pickle"]
-            shm_delta, shm_t = tiers["shm"]
-            n_blocks = b * DISPATCH_TASKS
-            out[str(b)] = {
-                "pickle_task_bytes": float(pickle_delta["task_bytes"]),
-                "shm_task_bytes": float(shm_delta["task_bytes"]),
-                "shm_bytes": float(shm_delta.get("shm_bytes", 0)),
-                "task_bytes_ratio": (
-                    pickle_delta["task_bytes"] / shm_delta["task_bytes"]
-                    if shm_delta["task_bytes"]
-                    else 0.0
-                ),
-                "pickle_wall_s": pickle_t["wall_s"],
-                "shm_wall_s": shm_t["wall_s"],
-                "blocks_per_sec_pickle": (
-                    n_blocks / pickle_t["wall_s"] if pickle_t["wall_s"] > 0 else 0.0
-                ),
-                "blocks_per_sec_shm": (
-                    n_blocks / shm_t["wall_s"] if shm_t["wall_s"] > 0 else 0.0
-                ),
-            }
-    return out
-
-
 def measure_engine(n_blocks: int | None = None) -> dict[str, float | int]:
     """Serial whole-world analysis throughput (blocks/sec at scale)."""
     from .datasets.builder import DatasetBuilder
@@ -529,7 +437,6 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "batched": measure_batched_kernels,
         "cusum_rows_scaling": measure_cusum_scaling,
         "prober_lanes": measure_prober_lanes,
-        "dispatch_tiers": measure_dispatch_tiers,
         "engine": measure_engine,
         "scale": measure_scale,
     }

@@ -7,8 +7,7 @@
     repro all                  # run everything (slow at full scale)
     repro export [directory]   # write campaign results as CSV/GeoJSON (S2.9)
     REPRO_SCALE=200 repro fig8 # scale the simulated world down/up
-    repro --workers 4 table2   # fan block analysis out over 4 processes
-    repro --workers 4 --shm fig3 # zero-copy shared-memory dispatch tier
+    repro --workers 4 table2   # fan block analysis out over a 4-process pool
     repro --shards 8 fig3      # stream 8 shards, spilling results to disk
     repro --cache .cache fig3  # reuse per-block results across invocations
     repro --metrics fig3       # print per-stage engine instrumentation
@@ -67,8 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "processes for per-block analysis (sets REPRO_WORKERS; "
-            "1 = serial, the default)"
+            "processes for block analysis (sets REPRO_WORKERS; "
+            "1 = serial, the default).  N > 1 runs one persistent "
+            "shared-memory pool: arrays are published once into shm "
+            "segments and workers attach read-only views — results are "
+            "byte-identical to the serial run"
         ),
     )
     parser.add_argument(
@@ -93,28 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "content-addressed per-block result cache rooted at DIR "
             "(sets REPRO_CACHE); repeated runs over unchanged worlds "
             "reuse stored analyses instead of re-simulating"
-        ),
-    )
-    parser.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "columnar batched dispatch of the analysis tail (sets "
-            "REPRO_BATCHED; on by default, results are identical either "
-            "way — use --no-batched to force per-block dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "zero-copy shared-memory dispatch (sets REPRO_SHM; off by "
-            "default, needs --workers > 1): arrays are published once "
-            "into shm segments and workers attach read-only views, with "
-            "one persistent pool reused across dispatches — results are "
-            "byte-identical to every other path"
         ),
     )
     parser.add_argument(
@@ -265,14 +245,6 @@ def main(argv: list[str] | None = None) -> int:
         envconfig.set_env("REPRO_SHARDS", str(args.shards))
     if args.cache is not None:
         envconfig.set_env("REPRO_CACHE", args.cache)
-    if args.batched is not None:
-        envconfig.set_env("REPRO_BATCHED", "1" if args.batched else "0")
-    if args.shm is not None:
-        envconfig.set_env("REPRO_SHM", "1" if args.shm else "0")
-    if args.metrics or args.trace is not None:
-        # these runs print/persist the pool payload section, so turn the
-        # (re-pickling) payload accounting on unless explicitly set
-        envconfig.setdefault_env("REPRO_PAYLOAD_ACCOUNTING", "1")
     if args.progress is not None:
         envconfig.set_env("REPRO_PROGRESS", args.progress)
     if envconfig.raw("REPRO_PROGRESS"):

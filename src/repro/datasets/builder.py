@@ -44,7 +44,7 @@ from ..net.prober import (
 from ..net.survey import SurveyObserver
 from ..net.usage import ROUND_SECONDS, BlockTruth
 from ..net.world import BlockSpec, WorldModel
-from ..runtime.engine import CampaignEngine, RunMetrics, default_engine
+from ..runtime.engine import CampaignEngine, RunMetrics, engine_scope
 from ..runtime.jobs import BlockAnalysisJob
 from ..runtime.spill import SpilledResults
 from .catalog import TRINOCULAR_SITES, DatasetSpec, dataset
@@ -371,21 +371,22 @@ class DatasetBuilder:
         """Analyze a whole dataset (all world blocks unless given).
 
         Blocks are dispatched through ``engine`` (the ``REPRO_WORKERS``
-        default when not given) as one :class:`BlockAnalysisJob` per
-        block; firewalled blocks short-circuit inside the job.  The
-        engine's :class:`~repro.runtime.engine.RunMetrics` lands on the
-        returned result.
+        default when not given, closed again before returning) as one
+        :class:`BlockAnalysisJob` per block; firewalled blocks
+        short-circuit inside the job.  The engine's
+        :class:`~repro.runtime.engine.RunMetrics` lands on the returned
+        result.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         blocks = list(self.world.blocks) if blocks is None else blocks
-        engine = engine if engine is not None else default_engine()
         job = BlockAnalysisJob(
             world=self.world,
             ds=ds,
             pipeline=pipeline or self.pipeline,
             observer_style=self.observer_style,
         )
-        run = engine.run(job, blocks, label=f"analyze:{ds.name}")
+        with engine_scope(engine) as engine:
+            run = engine.run(job, blocks, label=f"analyze:{ds.name}")
         result = DatasetResult(spec=ds, world=self.world, metrics=run.metrics)
         if isinstance(run.results, SpilledResults):
             # sharded run: results live on disk — expose a lazy view

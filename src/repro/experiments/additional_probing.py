@@ -26,7 +26,7 @@ from ..datasets.builder import DatasetBuilder
 from ..datasets.catalog import DatasetSpec, dataset
 from ..net.observations import merge_observations
 from ..net.world import BlockSpec, WorldModel
-from ..runtime.engine import CampaignEngine, default_engine
+from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
 __all__ = ["AdditionalProbingResult", "run"]
@@ -86,14 +86,14 @@ def run(
     n = bench_scale(200) if n_blocks is None else n_blocks
     world = covid_world(n, seed)
     builder = DatasetBuilder(world)
-    engine = engine if engine is not None else default_engine()
     ds = dataset(DATASET)
     start = ds.start_s(world.epoch)
 
     targets = [spec for spec in world.blocks if spec.responsive_by_design]
-    samples = engine.run(
-        _FbsSampleJob(world=world, ds=ds), targets, label="additional-probing:fbs"
-    )
+    with engine_scope(engine) as engine:
+        samples = engine.run(
+            _FbsSampleJob(world=world, ds=ds), targets, label="additional-probing:fbs"
+        )
     ebs: list[int] = []
     avails: list[float] = []
     fbs_hours: list[float] = []

@@ -26,7 +26,7 @@ from ..datasets.catalog import dataset
 from ..net.world import WorldModel, scenario_baseline2023, scenario_covid2020
 from ..obs.trace import get_tracer
 from ..runtime import envconfig
-from ..runtime.engine import CampaignEngine, RunMetrics, default_engine
+from ..runtime.engine import CampaignEngine, RunMetrics, engine_scope
 
 __all__ = [
     "Campaign",
@@ -111,11 +111,10 @@ def _run_campaign(
     :class:`~repro.runtime.engine.CampaignEngine` the dataset builder
     uses — serial or parallel is purely the executor's business.
     """
-    engine = engine if engine is not None else default_engine()
     # tag every span the engine opens below (the two campaign spans and
     # their block/stage children) with the protocol's identity, so a
     # saved trace says which §3.4 run each subtree belongs to
-    with get_tracer().tagged(
+    with engine_scope(engine) as engine, get_tracer().tagged(
         protocol="s3.4",
         baseline=baseline_name,
         window=window_name,

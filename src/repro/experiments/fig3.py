@@ -20,7 +20,7 @@ from ..datasets.catalog import DatasetSpec
 from ..net.observations import merge_observations
 from ..net.world import BlockSpec, WorldModel
 from ..runtime.cache import task_key
-from ..runtime.engine import CampaignEngine, default_engine
+from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
 __all__ = ["Fig3Result", "run", "OBSERVER_SETS"]
@@ -106,12 +106,13 @@ def run(
     n = bench_scale(220) if n_blocks is None else n_blocks
     world = covid_world(n, seed, diurnal_boost=2.0)
     builder = DatasetBuilder(world)
-    engine = engine if engine is not None else default_engine()
-    result = builder.analyze(DATASET, engine=engine)
-    cs = result.change_sensitive()
-
-    job = _ScanTimeJob(world=world, ds=result.spec, max_scans=max_scans)
-    scan_run = engine.run(job, [result.block_specs[c] for c in cs], label="fig3:scan")
+    with engine_scope(engine) as engine:
+        result = builder.analyze(DATASET, engine=engine)
+        cs = result.change_sensitive()
+        job = _ScanTimeJob(world=world, ds=result.spec, max_scans=max_scans)
+        scan_run = engine.run(
+            job, [result.block_specs[c] for c in cs], label="fig3:scan"
+        )
     medians: dict[str, list[float]] = {o: [] for o in OBSERVER_SETS}
     for per_block in scan_run.results:
         for combo, median in per_block.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datasets.builder import DatasetBuilder, FunnelCounts
-from ..runtime.engine import CampaignEngine, default_engine
+from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
 __all__ = ["Table2Result", "run", "DATASETS"]
@@ -76,13 +76,13 @@ def run(
     n = bench_scale(300) if n_blocks is None else n_blocks
     world = covid_world(n, seed)
     builder = DatasetBuilder(world)
-    engine = engine if engine is not None else default_engine()
     funnels: dict[str, FunnelCounts] = {}
     cs_sets: dict[str, frozenset[str]] = {}
-    for name in DATASETS:
-        result = builder.analyze(name, engine=engine)
-        funnels[name] = result.funnel()
-        cs_sets[name] = frozenset(result.change_sensitive())
+    with engine_scope(engine) as engine:
+        for name in DATASETS:
+            result = builder.analyze(name, engine=engine)
+            funnels[name] = result.funnel()
+            cs_sets[name] = frozenset(result.change_sensitive())
     return Table2Result(funnels=funnels, cs_sets=cs_sets, n_blocks=n)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datasets.builder import DatasetBuilder
-from ..runtime.engine import CampaignEngine, default_engine
+from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
 __all__ = ["Table3Result", "run", "RECONSTRUCTION_OPTIONS"]
@@ -81,21 +81,20 @@ def run(
     n = bench_scale(260) if n_blocks is None else n_blocks
     world = covid_world(n, seed, diurnal_boost=2.0)
     builder = DatasetBuilder(world)
-    engine = engine if engine is not None else default_engine()
+    with engine_scope(engine) as engine:
+        truth_result = builder.analyze(GROUND_TRUTH, engine=engine)
+        responsive = {
+            cidr
+            for cidr, a in truth_result.analyses.items()
+            if a.classification.responsive
+        }
+        truth_cs = frozenset(truth_result.change_sensitive())
+        truth_counts = _counts(truth_result, responsive, truth_cs)
 
-    truth_result = builder.analyze(GROUND_TRUTH, engine=engine)
-    responsive = {
-        cidr
-        for cidr, a in truth_result.analyses.items()
-        if a.classification.responsive
-    }
-    truth_cs = frozenset(truth_result.change_sensitive())
-    truth_counts = _counts(truth_result, responsive, truth_cs)
-
-    options: dict[str, OptionCounts] = {}
-    for name in RECONSTRUCTION_OPTIONS:
-        result = builder.analyze(name, engine=engine)
-        options[name] = _counts(result, responsive, truth_cs)
+        options: dict[str, OptionCounts] = {}
+        for name in RECONSTRUCTION_OPTIONS:
+            result = builder.analyze(name, engine=engine)
+            options[name] = _counts(result, responsive, truth_cs)
     return Table3Result(n_overlap=len(responsive), truth=truth_counts, options=options)
 
 

@@ -1,8 +1,8 @@
 """REP003 — engine-dispatched job classes must stay picklable.
 
 Everything the campaign engine fans out through ``SerialExecutor`` /
-``ParallelExecutor`` is pickled to pool workers (and must round-trip
-byte-identically for the serial==parallel guarantee).  Lambdas, nested
+``SharedMemoryExecutor`` is pickled to pool workers (and must
+round-trip byte-identically for the serial==pool guarantee).  Lambdas, nested
 functions, and open file handles are the classic ways a job silently
 becomes unpicklable — and the failure only shows up at runtime, on the
 parallel path, after a fallback warning.

@@ -39,7 +39,6 @@ METRICS = frozenset(
         "engine.tasks",
         "executor.chunk_size",
         "executor.fallbacks",
-        "executor.payload.result_bytes",
         "executor.payload.shm_bytes",
         "executor.payload.task_bytes",
         "executor.pool_spawns",

@@ -5,10 +5,10 @@ embarrassingly parallel per-block map.  This package is the single
 seam through which the repo drives that map:
 
 * :class:`~repro.runtime.executors.Executor` — the pluggable mapping
-  strategy (:class:`SerialExecutor`, process-pool
-  :class:`ParallelExecutor` with chunked dispatch and serial fallback,
-  and the zero-copy :class:`SharedMemoryExecutor` — a persistent pool
-  fed by :mod:`~repro.runtime.shm` array descriptors);
+  strategy (:class:`SerialExecutor`, and the process pool
+  :class:`SharedMemoryExecutor` — persistent workers fed by
+  :mod:`~repro.runtime.shm` array descriptors, with chunked dispatch
+  and serial fallback);
 * :class:`~repro.runtime.engine.CampaignEngine` — runs an iterable of
   block tasks through an executor and aggregates per-stage
   :class:`~repro.core.stages.StageRecord` instrumentation into
@@ -37,14 +37,10 @@ from .engine import (
     TracedCall,
     default_engine,
     drain_run_log,
+    engine_scope,
     peek_run_log,
 )
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-)
+from .executors import Executor, SerialExecutor, SharedMemoryExecutor
 from .jobs import BatchTailJob, BlockAnalysisJob, ChunkReconstructJob, ReconstructedBlock
 from .sharding import ShardPlan, resolve_shards
 from .shm import ArrayDescriptor, SharedArrayPool
@@ -61,7 +57,6 @@ __all__ = [
     "ChunkReconstructJob",
     "EngineRun",
     "Executor",
-    "ParallelExecutor",
     "ReconstructedBlock",
     "RunMetrics",
     "SerialExecutor",
@@ -76,6 +71,7 @@ __all__ = [
     "default_cache",
     "default_engine",
     "drain_run_log",
+    "engine_scope",
     "peek_run_log",
     "resolve_shards",
     "stable_token",

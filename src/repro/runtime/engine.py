@@ -17,6 +17,7 @@ import os
 import time
 import warnings
 from collections import deque
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
@@ -29,12 +30,7 @@ from ..obs.resources import ResourceTracker, cpu_seconds, format_bytes, peak_rss
 from ..obs.trace import NoopTracer, SpanRecord, Tracer, get_tracer, use_tracer
 from . import envconfig
 from .cache import AnalysisCache, default_cache
-from .executors import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
-)
+from .executors import Executor, SerialExecutor, SharedMemoryExecutor
 from .sharding import ShardPlan, resolve_shards
 from .spill import SpillDir, SpilledResults
 
@@ -48,6 +44,7 @@ __all__ = [
     "TracedCall",
     "default_engine",
     "drain_run_log",
+    "engine_scope",
     "peek_run_log",
 ]
 
@@ -382,14 +379,11 @@ class RunMetrics:
                 )
             pool = res.get("pool")
             if pool:
-                line = (
-                    f"  pool: {format_bytes(pool.get('task_bytes', 0))} payload out, "
-                    f"{format_bytes(pool.get('result_bytes', 0))} results back "
-                    f"over {pool.get('maps', 0)} dispatches"
+                lines.append(
+                    f"  pool: {format_bytes(pool.get('task_bytes', 0))} payload out "
+                    f"over {pool.get('maps', 0)} dispatches, "
+                    f"{format_bytes(pool.get('shm_bytes', 0))} via shm"
                 )
-                if "shm_bytes" in pool:
-                    line += f", {format_bytes(pool.get('shm_bytes', 0))} via shm"
-                lines.append(line)
             workers = res.get("workers")
             if workers:
                 lines.append(
@@ -437,57 +431,6 @@ def _chunk_group(
     return [members[i : i + size] for i in range(0, len(members), size)]
 
 
-def _resolve_batched(value: bool | None) -> bool:
-    """Resolve the batched-dispatch setting (``REPRO_BATCHED`` when None).
-
-    Unset or empty means on — batching is the default because results
-    are identical to per-block dispatch.  Garbage values warn and keep
-    the default rather than silently changing execution.
-    """
-    if value is not None:
-        return bool(value)
-    raw = envconfig.raw("REPRO_BATCHED")
-    if not raw:
-        return True
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    warnings.warn(
-        f"REPRO_BATCHED={raw!r} is not a boolean; batching stays on",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return True
-
-
-def _resolve_shm(value: bool | None) -> bool:
-    """Resolve the shared-memory dispatch setting (``REPRO_SHM`` when None).
-
-    Unset or empty means **off** — the shm tier is opt-in (``--shm``)
-    while the pickle path remains the battle-tested default.  Garbage
-    values warn and keep the default rather than silently changing
-    execution.
-    """
-    if value is not None:
-        return bool(value)
-    raw = envconfig.raw("REPRO_SHM")
-    if not raw:
-        return False
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    warnings.warn(
-        f"REPRO_SHM={raw!r} is not a boolean; shm dispatch stays off",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return False
-
-
 def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
     """Fold per-shard resource summaries into one campaign summary.
 
@@ -496,7 +439,7 @@ def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
     ``rss_bytes`` point sample is the last shard's (the most recent).
     Pool payload counters and worker aggregates are additive, except
     worker RSS peaks which also max (pool workers persist across
-    shards under the shm tier).
+    shards in the persistent pool).
     """
     wall_s = sum(p.get("wall_s", 0.0) for p in parts)
     cpu_s = sum(p.get("cpu_s", 0.0) for p in parts)
@@ -559,21 +502,15 @@ class CampaignEngine:
         self,
         executor: Executor | None = None,
         cache: AnalysisCache | None = None,
-        batched: bool | None = None,
         shards: int | None = None,
     ) -> None:
-        """``batched`` selects the columnar dispatch path for jobs that
-        support it (``fn.batched_split()``); ``None`` defers to the
-        ``REPRO_BATCHED`` environment variable (the CLI's ``--batched`` /
-        ``--no-batched``), which defaults to on.  ``shards`` partitions
-        each run's task list into contiguous ranges streamed one at a
-        time with results spilled to disk between shards; ``None``
-        defers to ``REPRO_SHARDS`` (the CLI's ``--shards``), defaulting
-        to unsharded.  Results are identical either way — the flags only
-        change how the work is executed."""
+        """``shards`` partitions each run's task list into contiguous
+        ranges streamed one at a time with results spilled to disk
+        between shards; ``None`` defers to ``REPRO_SHARDS`` (the CLI's
+        ``--shards``), defaulting to unsharded.  Results are identical
+        either way — sharding only changes how the work is executed."""
         self.executor: Executor = executor or SerialExecutor()
         self.cache = cache
-        self.batched = _resolve_batched(batched)
         self.shards = resolve_shards(shards)
         self.history: list[RunMetrics] = []
         self._stripes: dict[str, AnalysisCache] = {}
@@ -581,9 +518,9 @@ class CampaignEngine:
     def close(self) -> None:
         """Release executor-held resources (idempotent).
 
-        Only the shm tier holds any: its persistent worker pool lives
-        until this call (or GC).  Serial/parallel engines close to a
-        no-op, so generic callers may always use the context manager.
+        Only the process pool holds any: its persistent workers live
+        until this call (or GC).  Serial engines close to a no-op, so
+        generic callers may always use the context manager.
         """
         closer = getattr(self.executor, "close", None)
         if callable(closer):
@@ -629,21 +566,22 @@ class CampaignEngine:
         ``cache_key`` run uncached, as do tasks whose key comes back
         ``None`` (uncacheable inputs).
 
-        When the ambient (or given) tracer is enabled, the run opens a
-        ``campaign`` span, runs each task through :class:`TracedCall`
-        so per-block spans and worker metric snapshots ship back, and
-        merges the snapshots into :attr:`RunMetrics.meters` and the
-        process-wide registry.  Tracing never touches task results:
-        serial and parallel runs stay byte-identical with it on or off.
+        Every run opens a ``campaign`` span on the ambient (or given)
+        tracer.  When that tracer is enabled, each task runs through
+        :class:`TracedCall` so per-block spans and worker metric
+        snapshots ship back, and the snapshots merge into
+        :attr:`RunMetrics.meters` and the process-wide registry.
+        Tracing never touches task results: serial and pooled runs stay
+        byte-identical with it on or off.
 
-        When the engine is :attr:`batched` and ``fn`` exposes
-        ``batched_split()``, dispatch happens in two phases inside this
-        one run: the reconstruct phase maps over chunks of blocks,
-        survivors regroup by shared sample grid into matrix chunks, and
-        the batch phase maps the tail job over the chunks.  Cache keys,
-        results, and stage records are those of the per-block path,
-        byte for byte; :attr:`RunMetrics.batched` records what was
-        regrouped.
+        When ``fn`` exposes ``batched_split()``, dispatch happens in two
+        phases inside this one run: the reconstruct phase maps over
+        chunks of blocks, survivors regroup by shared sample grid into
+        matrix chunks, and the batch phase maps the tail job over the
+        chunks.  Cache keys, results, and stage records are those of
+        calling ``fn`` per block, byte for byte;
+        :attr:`RunMetrics.batched` records what was regrouped.  Other
+        jobs are mapped per task directly.
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
@@ -667,8 +605,6 @@ class CampaignEngine:
         out of ``history`` and the module run log — only the merged
         campaign record lands there."""
         tracer = get_tracer() if tracer is None else tracer
-        use_batched = self.batched and hasattr(fn, "batched_split")
-
         tracker = ResourceTracker()
         payload_before = self._payload_snapshot()
         start = time.perf_counter()
@@ -685,13 +621,28 @@ class CampaignEngine:
         else:
             progress.begin(label, len(tasks))
         try:
-            pending_tasks = [tasks[i] for i in pending]
-            if not tracer.enabled:
-                if use_batched:
-                    computed, batched_stats = self._dispatch_batched(fn, pending_tasks)
+            with tracer.span(
+                "campaign",
+                attrs={"label": label, "executor": self.executor.name, "n_tasks": len(tasks)},
+            ) as span:
+                traced: _TracedDispatch | None = None
+                registry = get_registry()
+                parent_id = tracer.current_span_id
+                if isinstance(tracer, Tracer) and parent_id is not None:
+                    # telemetry shipped home by TracedCall merges here
+                    # first, then into the process-wide registry
+                    registry = MetricsRegistry()
+                    traced = _TracedDispatch(
+                        tracer=tracer, registry=registry, parent_id=parent_id
+                    )
+                pending_tasks = [tasks[i] for i in pending]
+                batched_stats: dict[str, int] | None = None
+                if hasattr(fn, "batched_split"):
+                    computed, batched_stats = self._dispatch_batched(
+                        fn, pending_tasks, traced
+                    )
                 else:
-                    computed = self._map_tasks(fn, pending_tasks, None, "block")
-                    batched_stats = None
+                    computed = self._map_tasks(fn, pending_tasks, traced, "block")
                 wall_s = time.perf_counter() - start
                 results = self._merge_results(len(tasks), hits, pending, computed)
                 metrics = self._aggregate(results, label=label, wall_s=wall_s)
@@ -699,27 +650,30 @@ class CampaignEngine:
                 stores = self._store_results(keys, pending, computed)
                 metrics.cache = self._cache_stats(keys, hits, pending, stores)
                 if metrics.cache is not None:
-                    self._emit_cache_counters(get_registry(), metrics.cache)
+                    self._emit_cache_counters(registry, metrics.cache)
                 if batched_stats is not None:
-                    self._emit_batched_counters(get_registry(), batched_stats)
+                    self._emit_batched_counters(registry, batched_stats)
+                registry.counter("engine.tasks").inc(len(results))
+                registry.histogram("engine.run_wall_s").observe(wall_s)
+                for key, n in metrics.funnel.items():
+                    registry.counter(metric_name("funnel", key)).inc(n)
+                # worker meters have merged by now: summarise them into
+                # the resources section, then emit the coordinator's own
+                # meters so the final snapshot has the full picture
                 metrics.resources = self._finish_resources(
-                    tracker, payload_before, meters=None
+                    tracker,
+                    payload_before,
+                    meters=registry.snapshot() if traced is not None else None,
                 )
-                self._emit_resource_meters(get_registry(), metrics.resources)
-            else:
-                results, metrics = self._run_traced(
-                    fn,
-                    tasks,
-                    label=label,
-                    tracer=tracer,
-                    started=start,
-                    keys=keys,
-                    hits=hits,
-                    pending=pending,
-                    use_batched=use_batched,
-                    tracker=tracker,
-                    payload_before=payload_before,
-                )
+                self._emit_resource_meters(registry, metrics.resources)
+                if traced is not None:
+                    metrics.meters = registry.snapshot()
+                    # the process-wide registry sees worker metrics too,
+                    # so the manifest's snapshot covers the whole run
+                    get_registry().merge(metrics.meters)
+                span.set(wall_s=round(wall_s, 6), fallback=metrics.fallback)
+                if metrics.cache is not None:
+                    span.set(cache_hits=metrics.cache["hits"])
         finally:
             progress.finish()
         if record:
@@ -758,7 +712,7 @@ class CampaignEngine:
         """Stream ``tasks`` through the engine one shard at a time.
 
         Each shard runs on a single-shard sub-engine sharing this
-        engine's executor (so the shm tier's persistent pool survives
+        engine's executor (so the pool's persistent workers survive
         across shards) and its own cache stripe; completed shard results
         spill to disk immediately, bounding coordinator RSS by one
         shard's working set.  The spill directory is owned here: written
@@ -774,9 +728,7 @@ class CampaignEngine:
         try:
             with progress.campaign_scope(label, total=len(tasks), n_shards=plan.n_shards):
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    sub = CampaignEngine(
-                        self.executor, self._stripe_cache(i), self.batched, shards=1
-                    )
+                    sub = CampaignEngine(self.executor, self._stripe_cache(i), shards=1)
                     with progress.shard_scope(i, lo), tracer.tagged(
                         shard=i, shards=plan.n_shards
                     ):
@@ -887,69 +839,6 @@ class CampaignEngine:
         registry.counter("cache.miss").inc(stats["misses"])
         registry.counter("cache.store").inc(stats["stores"])
 
-    def _run_traced(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        *,
-        label: str,
-        tracer: Tracer,
-        started: float,
-        keys: list[str | None] | None,
-        hits: dict[int, Any],
-        pending: list[int],
-        use_batched: bool = False,
-        tracker: ResourceTracker | None = None,
-        payload_before: dict[str, int] | None = None,
-    ) -> tuple[list[Any], RunMetrics]:
-        if tracker is None:
-            tracker = ResourceTracker()
-        with tracer.span(
-            "campaign",
-            attrs={"label": label, "executor": self.executor.name, "n_tasks": len(tasks)},
-        ) as span:
-            merged = MetricsRegistry()
-            traced = _TracedDispatch(
-                tracer=tracer, registry=merged, parent_id=span.span_id
-            )
-            pending_tasks = [tasks[i] for i in pending]
-            if use_batched:
-                computed, batched_stats = self._dispatch_batched(
-                    fn, pending_tasks, traced
-                )
-            else:
-                computed = self._map_tasks(fn, pending_tasks, traced, "block")
-                batched_stats = None
-            wall_s = time.perf_counter() - started
-            results = self._merge_results(len(tasks), hits, pending, computed)
-            metrics = self._aggregate(results, label=label, wall_s=wall_s)
-            metrics.batched = batched_stats
-            stores = self._store_results(keys, pending, computed)
-            metrics.cache = self._cache_stats(keys, hits, pending, stores)
-            if metrics.cache is not None:
-                self._emit_cache_counters(merged, metrics.cache)
-            if batched_stats is not None:
-                self._emit_batched_counters(merged, batched_stats)
-            merged.counter("engine.tasks").inc(len(results))
-            merged.histogram("engine.run_wall_s").observe(wall_s)
-            for key, n in metrics.funnel.items():
-                merged.counter(metric_name("funnel", key)).inc(n)
-            # worker meters have merged by now: summarise them into the
-            # resources section, then emit the coordinator's own meters
-            # so the final snapshot carries the full resource picture
-            metrics.resources = self._finish_resources(
-                tracker, payload_before, meters=merged.snapshot()
-            )
-            self._emit_resource_meters(merged, metrics.resources)
-            metrics.meters = merged.snapshot()
-            # the process-wide registry sees worker metrics too, so the
-            # manifest's snapshot covers the whole run
-            get_registry().merge(metrics.meters)
-            span.set(wall_s=round(wall_s, 6), fallback=metrics.fallback)
-            if metrics.cache is not None:
-                span.set(cache_hits=metrics.cache["hits"])
-        return results, metrics
-
     # -- resource accounting ------------------------------------------------
     def _payload_snapshot(self) -> dict[str, int] | None:
         """Copy of the executor's cumulative payload counters, if it has any."""
@@ -978,15 +867,10 @@ class CampaignEngine:
                 for k in payload_after
             }
             if delta.get("maps", 0) > 0:
-                pool_delta = {
-                    "fn_bytes": delta.get("fn_bytes", 0),
-                    "task_bytes": delta.get("task_bytes", 0),
-                    "result_bytes": delta.get("result_bytes", 0),
-                    "maps": delta.get("maps", 0),
+                res["pool"] = {
+                    key: delta.get(key, 0)
+                    for key in ("fn_bytes", "task_bytes", "shm_bytes", "maps")
                 }
-                if "shm_bytes" in delta:  # the shm tier's published bytes
-                    pool_delta["shm_bytes"] = delta.get("shm_bytes", 0)
-                res["pool"] = pool_delta
         if meters is not None:
             workers: dict[str, Any] = {}
             cpu = meters.get("resources.worker.cpu_s")
@@ -1155,19 +1039,16 @@ def default_engine() -> CampaignEngine:
     """Engine for callers that did not pick one: ``REPRO_WORKERS`` decides.
 
     ``REPRO_WORKERS`` unset, empty, ``0`` or ``1`` means serial; any
-    larger value selects a process pool of that size.  A value that is
-    not an integer, or is negative, also runs serial — but loudly, via
-    ``warnings.warn``, instead of silently ignoring the setting.  The
-    CLI's ``--workers N`` flag sets this variable for the whole run.
+    larger value selects a :class:`SharedMemoryExecutor` pool of that
+    size, which stays up until the engine is closed — callers that own
+    the engine should use it as a context manager (see
+    :func:`engine_scope`).  A value that is not an integer, or is
+    negative, also runs serial — but loudly, via ``warnings.warn``,
+    instead of silently ignoring the setting.  The CLI's
+    ``--workers N`` flag sets this variable for the whole run.
 
     ``REPRO_CACHE=DIR`` (the CLI's ``--cache DIR``) additionally attaches
     the content-addressed analysis cache rooted at that directory.
-
-    ``REPRO_SHM`` (the CLI's ``--shm``) upgrades a multi-worker pool to
-    the zero-copy shared-memory tier (one persistent pool per engine,
-    descriptors instead of array pickles).  It needs ``workers > 1`` to
-    mean anything; with a serial worker count the flag warns and the
-    engine stays serial.
 
     ``REPRO_SHARDS`` (the CLI's ``--shards N``) is resolved by the
     engine itself: each run streams through N contiguous shards with
@@ -1193,16 +1074,20 @@ def default_engine() -> CampaignEngine:
             )
             workers = 1
     cache = default_cache()
-    use_shm = _resolve_shm(None)
     if workers <= 1:
-        if use_shm:
-            warnings.warn(
-                "REPRO_SHM requested but REPRO_WORKERS <= 1; "
-                "shared-memory dispatch needs a pool — running serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return CampaignEngine(SerialExecutor(), cache)
-    if use_shm:
-        return CampaignEngine(SharedMemoryExecutor(workers=workers), cache)
-    return CampaignEngine(ParallelExecutor(workers=workers), cache)
+    return CampaignEngine(SharedMemoryExecutor(workers=workers), cache)
+
+
+def engine_scope(
+    engine: CampaignEngine | None,
+) -> AbstractContextManager[CampaignEngine]:
+    """``with engine_scope(engine) as engine:`` for optional-engine callers.
+
+    A caller-supplied engine is yielded as-is and stays open (its owner
+    closes it); ``None`` yields a fresh :func:`default_engine` that is
+    closed on exit, so its process pool never outlives the call.
+    """
+    if engine is not None:
+        return nullcontext(engine)
+    return default_engine()

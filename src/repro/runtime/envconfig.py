@@ -66,7 +66,8 @@ REGISTRY: tuple[EnvVar, ...] = (
         "REPRO_WORKERS",
         "int",
         "1 (serial)",
-        "process-pool size for per-block analysis (CLI --workers)",
+        "size of the shared-memory process pool for block analysis "
+        "(CLI --workers)",
     ),
     EnvVar(
         "REPRO_SHARDS",
@@ -83,39 +84,11 @@ REGISTRY: tuple[EnvVar, ...] = (
         "(CLI --cache)",
     ),
     EnvVar(
-        "REPRO_BATCHED",
-        "bool",
-        "1",
-        "columnar batched dispatch of the analysis tail (CLI --batched / "
-        "--no-batched)",
-    ),
-    EnvVar(
-        "REPRO_SHM",
-        "bool",
-        "0",
-        "zero-copy shared-memory dispatch tier; needs workers > 1 "
-        "(CLI --shm)",
-    ),
-    EnvVar(
-        "REPRO_SHM_MIN_BYTES",
-        "int",
-        "4096",
-        "arrays smaller than this are pickled inline instead of published "
-        "to shm",
-    ),
-    EnvVar(
         "REPRO_SPILL_DIR",
         "path",
         "system temp dir",
         "parent directory under which sharded runs create their "
         "repro-spill-* directories",
-    ),
-    EnvVar(
-        "REPRO_PAYLOAD_ACCOUNTING",
-        "bool",
-        "auto (on when tracing)",
-        "measure pool payload bytes by re-pickling tasks/results; the CLI "
-        "turns it on for --metrics/--trace runs",
     ),
     EnvVar(
         "REPRO_PROGRESS",

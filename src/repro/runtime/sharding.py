@@ -83,8 +83,8 @@ def resolve_shards(value: int | None) -> int:
     Unset or empty means ``1`` — sharding is opt-in because the spill
     round-trip costs disk I/O that tiny worlds do not need.  A value
     that is not an integer, or is negative, also means ``1`` — but
-    loudly, via ``warnings.warn``, matching the ``REPRO_WORKERS`` /
-    ``REPRO_SHM`` resolution style.
+    loudly, via ``warnings.warn``, matching the ``REPRO_WORKERS``
+    resolution style.
     """
     if value is not None:
         return max(int(value), 1)

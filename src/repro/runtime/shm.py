@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory transport for engine dispatch (the shm tier).
+"""Zero-copy shared-memory transport for the engine's process pool.
 
 PR 7's payload accounting made the cost of the pickle dispatch plane
 visible: every ``BlockMatrix`` batch and reconstruction array is pickled
@@ -20,7 +20,7 @@ kernel time.  This module is the transport half of the fix:
   swapped for a persistent-id descriptor; the worker's unpickler
   resolves descriptors to read-only zero-copy views onto the attached
   segment.  Values, dtypes, and shapes round-trip exactly, so results
-  computed from attached views are byte-identical to the pickle path's.
+  computed from attached views are byte-identical to a plain pickle's.
 
 Worker-side attachments are cached per segment (attach once, serve every
 task that references it).  Pool workers share the parent's resource
@@ -51,8 +51,6 @@ from typing import Any, IO
 
 import numpy as np
 
-from . import envconfig
-
 __all__ = [
     "ArrayDescriptor",
     "DEFAULT_MIN_SHM_BYTES",
@@ -60,7 +58,6 @@ __all__ = [
     "attach_bytes",
     "attach_view",
     "detach_all",
-    "resolve_min_shm_bytes",
     "shm_dumps",
     "shm_loads",
 ]
@@ -78,13 +75,6 @@ _ALIGN = 64
 
 #: Persistent-id tag so foreign persistent ids fail loudly.
 _PID_TAG = "repro-shm-array"
-
-
-def resolve_min_shm_bytes() -> int:
-    """Publication threshold: ``REPRO_SHM_MIN_BYTES`` or the default."""
-    return envconfig.get_int(
-        "REPRO_SHM_MIN_BYTES", DEFAULT_MIN_SHM_BYTES, minimum=0
-    )
 
 
 @dataclass(frozen=True)

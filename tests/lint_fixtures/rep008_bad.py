@@ -12,9 +12,9 @@ def workers():
     return os.getenv("REPRO_WORKERS", "1")
 
 
-def enable_batched():
-    os.environ["REPRO_BATCHED"] = "1"
+def enable_sharding():
+    os.environ["REPRO_SHARDS"] = "2"
 
 
 def from_import_reads():
-    return environ.get("REPRO_CACHE"), getenv("REPRO_SHM")
+    return environ.get("REPRO_CACHE"), getenv("REPRO_SPILL_DIR")

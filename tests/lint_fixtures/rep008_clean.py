@@ -11,5 +11,5 @@ def workers():
     return envconfig.raw("REPRO_WORKERS")
 
 
-def enable_batched():
-    envconfig.set_env("REPRO_BATCHED", "1")
+def enable_sharding():
+    envconfig.set_env("REPRO_SHARDS", "2")

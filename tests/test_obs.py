@@ -20,9 +20,9 @@ from repro.obs.sinks import git_describe, load_run, render_report, write_run
 from repro.obs.trace import NOOP, Tracer, get_tracer, use_tracer
 from repro.runtime import (
     CampaignEngine,
-    ParallelExecutor,
     RunMetrics,
     SerialExecutor,
+    SharedMemoryExecutor,
     StageTotals,
     default_engine,
 )
@@ -267,8 +267,8 @@ class TestTracedEngineRun:
 
     def test_traced_parallel_matches_serial_results(self):
         tracer = Tracer()
-        engine = CampaignEngine(ParallelExecutor(workers=2, chunk_size=2))
-        run = engine.run(_square, list(range(10)), label="p", tracer=tracer)
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            run = engine.run(_square, list(range(10)), label="p", tracer=tracer)
         assert run.results == [i * i for i in range(10)]
         assert sum(1 for s in tracer.finished if s.name == "block") == 10
 
@@ -301,11 +301,12 @@ class TestSatelliteFixes:
     def test_default_engine_valid_values_stay_silent(self, monkeypatch):
         import warnings as warnings_mod
 
-        for value, executor_cls in [("0", SerialExecutor), ("3", ParallelExecutor)]:
+        for value, executor_cls in [("0", SerialExecutor), ("3", SharedMemoryExecutor)]:
             monkeypatch.setenv("REPRO_WORKERS", value)
             with warnings_mod.catch_warnings():
                 warnings_mod.simplefilter("error")
-                assert isinstance(default_engine().executor, executor_cls)
+                with default_engine() as engine:
+                    assert isinstance(engine.executor, executor_cls)
 
     def test_stage_context_as_dict_aggregates_duplicates(self):
         ctx = StageContext()

@@ -25,7 +25,7 @@ from repro.obs.resources import (
     rss_bytes,
     thread_cpu_seconds,
 )
-from repro.runtime import CampaignEngine, ParallelExecutor, SerialExecutor
+from repro.runtime import CampaignEngine, SerialExecutor, SharedMemoryExecutor
 
 DATASET = "2020it89-match-ejnw"  # two weeks, four observers: cheap but real
 
@@ -104,81 +104,43 @@ class TestEngineResourceAccounting:
         assert "resources:" in report
         assert "cpu_s" in report and "rss+" in report  # per-stage columns
 
-    def test_parallel_run_reports_pool_payload(self, world40, monkeypatch):
-        # payload measurement re-pickles, so it is opt-in (the CLI opts
-        # --metrics/--trace runs in automatically)
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "1")
-        engine = CampaignEngine(ParallelExecutor(workers=2))
-        result = DatasetBuilder(world40).analyze(DATASET, engine=engine)
-        assert engine.executor.fallback_reason is None
+    def test_parallel_run_reports_pool_payload(self, world40):
+        # pool payload is measured during dispatch: no opt-in needed
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            result = DatasetBuilder(world40).analyze(DATASET, engine=engine)
+            assert engine.executor.fallback_reason is None
         res = result.metrics.resources
         assert res is not None
         pool = res.get("pool")
         assert pool is not None
+        assert set(pool) == {"fn_bytes", "task_bytes", "shm_bytes", "maps"}
         assert pool["fn_bytes"] > 0
         assert pool["task_bytes"] > 0
-        assert pool["result_bytes"] > 0
         assert pool["maps"] >= 1
         assert "pool:" in result.metrics.report()
 
-    def test_payload_counts_each_byte_exactly_once(self, monkeypatch):
-        """Satellite regression: fn/task/result bytes equal the sum of
-        individually measured pickles — no double-counted fn bytes."""
+    def test_payload_counts_each_byte_exactly_once(self):
+        """fn/task bytes equal the individually measured pickles, and the
+        payload counter adds each exactly once; the callable blob is the
+        only thing published to shm when tasks carry no arrays."""
         import pickle
 
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "1")
-        executor = ParallelExecutor(workers=2)
+        from repro.obs.metrics import scoped_registry
+
         tasks = list(range(12))
-        results = executor.map(_square, tasks)
-        assert executor.fallback_reason is None
+        with scoped_registry() as registry, SharedMemoryExecutor(workers=2) as executor:
+            results = executor.map(_square, tasks)
+            assert executor.fallback_reason is None
         assert results == [t * t for t in tasks]
         proto = pickle.HIGHEST_PROTOCOL
         fn_bytes = len(pickle.dumps(_square, protocol=proto))
         task_bytes = sum(len(pickle.dumps(t, protocol=proto)) for t in tasks)
-        result_bytes = sum(len(pickle.dumps(r, protocol=proto)) for r in results)
         assert executor.payload["fn_bytes"] == fn_bytes
         assert executor.payload["task_bytes"] == task_bytes
-        assert executor.payload["result_bytes"] == result_bytes
-        assert (
-            executor.payload["fn_bytes"]
-            + executor.payload["task_bytes"]
-            + executor.payload["result_bytes"]
-            == fn_bytes + task_bytes + result_bytes
+        assert executor.payload["shm_bytes"] == fn_bytes
+        assert registry.counter("executor.payload.task_bytes").value == (
+            fn_bytes + task_bytes
         )
-
-    def test_payload_accounting_gate_resolution(self, monkeypatch):
-        from repro.runtime.executors import payload_accounting_enabled
-
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "1")
-        assert payload_accounting_enabled() is True
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "off")
-        assert payload_accounting_enabled() is False
-        # unset = auto: on only when the ambient tracer is recording
-        monkeypatch.delenv("REPRO_PAYLOAD_ACCOUNTING", raising=False)
-        assert payload_accounting_enabled() is False
-        from repro.obs.trace import Tracer, use_tracer
-
-        with use_tracer(Tracer()):
-            assert payload_accounting_enabled() is True
-
-    def test_accounting_off_skips_measurement_keeps_results(self, monkeypatch):
-        import pickle
-
-        tasks = list(range(12))
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "0")
-        off = ParallelExecutor(workers=2)
-        results_off = off.map(_square, tasks)
-        assert off.fallback_reason is None
-        assert off.payload["fn_bytes"] == 0
-        assert off.payload["task_bytes"] == 0
-        assert off.payload["result_bytes"] == 0
-        assert off.payload["maps"] == 1  # the dispatch itself still counts
-        monkeypatch.setenv("REPRO_PAYLOAD_ACCOUNTING", "1")
-        on = ParallelExecutor(workers=2)
-        results_on = on.map(_square, tasks)
-        assert on.fallback_reason is None
-        assert on.payload["task_bytes"] > 0
-        assert pickle.dumps(results_off) == pickle.dumps(results_on)
 
     def test_traced_run_reports_worker_resources(self, world40):
         from repro.obs.trace import Tracer, use_tracer
@@ -212,9 +174,8 @@ class TestEngineResourceAccounting:
         serial = DatasetBuilder(world40).analyze(
             DATASET, engine=CampaignEngine(SerialExecutor())
         )
-        parallel = DatasetBuilder(world40).analyze(
-            DATASET, engine=CampaignEngine(ParallelExecutor(workers=2))
-        )
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            parallel = DatasetBuilder(world40).analyze(DATASET, engine=engine)
         for cidr, analysis in parallel.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial.analyses[cidr])
 
@@ -240,10 +201,9 @@ class TestProgressEmitter:
         assert lines[-1]["rss_bytes"] > 0
         assert lines[-1]["blocks_per_sec"] > 0
 
-    def test_batched_ticks_converge_to_total(self, world40, tmp_path, monkeypatch):
+    def test_batched_ticks_converge_to_total(self, world40, tmp_path):
         # batched dispatch re-maps the analysis tail in grid chunks;
         # those phase-B ticks must not double-count blocks
-        monkeypatch.setenv("REPRO_BATCHED", "1")
         emitter = ProgressEmitter(tmp_path, interval_s=0.0)
         with use_progress(emitter):
             engine = CampaignEngine(SerialExecutor())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,8 +18,9 @@ from repro.runtime import (
     BlockAnalysisJob,
     BlockResult,
     CampaignEngine,
-    ParallelExecutor,
     SerialExecutor,
+    SharedMemoryExecutor,
+    StageTotals,
     default_engine,
     stable_token,
     task_key,
@@ -39,11 +41,17 @@ def serial_result(world200):
     return DatasetBuilder(world200).analyze(DATASET, engine=engine)
 
 
+def per_block_oracle(world, blocks=None):
+    """The per-block oracle: one direct ``BlockAnalysisJob`` call per block."""
+    job = BlockAnalysisJob(world=world, ds=dataset(DATASET), pipeline=BlockPipeline())
+    return [job(spec) for spec in (world.blocks if blocks is None else blocks)]
+
+
 class TestSerialParallelEquivalence:
     def test_parallel_matches_serial_byte_identical(self, world200, serial_result):
-        engine = CampaignEngine(ParallelExecutor(workers=2))
-        parallel = DatasetBuilder(world200).analyze(DATASET, engine=engine)
-        assert engine.executor.fallback_reason is None
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            parallel = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+            assert engine.executor.fallback_reason is None
         assert list(parallel.analyses) == list(serial_result.analyses)
         for cidr, analysis in parallel.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(
@@ -51,11 +59,11 @@ class TestSerialParallelEquivalence:
             ), f"parallel diverged from serial for {cidr}"
 
     def test_workers_one_degenerates_to_serial(self, world200, serial_result):
-        executor = ParallelExecutor(workers=1)
-        engine = CampaignEngine(executor)
-        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+        with CampaignEngine(SharedMemoryExecutor(workers=1)) as engine:
+            result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+            assert engine.executor._pool is None  # no pool was spawned
         assert result.funnel() == serial_result.funnel()
-        assert engine.history[-1].executor == "parallel[1]"
+        assert engine.history[-1].executor == "shm[1]"
 
 
 class TestRunMetrics:
@@ -113,10 +121,12 @@ class TestFallback:
                 raise OSError("no processes for you")
 
         monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", ExplodingPool)
-        executor = ParallelExecutor(workers=2)
-        engine = CampaignEngine(executor)
+        executor = SharedMemoryExecutor(workers=2)
         blocks = list(world200.blocks)[:20]
-        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        with CampaignEngine(executor) as engine:
+            result = DatasetBuilder(world200).analyze(
+                DATASET, blocks=blocks, engine=engine
+            )
         assert len(result.analyses) == 20  # no block lost
         assert "pool spawn failed" in executor.fallback_reason
         assert engine.history[-1].fallback == executor.fallback_reason
@@ -127,9 +137,11 @@ class TestFallback:
                 raise OSError("boom")
 
         monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", ExplodingPool)
-        engine = CampaignEngine(ParallelExecutor(workers=2))
         blocks = list(world200.blocks)[:20]
-        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            result = DatasetBuilder(world200).analyze(
+                DATASET, blocks=blocks, engine=engine
+            )
         for cidr, analysis in result.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(
                 serial_result.analyses[cidr]
@@ -138,8 +150,8 @@ class TestFallback:
 
 class TestEngineGenerics:
     def test_ordering_preserved_for_plain_tasks(self):
-        engine = CampaignEngine(ParallelExecutor(workers=2, chunk_size=3))
-        run = engine.run(_square, list(range(20)), label="squares")
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            run = engine.run(_square, list(range(20)), label="squares")
         assert run.results == [i * i for i in range(20)]
         assert run.metrics.n_tasks == 20
         assert run.metrics.funnel == {}  # no BlockResults -> no funnel
@@ -152,9 +164,9 @@ class TestEngineGenerics:
         assert engine.history[0].executor == "serial"
 
     def test_task_exception_propagates(self):
-        engine = CampaignEngine(ParallelExecutor(workers=2))
-        with pytest.raises(ValueError, match="bad task"):
-            engine.run(_explode, list(range(8)), label="explode")
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            with pytest.raises(ValueError, match="bad task"):
+                engine.run(_explode, list(range(8)), label="explode")
 
 
 class TestDefaultEngine:
@@ -164,9 +176,9 @@ class TestDefaultEngine:
 
     def test_env_selects_parallel(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        executor = default_engine().executor
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 3
+        with default_engine() as engine:
+            assert isinstance(engine.executor, SharedMemoryExecutor)
+            assert engine.executor.workers == 3
 
     def test_garbage_env_is_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
@@ -229,11 +241,12 @@ class TestAnalysisCache:
         self, world200, serial_result, tmp_path
     ):
         blocks = self._blocks(world200)
-        engine = CampaignEngine(ParallelExecutor(workers=2), AnalysisCache(tmp_path))
-        cold = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
-        assert engine.executor.fallback_reason is None
+        executor = SharedMemoryExecutor(workers=2)
+        with CampaignEngine(executor, AnalysisCache(tmp_path)) as engine:
+            cold = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+            assert executor.fallback_reason is None
+            warm = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         assert cold.metrics.cache == {"hits": 0, "misses": self.N, "stores": self.N}
-        warm = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         assert warm.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
         for cidr, analysis in warm.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
@@ -332,36 +345,36 @@ class TestBatchedDispatch:
 
     @pytest.fixture(scope="class")
     def per_block_result(self, world200):
-        engine = CampaignEngine(SerialExecutor(), batched=False)
-        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
-        assert result.metrics.batched is None
-        return result
+        return per_block_oracle(world200)
 
     def test_batched_serial_matches_per_block(self, serial_result, per_block_result):
         # serial_result runs through the batched default path
         assert serial_result.metrics.batched is not None
-        assert list(serial_result.analyses) == list(per_block_result.analyses)
-        for cidr, analysis in serial_result.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(
-                per_block_result.analyses[cidr]
-            ), f"batched diverged from per-block for {cidr}"
+        assert list(serial_result.analyses) == [r.key for r in per_block_result]
+        for oracle in per_block_result:
+            assert pickle.dumps(serial_result.analyses[oracle.key]) == pickle.dumps(
+                oracle.analysis
+            ), f"batched diverged from per-block for {oracle.key}"
 
     def test_batched_parallel_matches_per_block(self, world200, per_block_result):
-        engine = CampaignEngine(ParallelExecutor(workers=2), batched=True)
-        result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
-        assert engine.executor.fallback_reason is None
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
+            assert engine.executor.fallback_reason is None
         stats = result.metrics.batched
         assert stats is not None and stats["chunks"] > 1  # genuinely fanned out
-        for cidr, analysis in result.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(
-                per_block_result.analyses[cidr]
-            ), f"parallel batched diverged from per-block for {cidr}"
+        for oracle in per_block_result:
+            assert pickle.dumps(result.analyses[oracle.key]) == pickle.dumps(
+                oracle.analysis
+            ), f"parallel batched diverged from per-block for {oracle.key}"
 
     def test_stage_records_match_per_block(self, serial_result, per_block_result):
         batched = serial_result.metrics
-        scalar = per_block_result.metrics
+        scalar: dict[str, StageTotals] = {}
+        for oracle in per_block_result:
+            for record in oracle.stages:
+                scalar.setdefault(record.name, StageTotals()).add(record)
         for name in PIPELINE_STAGES:
-            b, s = batched.stages[name], scalar.stages[name]
+            b, s = batched.stages[name], scalar[name]
             assert (b.calls, b.n_in, b.n_out, b.skips) == (
                 s.calls,
                 s.n_in,
@@ -412,48 +425,71 @@ class TestBatchedDispatch:
             "truth", "probe", "repair", "combine", "reconstruct"
         ]
 
-    def test_cache_is_path_agnostic(self, world200, serial_result, tmp_path):
-        # a cache written by the per-block path must be served verbatim
-        # by the batched path (same keys, same bytes) — and hits must
-        # bypass both phases.
+    def test_cache_is_path_agnostic(self, world200, tmp_path):
+        # a cache written by the per-block path (a job without
+        # batched_split, which the engine maps per block) must be served
+        # verbatim by the batched path (same keys, same bytes) — and
+        # hits must bypass both phases.
+        job = BlockAnalysisJob(
+            world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
+        )
         cache = AnalysisCache(tmp_path)
-        cold = CampaignEngine(SerialExecutor(), cache=cache, batched=False)
-        first = DatasetBuilder(world200).analyze(DATASET, engine=cold)
+        cold = CampaignEngine(SerialExecutor(), cache=cache)
+        first = cold.run(_PerBlock(job), list(world200.blocks))
         assert cold.history[-1].cache["misses"] == 200
-        warm = CampaignEngine(SerialExecutor(), cache=cache, batched=True)
+        assert cold.history[-1].batched is None
+        warm = CampaignEngine(SerialExecutor(), cache=cache)
         second = DatasetBuilder(world200).analyze(DATASET, engine=warm)
         assert warm.history[-1].cache["hits"] == 200
         # hits bypass both phases: nothing was reconstructed or chunked
         assert warm.history[-1].batched == {"blocks": 0, "groups": 0, "chunks": 0}
-        for cidr, analysis in second.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(first.analyses[cidr])
+        for computed in first.results:
+            assert pickle.dumps(second.analyses[computed.key]) == pickle.dumps(
+                computed.analysis
+            )
 
-    def test_env_var_controls_default(self, monkeypatch):
-        from repro.runtime.engine import _resolve_batched
 
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert _resolve_batched(None) is True
-        for raw, expected in [
-            ("1", True),
-            ("true", True),
-            ("ON", True),
-            ("0", False),
-            ("no", False),
-            ("Off", False),
-            ("", True),
-        ]:
-            monkeypatch.setenv("REPRO_BATCHED", raw)
-            assert _resolve_batched(None) is expected, raw
-        # explicit argument beats the environment
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert _resolve_batched(True) is True
+@dataclass(frozen=True)
+class _PerBlock:
+    """A block job without ``batched_split``: the engine maps it per block."""
 
-    def test_garbage_env_warns_and_defaults_on(self, monkeypatch):
-        from repro.runtime.engine import _resolve_batched
+    job: BlockAnalysisJob
 
-        monkeypatch.setenv("REPRO_BATCHED", "sideways")
-        with pytest.warns(RuntimeWarning, match="REPRO_BATCHED"):
-            assert _resolve_batched(None) is True
+    def __call__(self, spec):
+        return self.job(spec)
+
+    def cache_key(self, spec):
+        return self.job.cache_key(spec)
+
+
+class TestTracedUntracedAgree:
+    """Traced and untraced runs share one run body; only telemetry differs."""
+
+    def test_same_results_and_metrics(self, world200, tmp_path):
+        from contextlib import nullcontext
+
+        from repro.obs.trace import Tracer, use_tracer
+
+        blocks = list(world200.blocks)[:40]
+        runs = []
+        for i, scope in enumerate((nullcontext(), use_tracer(Tracer()))):
+            engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path / str(i)))
+            with scope:
+                runs.append(
+                    DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+                )
+        untraced, traced = runs
+        assert untraced.metrics.meters is None and traced.metrics.meters is not None
+        assert list(untraced.analyses) == list(traced.analyses)
+        for cidr, analysis in traced.analyses.items():
+            assert pickle.dumps(analysis) == pickle.dumps(untraced.analyses[cidr])
+        a, b = untraced.metrics, traced.metrics
+        assert a.funnel == b.funnel and a.funnel["routed"] == 40
+        assert a.cache == b.cache == {"hits": 0, "misses": 40, "stores": 40}
+        assert a.batched == b.batched and a.batched["blocks"] > 0
+        assert {n: t.calls for n, t in a.stages.items()} == {
+            n: t.calls for n, t in b.stages.items()
+        }
 
 
 class TestChunkedPhaseA:
@@ -468,9 +504,7 @@ class TestChunkedPhaseA:
 
     @pytest.fixture(scope="class")
     def oracle(self, world200, blocks):
-        engine = CampaignEngine(SerialExecutor(), batched=False)
-        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
-        return {cidr: pickle.dumps(a) for cidr, a in result.analyses.items()}
+        return {r.key: pickle.dumps(r.analysis) for r in per_block_oracle(world200, blocks)}
 
     @staticmethod
     def assert_matches(result, oracle):
@@ -479,32 +513,30 @@ class TestChunkedPhaseA:
             assert pickle.dumps(analysis) == oracle[cidr], cidr
 
     def test_serial_chunk(self, world200, blocks, oracle):
-        engine = CampaignEngine(SerialExecutor(), batched=True)
+        engine = CampaignEngine(SerialExecutor())
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         self.assert_matches(result, oracle)
         stages = result.metrics.stages
         assert stages["truth"].calls == stages["probe"].calls == result.metrics.batched["blocks"]
 
     def test_shm_pool(self, world200, blocks, oracle):
-        from repro.runtime import SharedMemoryExecutor
-
-        with CampaignEngine(SharedMemoryExecutor(workers=2), batched=True) as engine:
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
             result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
             assert engine.executor.fallback_reason is None
         self.assert_matches(result, oracle)
 
     def test_three_shards(self, world200, blocks, oracle):
-        engine = CampaignEngine(SerialExecutor(), batched=True, shards=3)
+        engine = CampaignEngine(SerialExecutor(), shards=3)
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         assert result.metrics.shards["shards"] == 3
         self.assert_matches(result, oracle)
 
     def test_warm_cache(self, world200, blocks, oracle, tmp_path):
-        cold = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), batched=True)
+        cold = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         self.assert_matches(
             DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=cold), oracle
         )
-        warm = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), batched=True)
+        warm = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=warm)
         assert result.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
         self.assert_matches(result, oracle)
@@ -534,8 +566,8 @@ class TestChunkedPhaseA:
 
         emitter = ProgressEmitter(tmp_path, interval_s=0.0)
         with use_progress(emitter):
-            engine = CampaignEngine(ParallelExecutor(workers=2), batched=True)
-            DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+            with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+                DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         records = [json.loads(line) for line in emitter.path.read_text().splitlines()]
         assert records[-1]["done"] == records[-1]["total"] == self.N
         assert max(r["done"] for r in records) == self.N

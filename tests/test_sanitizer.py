@@ -106,6 +106,25 @@ def test_engine_close_boundary_flags_leaked_last_segments(sanitizer):
     sanitizer.check_engine_close(_Executor())
 
 
+def test_analyze_closes_the_default_pool_it_creates(sanitizer, monkeypatch, small_world):
+    """``REPRO_WORKERS=2`` with no engine passed: ``analyze`` builds a
+    pooled default engine and closes it before returning."""
+    from repro.datasets.builder import DatasetBuilder
+    from repro.obs.metrics import scoped_registry
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    with scoped_registry() as registry:
+        result = DatasetBuilder(small_world).analyze(
+            "2020it89-match-ejnw", blocks=list(small_world.blocks)[:20]
+        )
+    assert result.metrics.executor == "shm[2]"
+    assert result.metrics.fallback is None
+    assert registry.counter("executor.pool_spawns").value == 1  # a pool really ran
+    assert sanitizer.live("process-pool") == []
+
+
 def test_uninstall_restores_the_original_methods():
     before = SharedArrayPool.__dict__["_new_segment"]
     san = ResourceSanitizer()

@@ -23,9 +23,9 @@ from repro.obs.progress import ProgressEmitter, use_progress
 from repro.runtime import (
     AnalysisCache,
     CampaignEngine,
-    ParallelExecutor,
     SerialExecutor,
     ShardPlan,
+    SharedMemoryExecutor,
     SpillDir,
     SpilledResults,
     resolve_shards,
@@ -345,14 +345,13 @@ class TestShardedByteIdentity:
     def test_parallel_sharded_matches(self, fig3_serial_bytes):
         from repro.experiments import fig3
 
-        engine = CampaignEngine(ParallelExecutor(workers=2), shards=3)
-        result = fig3.run(n_blocks=64, engine=engine)
-        assert engine.executor.fallback_reason is None
+        with CampaignEngine(SharedMemoryExecutor(workers=2), shards=3) as engine:
+            result = fig3.run(n_blocks=64, engine=engine)
+            assert engine.executor.fallback_reason is None
         assert pickle.dumps(result) == fig3_serial_bytes
 
     def test_shm_sharded_matches(self, fig3_serial_bytes):
         from repro.experiments import fig3
-        from repro.runtime import SharedMemoryExecutor
 
         with CampaignEngine(SharedMemoryExecutor(workers=2), shards=2) as engine:
             result = fig3.run(n_blocks=64, engine=engine)

@@ -1,10 +1,10 @@
 """The shared-memory dispatch tier: transport, lifecycle, byte-identity.
 
-Covers the lifecycle rules the shm tier promises (see
+Covers the lifecycle rules the shared-memory pool promises (see
 ``src/repro/runtime/shm.py``): segments are unlinked after normal map
 completion, after a pool fallback, and after a worker exception; the
 persistent pool spawns exactly once per engine run; and fig3 results are
-byte-identical across serial, parallel, and shm execution.
+byte-identical across serial and pool execution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 from repro.obs.metrics import scoped_registry
 from repro.runtime import (
     CampaignEngine,
-    ParallelExecutor,
     SerialExecutor,
     SharedArrayPool,
     SharedMemoryExecutor,
@@ -33,7 +32,6 @@ from repro.runtime.shm import (
     DEFAULT_MIN_SHM_BYTES,
     attach_bytes,
     attach_view,
-    resolve_min_shm_bytes,
     shm_dumps,
     shm_loads,
 )
@@ -160,14 +158,6 @@ class TestSharedArrayPool:
         ForeignPickler(buf).dump([marker])
         with pytest.raises(pickle.UnpicklingError):
             shm_loads(buf.getvalue())
-
-    def test_min_shm_bytes_env_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        assert resolve_min_shm_bytes() == DEFAULT_MIN_SHM_BYTES
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "128")
-        assert resolve_min_shm_bytes() == 128
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "garbage")
-        assert resolve_min_shm_bytes() == DEFAULT_MIN_SHM_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +300,9 @@ class TestEngineIntegration:
         engine.close()  # idempotent
 
     def test_engine_close_is_noop_for_serial_and_parallel(self):
-        for executor in (SerialExecutor(), ParallelExecutor(workers=2)):
-            with CampaignEngine(executor) as engine:
-                engine.run(_sum_task, _big_tasks(), label="x")
+        with CampaignEngine(SerialExecutor()) as engine:
+            engine.run(_sum_task, _big_tasks(), label="x")
+        engine.close()  # idempotent
 
     def test_shm_pool_delta_reaches_run_resources(self):
         with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
@@ -325,31 +315,14 @@ class TestEngineIntegration:
 
 class TestDefaultEngineShm:
     def test_shm_env_selects_shared_memory_executor(self, monkeypatch):
+        # REPRO_WORKERS > 1 is all it takes: the shm pool is the only pool
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHM", "1")
-        engine = default_engine()
-        assert isinstance(engine.executor, SharedMemoryExecutor)
-        assert engine.executor.workers == 2
-        engine.close()
-
-    def test_shm_off_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert isinstance(default_engine().executor, ParallelExecutor)
-
-    def test_shm_without_workers_warns_and_runs_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_SHM", "1")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHM"):
-            engine = default_engine()
-        assert isinstance(engine.executor, SerialExecutor)
-
-    def test_garbage_shm_value_warns_and_stays_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SHM", "maybe")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHM"):
-            engine = default_engine()
-        assert isinstance(engine.executor, ParallelExecutor)
+        with default_engine() as engine:
+            assert isinstance(engine.executor, SharedMemoryExecutor)
+            assert engine.executor.workers == 2
+            engine.run(_sum_task, _big_tasks(), label="default")
+            assert engine.executor._pool is not None
+        assert engine.executor._pool is None
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +339,18 @@ class TestFig3ByteIdentity:
     def test_shm_batched_matches_serial(self, fig3_serial_bytes):
         from repro.experiments import fig3
 
-        with CampaignEngine(SharedMemoryExecutor(workers=2), batched=True) as engine:
+        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
             result = fig3.run(n_blocks=64, engine=engine)
             assert engine.executor.fallback_reason is None
             assert engine.executor.payload["pool_spawns"] == 1
             assert engine.executor.payload["shm_bytes"] > 0
         assert pickle.dumps(result) == fig3_serial_bytes
 
-    def test_shm_per_block_matches_serial(self, fig3_serial_bytes):
+    def test_parallel_matches_serial(self, fig3_serial_bytes, monkeypatch):
+        # no engine passed: fig3 builds its own REPRO_WORKERS pool and
+        # closes it before returning
         from repro.experiments import fig3
 
-        with CampaignEngine(SharedMemoryExecutor(workers=2), batched=False) as engine:
-            result = fig3.run(n_blocks=64, engine=engine)
-            assert engine.executor.fallback_reason is None
-        assert pickle.dumps(result) == fig3_serial_bytes
-
-    def test_parallel_matches_serial(self, fig3_serial_bytes):
-        from repro.experiments import fig3
-
-        engine = CampaignEngine(ParallelExecutor(workers=2))
-        result = fig3.run(n_blocks=64, engine=engine)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        result = fig3.run(n_blocks=64)
         assert pickle.dumps(result) == fig3_serial_bytes
