@@ -26,13 +26,13 @@ The ambient emitter mirrors the tracer pattern (:func:`get_progress` /
 ticks; start and finish records always emit, so every engine run leaves
 at least two heartbeats.
 
-Sharded campaigns (``--shards N``) wrap their per-shard sub-runs in
-:meth:`ProgressEmitter.campaign_scope` / :meth:`~ProgressEmitter.shard_scope`,
-so every record inside carries ``shard``/``shards`` plus campaign-global
-``campaign_done``/``campaign_total`` and a campaign-rate ETA — the
-per-shard ``done``/``total`` alone would otherwise make throughput look
-like it reset at each shard boundary.  Each shard's force-emitted finish
-record doubles as the per-shard completion marker.
+A sharded campaign (``--shards N``) is still one bracket: the engine
+calls :meth:`~ProgressEmitter.begin` once with ``shards=N`` and
+:meth:`~ProgressEmitter.next_shard` at each later shard boundary, so
+``done``/``total`` are campaign-wide and every record also carries the
+active ``shard`` and the ``shards`` count.  Each shard boundary forces
+one record, so every shard leaves a heartbeat.  Unsharded records carry
+neither field.
 """
 
 from __future__ import annotations
@@ -68,7 +68,11 @@ class NoopProgress:
         done: int = 0,
         cache_hits: int = 0,
         cache_misses: int = 0,
+        shards: int | None = None,
     ) -> None:
+        pass
+
+    def next_shard(self, *, cache_hits: int = 0, cache_misses: int = 0) -> None:
         pass
 
     def tick(self, weight: int = 1) -> None:
@@ -76,14 +80,6 @@ class NoopProgress:
 
     def finish(self) -> None:
         pass
-
-    @contextmanager
-    def campaign_scope(self, label: str, *, total: int, n_shards: int) -> Iterator[None]:
-        yield
-
-    @contextmanager
-    def shard_scope(self, index: int, done_offset: int) -> Iterator[None]:
-        yield
 
 
 class ProgressEmitter(NoopProgress):
@@ -108,9 +104,8 @@ class ProgressEmitter(NoopProgress):
         self._last_emit = 0.0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._campaign: dict[str, Any] | None = None
-        self._shard: int | None = None
-        self._shard_offset = 0
+        self._shards: int | None = None
+        self._shard = 0
 
     @property
     def path(self) -> Path:
@@ -125,7 +120,10 @@ class ProgressEmitter(NoopProgress):
         done: int = 0,
         cache_hits: int = 0,
         cache_misses: int = 0,
+        shards: int | None = None,
     ) -> None:
+        """Open the run's bracket; ``done`` counts blocks already answered
+        (cache hits), which the throughput and ETA leave out."""
         self._label = label
         self._total = int(total)
         self._done = int(done)
@@ -133,7 +131,19 @@ class ProgressEmitter(NoopProgress):
         self._started_done = self._done
         self._cache_hits = int(cache_hits)
         self._cache_misses = int(cache_misses)
+        self._shards = shards
+        self._shard = 0
         self._emit("start", force=True)
+
+    def next_shard(self, *, cache_hits: int = 0, cache_misses: int = 0) -> None:
+        """Move a sharded run to its next shard; that shard's cache hits
+        count as done, as :meth:`begin`'s ``done`` does for the first."""
+        self._shard += 1
+        self._done += int(cache_hits)
+        self._started_done += int(cache_hits)
+        self._cache_hits += int(cache_hits)
+        self._cache_misses += int(cache_misses)
+        self._emit("tick", force=True)
 
     def tick(self, weight: int = 1) -> None:
         if weight:
@@ -142,39 +152,6 @@ class ProgressEmitter(NoopProgress):
 
     def finish(self) -> None:
         self._emit("finish", force=True)
-
-    @contextmanager
-    def campaign_scope(self, label: str, *, total: int, n_shards: int) -> Iterator[None]:
-        """Bracket a sharded campaign so per-shard runs report globally.
-
-        Inside the scope, every record carries the shard id plus
-        campaign-wide ``campaign_done``/``campaign_total`` and a
-        campaign-rate ETA, so tailing operators see truthful global
-        throughput even though each shard brackets its own sub-run.
-        """
-        self._campaign = {
-            "label": label,
-            "total": int(total),
-            "shards": int(n_shards),
-            "started": time.perf_counter(),
-        }
-        try:
-            yield
-        finally:
-            self._campaign = None
-            self._shard = None
-            self._shard_offset = 0
-
-    @contextmanager
-    def shard_scope(self, index: int, done_offset: int) -> Iterator[None]:
-        """Tag records with the active shard; ``done_offset`` is the
-        count of tasks completed by all earlier shards."""
-        self._shard = int(index)
-        self._shard_offset = int(done_offset)
-        try:
-            yield
-        finally:
-            self._shard = None
 
     # -- internals -------------------------------------------------------
     def _record(self, event: str) -> dict[str, Any]:
@@ -195,20 +172,9 @@ class ProgressEmitter(NoopProgress):
             "rss_peak_bytes": peak_rss_bytes(),
             "cache_hit_rate": round(self._cache_hits / consulted, 4) if consulted else None,
         }
-        if self._campaign is not None:
-            campaign_done = self._shard_offset + self._done
-            campaign_total = self._campaign["total"]
-            campaign_elapsed = time.perf_counter() - self._campaign["started"]
-            campaign_rate = campaign_done / campaign_elapsed if campaign_elapsed > 0 else 0.0
-            campaign_left = max(campaign_total - campaign_done, 0)
+        if self._shards is not None:
             record["shard"] = self._shard
-            record["shards"] = self._campaign["shards"]
-            record["campaign_done"] = campaign_done
-            record["campaign_total"] = campaign_total
-            record["campaign_blocks_per_sec"] = round(campaign_rate, 3)
-            record["campaign_eta_s"] = (
-                round(campaign_left / campaign_rate, 3) if campaign_rate > 0 else None
-            )
+            record["shards"] = self._shards
         return record
 
     def _emit(self, event: str, *, force: bool = False) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator
 
 __all__ = [
@@ -161,7 +161,13 @@ class Tracer:
             self._stack[-1].set(**attrs)
 
     def adopt(self, records: Iterable[SpanRecord]) -> None:
-        """Attach spans recorded elsewhere (worker fragments) to this trace."""
+        """Attach spans recorded elsewhere (worker fragments) to this trace.
+
+        Adopted spans close into this trace here, so they take the
+        active :meth:`tagged` tags the same way a local span would.
+        """
+        if self._tags:
+            records = [replace(r, attrs={**self._tags, **r.attrs}) for r in records]
         self.finished.extend(records)
 
     def emit(

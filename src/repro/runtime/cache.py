@@ -28,19 +28,13 @@ optional directory tier (``--cache DIR`` / ``REPRO_CACHE``) persists
 pickles under ``DIR/<k[:2]>/<k>.pkl`` with atomic renames, so parallel
 runs and repeated invocations are safe.  Cached results are exactly the
 stored objects — the engine guarantees cached, serial, and parallel
-runs stay byte-identical.
+runs stay byte-identical.  An entry that cannot be read back (truncated,
+corrupted, or naming a class that no longer exists) is a miss: the
+block is recomputed and ``put`` atomically replaces the entry.
 
-Stripes
--------
-A sharded run (``--shards N``) gives each shard its own stripe view
-(:meth:`AnalysisCache.stripe_view`): writes land under
-``DIR/shard-NN/<k[:2]>/<k>.pkl`` so on-disk shards never contend on a
-subtree, while **keys stay shard-invariant** — a key hashes the job
-inputs only, never the shard id, because re-partitioning the same world
-must not cold-start the cache.  Reads therefore fall back across
-stripes: a stripe view misses into the unstriped root and then into
-sibling stripes, and the unstriped cache misses into every stripe, so
-warmth survives re-sharding in both directions.
+Sharded runs (``--shards N``) read and write the same paths: a key
+hashes the job inputs only, never the shard id, so re-partitioning the
+same world stays warm in both directions.
 """
 
 from __future__ import annotations
@@ -136,55 +130,40 @@ class AnalysisCache:
     see the module docstring for the schema.
     """
 
-    #: Stripe directory prefix; also the glob cross-stripe reads scan.
-    STRIPE_GLOB = "shard-*"
-
     def __init__(
         self,
         directory: "str | os.PathLike[str] | None" = None,
         *,
         max_items: int = 1024,
-        stripe: str | None = None,
     ) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.max_items = max(int(max_items), 1)
-        self.stripe = stripe
         self._memory: OrderedDict[str, Any] = OrderedDict()
         self._bytes_written = 0  # cumulative durable-tier bytes, this instance
-
-    def stripe_view(self, stripe: str) -> "AnalysisCache":
-        """A view of this cache writing under ``DIR/<stripe>/``.
-
-        Views share the durable tier's root but keep their own memory
-        LRU, so N concurrent-in-spirit shards bound coordinator memory
-        at N x ``max_items`` worst case while their disk entries stay
-        mutually visible through the cross-stripe read fallback.
-        """
-        return AnalysisCache(self.directory, max_items=self.max_items, stripe=stripe)
 
     # -- lookup ----------------------------------------------------------
     def get(self, key: str) -> tuple[bool, Any]:
         """(hit, value); a disk hit is promoted into the memory tier.
 
-        Disk lookup order: this stripe's own path, the unstriped root
-        (pre-sharding entries), then sibling stripes — keys are
-        shard-invariant, so any stripe's entry is *the* entry.
+        Any failure to read or unpickle the entry is a miss, never an
+        error: the caller recomputes and :meth:`put` overwrites it.
         """
         if key in self._memory:
             self._memory.move_to_end(key)
             return True, self._memory[key]
-        if self.directory is not None:
-            for path in self._candidate_paths(key):
-                try:
-                    with open(path, "rb") as fh:
-                        blob = fh.read()
-                    value = pickle.loads(blob)
-                except (OSError, pickle.PickleError, EOFError):
-                    continue
-                get_registry().counter("cache.bytes.hit").inc(len(blob))
-                self._remember(key, value)
-                return True, value
-        return False, None
+        if self.directory is None:
+            return False, None
+        try:
+            with open(self._path(key), "rb") as fh:
+                blob = fh.read()
+            value = pickle.loads(blob)
+        except Exception:
+            # a missing entry, or one damaged in any way (a bad opcode,
+            # a module that no longer exists, truncated bytes)
+            return False, None
+        get_registry().counter("cache.bytes.hit").inc(len(blob))
+        self._remember(key, value)
+        return True, value
 
     def put(self, key: str, value: Any) -> bool:
         """Store a result in both tiers; True when it is durably stored
@@ -229,22 +208,7 @@ class AnalysisCache:
 
     def _path(self, key: str) -> Path:
         assert self.directory is not None
-        root = self.directory if self.stripe is None else self.directory / self.stripe
-        return root / key[:2] / f"{key}.pkl"
-
-    def _candidate_paths(self, key: str) -> "list[Path]":
-        """Disk paths that may hold ``key``, own stripe first."""
-        assert self.directory is not None
-        own = self._path(key)
-        paths = [own]
-        if self.stripe is not None:
-            paths.append(self.directory / key[:2] / f"{key}.pkl")
-        paths.extend(
-            p
-            for p in sorted(self.directory.glob(f"{self.STRIPE_GLOB}/{key[:2]}/{key}.pkl"))
-            if p != own
-        )
-        return paths
+        return self.directory / key[:2] / f"{key}.pkl"
 
 
 def default_cache() -> AnalysisCache | None:

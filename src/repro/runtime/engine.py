@@ -148,17 +148,6 @@ class StageTotals:
         self.n_in += record.n_in
         self.n_out += record.n_out
 
-    def merge(self, other: "StageTotals") -> None:
-        """Fold another run's totals for the same stage into this one."""
-        self.calls += other.calls
-        self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
-        self.rss_delta += other.rss_delta
-        self.n_in += other.n_in
-        self.n_out += other.n_out
-        for reason, n in other.skips.items():
-            self.skips[reason] = self.skips.get(reason, 0) + n
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "calls": self.calls,
@@ -252,59 +241,6 @@ class RunMetrics:
             resources=d.get("resources"),  # absent in pre-resource saved traces
             shards=d.get("shards"),  # absent in pre-sharding saved traces
         )
-
-    @classmethod
-    def merged(
-        cls,
-        parts: "Sequence[RunMetrics]",
-        *,
-        label: str,
-        executor: str,
-        shards: dict[str, int],
-    ) -> "RunMetrics":
-        """Lossless fold of per-shard run metrics into one campaign record.
-
-        Additive sections sum (tasks, wall, stage tables, funnel, cache,
-        batched, pool payload); meter snapshots merge through the
-        registry's own snapshot/merge semantics (counters add, max
-        gauges max, histograms fold element-wise); process-level RSS
-        peaks take the max across shards, since shards share one
-        coordinator process.
-        """
-        out = cls(
-            label=label,
-            executor=executor,
-            n_tasks=sum(p.n_tasks for p in parts),
-            wall_s=sum(p.wall_s for p in parts),
-            shards=dict(shards),
-        )
-        for p in parts:
-            for name, totals in p.stages.items():
-                out.stages.setdefault(name, StageTotals()).merge(totals)
-            for key, n in p.funnel.items():
-                out.funnel[key] = out.funnel.get(key, 0) + n
-            if out.fallback is None:
-                out.fallback = p.fallback
-        if any(p.meters is not None for p in parts):
-            registry = MetricsRegistry()
-            for p in parts:
-                if p.meters:
-                    registry.merge(p.meters)
-            out.meters = registry.snapshot()
-        if any(p.cache is not None for p in parts):
-            out.cache = {
-                key: sum((p.cache or {}).get(key, 0) for p in parts)
-                for key in ("hits", "misses", "stores")
-            }
-        if any(p.batched is not None for p in parts):
-            out.batched = {
-                key: sum((p.batched or {}).get(key, 0) for p in parts)
-                for key in ("blocks", "groups", "chunks")
-            }
-        res_parts = [p.resources for p in parts if p.resources is not None]
-        if res_parts:
-            out.resources = _merge_resources(res_parts)
-        return out
 
     def report(self) -> str:
         """Aligned plain-text run report (the ``--metrics`` output)."""
@@ -431,48 +367,21 @@ def _chunk_group(
     return [members[i : i + size] for i in range(0, len(members), size)]
 
 
-def _merge_resources(parts: "Sequence[dict[str, Any]]") -> dict[str, Any]:
-    """Fold per-shard resource summaries into one campaign summary.
+#: The run funnel's counters, in report order.
+_FUNNEL_KEYS = ("routed", "responsive", "diurnal", "wide_swing", "change_sensitive")
 
-    Shards run sequentially in one coordinator process, so wall and CPU
-    add while RSS peaks max (the high-water mark is process-wide); the
-    ``rss_bytes`` point sample is the last shard's (the most recent).
-    Pool payload counters and worker aggregates are additive, except
-    worker RSS peaks which also max (pool workers persist across
-    shards in the persistent pool).
-    """
-    wall_s = sum(p.get("wall_s", 0.0) for p in parts)
-    cpu_s = sum(p.get("cpu_s", 0.0) for p in parts)
-    out: dict[str, Any] = {
-        "wall_s": wall_s,
-        "cpu_s": cpu_s,
-        "cpu_utilization": cpu_s / wall_s if wall_s > 0.0 else 0.0,
-        "rss_bytes": parts[-1].get("rss_bytes", 0),
-        "rss_peak_bytes": max(p.get("rss_peak_bytes", 0) for p in parts),
-        "rss_peak_delta_bytes": max(p.get("rss_peak_delta_bytes", 0) for p in parts),
-    }
-    tm_parts = [p["tracemalloc"] for p in parts if p.get("tracemalloc")]
-    if tm_parts:
-        out["tracemalloc"] = {
-            "current_bytes": tm_parts[-1].get("current_bytes", 0),
-            "peak_bytes": max(t.get("peak_bytes", 0) for t in tm_parts),
-            "delta_bytes": sum(t.get("delta_bytes", 0) for t in tm_parts),
-        }
-    pool_parts = [p["pool"] for p in parts if p.get("pool")]
-    if pool_parts:
-        keys = {k for pool in pool_parts for k in pool}
-        out["pool"] = {k: sum(pool.get(k, 0) for pool in pool_parts) for k in keys}
-    worker_parts = [p["workers"] for p in parts if p.get("workers")]
-    if worker_parts:
-        workers: dict[str, Any] = {
-            "cpu_s": sum(w.get("cpu_s", 0.0) for w in worker_parts),
-            "tasks": sum(w.get("tasks", 0) for w in worker_parts),
-        }
-        rss_vals = [w["rss_peak_bytes"] for w in worker_parts if "rss_peak_bytes" in w]
-        if rss_vals:
-            workers["rss_peak_bytes"] = max(rss_vals)
-        out["workers"] = workers
-    return out
+
+def _add_counts(
+    total: dict[str, int] | None, counts: dict[str, int] | None
+) -> dict[str, int] | None:
+    """Add one shard's counter section into the run's running total."""
+    if counts is None:
+        return total
+    if total is None:
+        return dict(counts)
+    for key, n in counts.items():
+        total[key] += n
+    return total
 
 
 #: Bounded history of recent runs, drained by ``repro --metrics``.
@@ -513,7 +422,6 @@ class CampaignEngine:
         self.cache = cache
         self.shards = resolve_shards(shards)
         self.history: list[RunMetrics] = []
-        self._stripes: dict[str, AnalysisCache] = {}
 
     def close(self) -> None:
         """Release executor-held resources (idempotent).
@@ -546,13 +454,12 @@ class CampaignEngine:
         :class:`BlockResult` contribute stage totals and funnel counters;
         other result types are simply counted and timed.
 
-        When the engine is sharded (``shards > 1``), the task list is
-        partitioned into contiguous ranges (:class:`ShardPlan`) streamed
-        one shard at a time; each completed shard's results spill to a
-        memory-mapped on-disk layout before the next shard starts, so
-        coordinator RSS is bounded by one shard's working set, not the
-        world.  Per-shard metrics merge losslessly into one
-        :class:`RunMetrics` and ``results`` comes back as a lazy
+        When the engine is sharded (``shards > 1``), the same body loops
+        over contiguous task ranges (:class:`ShardPlan`); each completed
+        shard's results spill to a memory-mapped on-disk layout and are
+        dropped before the next shard starts, so coordinator RSS is
+        bounded by one shard's working set, not the world.  ``results``
+        then comes back as a lazy
         :class:`~repro.runtime.spill.SpilledResults` — contiguity makes
         the slot order, and therefore every downstream output, byte-
         identical to an unsharded run.
@@ -585,41 +492,17 @@ class CampaignEngine:
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
-        if plan.n_shards <= 1:
-            return self._run_once(fn, tasks, label=label, tracer=tracer)
-        tracer = get_tracer() if tracer is None else tracer
-        return self._run_sharded(fn, tasks, label=label, tracer=tracer, plan=plan)
-
-    def _run_once(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        *,
-        label: str = "campaign",
-        tracer: Tracer | NoopTracer | None = None,
-        record: bool = True,
-    ) -> EngineRun:
-        """One unsharded engine run (the pre-sharding ``run`` body).
-
-        ``record=False`` keeps a sharded campaign's per-shard sub-runs
-        out of ``history`` and the module run log — only the merged
-        campaign record lands there."""
+        n_shards = plan.n_shards
         tracer = get_tracer() if tracer is None else tracer
         tracker = ResourceTracker()
         payload_before = self._payload_snapshot()
-        start = time.perf_counter()
-        keys, hits, pending = self._consult_cache(fn, tasks)
+        metrics = RunMetrics(
+            label=label, executor=self.executor.name, n_tasks=len(tasks), wall_s=0.0
+        )
+        spill = SpillDir.create() if n_shards > 1 else None
+        results: list[Any] = []
+        readers = []
         progress = get_progress()
-        if keys is not None:
-            progress.begin(
-                label,
-                len(tasks),
-                done=len(hits),
-                cache_hits=len(hits),
-                cache_misses=len(pending),
-            )
-        else:
-            progress.begin(label, len(tasks))
         try:
             with tracer.span(
                 "campaign",
@@ -635,28 +518,48 @@ class CampaignEngine:
                     traced = _TracedDispatch(
                         tracer=tracer, registry=registry, parent_id=parent_id
                     )
-                pending_tasks = [tasks[i] for i in pending]
-                batched_stats: dict[str, int] | None = None
-                if hasattr(fn, "batched_split"):
-                    computed, batched_stats = self._dispatch_batched(
-                        fn, pending_tasks, traced
+                for i, (lo, hi) in enumerate(plan.ranges):
+                    shard_tasks = tasks[lo:hi]
+                    keys, hits, pending = self._consult_cache(fn, shard_tasks)
+                    misses = len(pending) if keys is not None else 0
+                    if i == 0:
+                        progress.begin(
+                            label,
+                            len(tasks),
+                            done=len(hits),
+                            cache_hits=len(hits),
+                            cache_misses=misses,
+                            shards=n_shards if spill is not None else None,
+                        )
+                    else:
+                        progress.next_shard(cache_hits=len(hits), cache_misses=misses)
+                    tags = {"shard": i, "shards": n_shards} if spill is not None else {}
+                    pending_tasks = [shard_tasks[j] for j in pending]
+                    batched: dict[str, int] | None = None
+                    with tracer.tagged(**tags):
+                        if hasattr(fn, "batched_split"):
+                            computed, batched = self._dispatch_batched(
+                                fn, pending_tasks, traced
+                            )
+                        else:
+                            computed = self._map_tasks(fn, pending_tasks, traced, "block")
+                    shard_results = self._merge_results(
+                        len(shard_tasks), hits, pending, computed
                     )
-                else:
-                    computed = self._map_tasks(fn, pending_tasks, traced, "block")
-                wall_s = time.perf_counter() - start
-                results = self._merge_results(len(tasks), hits, pending, computed)
-                metrics = self._aggregate(results, label=label, wall_s=wall_s)
-                metrics.batched = batched_stats
-                stores = self._store_results(keys, pending, computed)
-                metrics.cache = self._cache_stats(keys, hits, pending, stores)
-                if metrics.cache is not None:
-                    self._emit_cache_counters(registry, metrics.cache)
-                if batched_stats is not None:
-                    self._emit_batched_counters(registry, batched_stats)
-                registry.counter("engine.tasks").inc(len(results))
-                registry.histogram("engine.run_wall_s").observe(wall_s)
-                for key, n in metrics.funnel.items():
-                    registry.counter(metric_name("funnel", key)).inc(n)
+                    self._tally(metrics, shard_results)
+                    metrics.batched = _add_counts(metrics.batched, batched)
+                    if keys is not None:
+                        stores = self._store_results(keys, pending, computed)
+                        metrics.cache = _add_counts(
+                            metrics.cache,
+                            {"hits": len(hits), "misses": len(pending), "stores": stores},
+                        )
+                    if spill is None:
+                        results = shard_results
+                    else:
+                        readers.append(spill.write_shard(i, shard_results))
+                        # the RSS bound: a spilled shard leaves no live result
+                        del shard_results, hits, computed
                 # worker meters have merged by now: summarise them into
                 # the resources section, then emit the coordinator's own
                 # meters so the final snapshot has the full picture
@@ -665,114 +568,43 @@ class CampaignEngine:
                     payload_before,
                     meters=registry.snapshot() if traced is not None else None,
                 )
+                metrics.wall_s = metrics.resources["wall_s"]
+                metrics.fallback = getattr(self.executor, "fallback_reason", None)
+                if spill is not None:
+                    metrics.shards = {
+                        "shards": n_shards,
+                        "spilled_items": spill.n_items,
+                        "spill_bytes": spill.bytes_written,
+                    }
+                    registry.counter("engine.shards").inc(n_shards)
+                if metrics.cache is not None:
+                    self._emit_cache_counters(registry, metrics.cache)
+                if metrics.batched is not None:
+                    self._emit_batched_counters(registry, metrics.batched)
+                registry.counter("engine.tasks").inc(metrics.n_tasks)
+                registry.histogram("engine.run_wall_s").observe(metrics.wall_s)
+                for key, n in metrics.funnel.items():
+                    registry.counter(metric_name("funnel", key)).inc(n)
                 self._emit_resource_meters(registry, metrics.resources)
                 if traced is not None:
                     metrics.meters = registry.snapshot()
                     # the process-wide registry sees worker metrics too,
                     # so the manifest's snapshot covers the whole run
                     get_registry().merge(metrics.meters)
-                span.set(wall_s=round(wall_s, 6), fallback=metrics.fallback)
+                span.set(wall_s=round(metrics.wall_s, 6), fallback=metrics.fallback)
                 if metrics.cache is not None:
                     span.set(cache_hits=metrics.cache["hits"])
+        except BaseException:
+            if spill is not None:
+                spill.cleanup()
+            raise
         finally:
             progress.finish()
-        if record:
-            self.history.append(metrics)
-            _RUN_LOG.append(metrics)
-        return EngineRun(results=results, metrics=metrics)
-
-    # -- sharding ----------------------------------------------------------
-    def _stripe_cache(self, shard_id: int) -> AnalysisCache | None:
-        """The cache a shard's sub-engine should use.
-
-        Disk-backed caches stripe (one ``shard-NN/`` subtree each, keys
-        staying shard-invariant); memory-only caches are shared as-is —
-        striping one would just split its LRU into N cold fragments.
-        Stripe views are memoised so repeat runs on one engine keep
-        their memory tiers warm.
-        """
-        if self.cache is None or self.cache.directory is None:
-            return self.cache
-        stripe = f"shard-{shard_id:02d}"
-        view = self._stripes.get(stripe)
-        if view is None:
-            view = self.cache.stripe_view(stripe)
-            self._stripes[stripe] = view
-        return view
-
-    def _run_sharded(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        *,
-        label: str,
-        tracer: Tracer | NoopTracer,
-        plan: ShardPlan,
-    ) -> EngineRun:
-        """Stream ``tasks`` through the engine one shard at a time.
-
-        Each shard runs on a single-shard sub-engine sharing this
-        engine's executor (so the pool's persistent workers survive
-        across shards) and its own cache stripe; completed shard results
-        spill to disk immediately, bounding coordinator RSS by one
-        shard's working set.  The spill directory is owned here: written
-        by this coordinator, deleted by this coordinator on failure, and
-        handed to the returned :class:`SpilledResults` on success (whose
-        finalizer deletes it when the results are garbage collected).
-        """
-        tracker = ResourceTracker()
-        spill = SpillDir.create()
-        parts: list[RunMetrics] = []
-        readers = []
-        progress = get_progress()
-        try:
-            with progress.campaign_scope(label, total=len(tasks), n_shards=plan.n_shards):
-                for i, (lo, hi) in enumerate(plan.ranges):
-                    sub = CampaignEngine(self.executor, self._stripe_cache(i), shards=1)
-                    with progress.shard_scope(i, lo), tracer.tagged(
-                        shard=i, shards=plan.n_shards
-                    ):
-                        run = sub._run_once(
-                            fn, tasks[lo:hi], label=label, tracer=tracer, record=False
-                        )
-                    readers.append(spill.write_shard(i, run.results))
-                    parts.append(run.metrics)
-        except BaseException:
-            spill.cleanup()
-            raise
-        metrics = RunMetrics.merged(
-            parts,
-            label=label,
-            executor=self.executor.name,
-            shards={
-                "shards": plan.n_shards,
-                "spilled_items": spill.n_items,
-                "spill_bytes": spill.bytes_written,
-            },
-        )
-        # per-shard trackers bracket only their own run; the coordinator's
-        # tracker saw the whole campaign including spill I/O, so its
-        # process-level numbers are the truthful ones
-        res = tracker.summary()
-        if metrics.resources is None:
-            metrics.resources = res
-        else:
-            for key in (
-                "wall_s",
-                "cpu_s",
-                "cpu_utilization",
-                "rss_bytes",
-                "rss_peak_bytes",
-                "rss_peak_delta_bytes",
-            ):
-                metrics.resources[key] = res[key]
-            if "tracemalloc" in res:
-                metrics.resources["tracemalloc"] = res["tracemalloc"]
-        metrics.wall_s = res["wall_s"]
-        get_registry().counter("engine.shards").inc(plan.n_shards)
         self.history.append(metrics)
         _RUN_LOG.append(metrics)
-        return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)
+        if spill is not None:
+            return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)
+        return EngineRun(results=results, metrics=metrics)
 
     # -- caching -----------------------------------------------------------
     def _consult_cache(
@@ -821,17 +653,6 @@ class CampaignEngine:
         for i, value in zip(pending, computed):
             results[i] = value
         return results
-
-    @staticmethod
-    def _cache_stats(
-        keys: list[str | None] | None,
-        hits: dict[int, Any],
-        pending: list[int],
-        stores: int,
-    ) -> dict[str, int] | None:
-        if keys is None:
-            return None
-        return {"hits": len(hits), "misses": len(pending), "stores": stores}
 
     @staticmethod
     def _emit_cache_counters(registry: MetricsRegistry, stats: dict[str, int]) -> None:
@@ -996,43 +817,24 @@ class CampaignEngine:
         registry.counter("engine.batched.chunks").inc(stats["chunks"])
 
     # -- aggregation -------------------------------------------------------
-    def _aggregate(self, results: list[Any], *, label: str, wall_s: float) -> RunMetrics:
-        stages: dict[str, StageTotals] = {}
-        routed = responsive = diurnal = wide = change_sensitive = 0
-        saw_blocks = False
+    @staticmethod
+    def _tally(metrics: RunMetrics, results: list[Any]) -> None:
+        """Fold one shard's stage records and funnel counts into ``metrics``."""
+        funnel = metrics.funnel
         for result in results:
             if not isinstance(result, BlockResult):
                 continue
-            saw_blocks = True
-            routed += 1
+            if not funnel:
+                funnel.update(dict.fromkeys(_FUNNEL_KEYS, 0))
+            funnel["routed"] += 1
             for record in result.stages:
-                stages.setdefault(record.name, StageTotals()).add(record)
+                metrics.stages.setdefault(record.name, StageTotals()).add(record)
             c = result.analysis.classification
             if c.responsive:
-                responsive += 1
-                diurnal += int(c.is_diurnal)
-                wide += int(c.is_wide_swing)
-                change_sensitive += int(c.is_change_sensitive)
-        funnel = (
-            {
-                "routed": routed,
-                "responsive": responsive,
-                "diurnal": diurnal,
-                "wide_swing": wide,
-                "change_sensitive": change_sensitive,
-            }
-            if saw_blocks
-            else {}
-        )
-        return RunMetrics(
-            label=label,
-            executor=self.executor.name,
-            n_tasks=len(results),
-            wall_s=wall_s,
-            stages=stages,
-            funnel=funnel,
-            fallback=getattr(self.executor, "fallback_reason", None),
-        )
+                funnel["responsive"] += 1
+                funnel["diurnal"] += int(c.is_diurnal)
+                funnel["wide_swing"] += int(c.is_wide_swing)
+                funnel["change_sensitive"] += int(c.is_change_sensitive)
 
 
 def default_engine() -> CampaignEngine:

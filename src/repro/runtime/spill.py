@@ -7,27 +7,20 @@ columnar on-disk layout under a per-run spill directory and drops the
 in-memory objects; :class:`SpilledResults` then presents all shards as
 one lazy sequence that rehydrates a single result at a time.
 
-Layout — four ``.npy`` files per shard, every one loadable with
+Layout — two ``.npy`` files per shard, both loadable with
 ``np.load(..., mmap_mode="r")``:
 
-* ``shard-NN.blobs.npy`` — ``uint8`` concatenation of one pickle blob
-  per result.  Results are pickled **individually** (not as one list)
-  so random access never deserialises a whole shard.
+* ``shard-NN.blobs.npy`` — ``uint8`` concatenation of one plain
+  ``pickle.dumps(result, HIGHEST_PROTOCOL)`` blob per result.  Results
+  are pickled **individually** (not as one list) so random access never
+  deserialises a whole shard.
 * ``shard-NN.items.npy`` — structured ``(offset, length)`` row per
   result: where its blob lives.
-* ``shard-NN.arrays.npy`` — ``uint8`` concatenation of the raw bytes of
-  every large array.  The pickler externalises them with the
-  persistent-id protocol (the same move :func:`repro.runtime.shm.shm_dumps`
-  makes for shared memory), so blobs stay small and the array payload is
-  read straight off the memory map on access.
-* ``shard-NN.arrmeta.npy`` — structured ``(offset, nbytes, dtype, ndim,
-  shape)`` row per externalised array.
 
-Rehydrated results are byte-identical to the originals under
-``pickle.dumps``: externalised arrays come back as plain C-contiguous
-``np.ndarray`` objects re-viewed onto the process-canonical dtype
-singleton (the ``_canonical_dtype_view`` rule from
-:mod:`repro.runtime.jobs`), never as ``np.memmap`` views.
+Rehydration is a plain ``pickle.loads`` of one blob copied out of the
+map — the same round trip every pool result makes — so rehydrated
+results pickle byte-identically to the originals and never hold a view
+into the map.
 
 Ownership follows one rule — **the coordinator writes, the coordinator
 deletes** (docs/dev.md): the engine creates the spill directory, cleans
@@ -59,27 +52,7 @@ __all__ = [
     "resolve_spill_parent",
 ]
 
-#: Arrays at or above this size are externalised into the columnar
-#: buffer; smaller ones stay inline in the pickle blob (a descriptor
-#: would cost more than the payload).
-MIN_SPILL_ARRAY_BYTES = 64
-
-#: Most array dimensions the columnar metadata row can describe.
-_MAX_DIMS = 4
-
-#: Persistent-id tag marking an externalised array reference.
-_PID_TAG = "repro-spill-array"
-
 _ITEM_DTYPE = np.dtype([("offset", "<u8"), ("length", "<u8")])
-_ARRAY_DTYPE = np.dtype(
-    [
-        ("offset", "<u8"),
-        ("nbytes", "<u8"),
-        ("dtype", "S16"),
-        ("ndim", "u1"),
-        ("shape", "<i8", (_MAX_DIMS,)),
-    ]
-)
 
 
 def resolve_spill_parent() -> str | None:
@@ -92,116 +65,14 @@ def resolve_spill_parent() -> str | None:
     return envconfig.raw("REPRO_SPILL_DIR") or None
 
 
-def _canonical_dtype_view(arr: np.ndarray) -> np.ndarray:
-    # Same rule as repro.runtime.jobs._canonical_dtype_view (not imported
-    # to keep this module free of the jobs -> engine import cycle):
-    # re-viewing onto ``arr.dtype.type`` interns the dtype singleton so
-    # rehydrated graphs pickle byte-identically to in-memory ones.
-    # Unlike the jobs version (applied to known float fields only), this
-    # one sees arbitrary spilled arrays, so it must skip dtypes the bare
-    # scalar type cannot reproduce — parametric units (``M8[s]``) and
-    # non-native byteorder — where the view would reinterpret the data.
-    if np.dtype(arr.dtype.type) == arr.dtype:
-        return arr.view(arr.dtype.type)
-    return arr
-
-
-def _spillable(obj: Any) -> bool:
-    """Only plain, C-contiguous, fixed-dtype ndarrays are externalised.
-
-    Subclasses (``np.memmap``, masked arrays) pickle their class and
-    must stay inline; object/structured dtypes cannot round-trip through
-    a raw-bytes buffer; tiny arrays are cheaper inline.
-    """
-    return (
-        type(obj) is np.ndarray
-        and obj.flags.c_contiguous
-        and obj.ndim <= _MAX_DIMS
-        and obj.dtype.kind in "biufcmM"
-        and len(obj.dtype.str) <= 16
-        and obj.nbytes >= MIN_SPILL_ARRAY_BYTES
-    )
-
-
-class _ArrayCollector:
-    """Accumulates externalised array payloads for one shard."""
-
-    def __init__(self) -> None:
-        self.payload = bytearray()
-        self.meta: list[tuple[int, int, bytes, int, tuple[int, ...]]] = []
-
-    def add(self, arr: np.ndarray) -> int:
-        index = len(self.meta)
-        offset = len(self.payload)
-        self.payload += arr.tobytes()
-        shape = tuple(arr.shape) + (0,) * (_MAX_DIMS - arr.ndim)
-        self.meta.append((offset, arr.nbytes, arr.dtype.str.encode(), arr.ndim, shape))
-        return index
-
-    def meta_array(self) -> np.ndarray:
-        out = np.zeros(len(self.meta), dtype=_ARRAY_DTYPE)
-        for i, (offset, nbytes, dtype, ndim, shape) in enumerate(self.meta):
-            out[i] = (offset, nbytes, dtype, ndim, shape)
-        return out
-
-
-class _SpillPickler(pickle.Pickler):
-    """Pickler that swaps large arrays for columnar-buffer references.
-
-    Persistent-id saves bypass pickle's memo, so an array referenced
-    twice in one result would spill twice and rehydrate as two distinct
-    objects — changing the re-pickled memo structure.  Deduplicating by
-    object id here (and memoising loads in :class:`_SpillUnpickler`)
-    keeps intra-result aliasing, and therefore pickle bytes, intact.
-    """
-
-    def __init__(self, file: io.BytesIO, collector: _ArrayCollector) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._collector = collector
-        self._seen: dict[int, int] = {}
-
-    def persistent_id(self, obj: Any) -> Any:
-        if _spillable(obj):
-            index = self._seen.get(id(obj))
-            if index is None:
-                index = self._collector.add(obj)
-                self._seen[id(obj)] = index
-            return (_PID_TAG, index)
-        return None
-
-
-class _SpillUnpickler(pickle.Unpickler):
-    """Unpickler that resolves array references from one shard's buffer."""
-
-    def __init__(self, file: io.BytesIO, shard: "_ShardReader") -> None:
-        super().__init__(file)
-        self._shard = shard
-        self._loaded: dict[int, np.ndarray] = {}
-
-    def persistent_load(self, pid: Any) -> Any:
-        if (
-            isinstance(pid, tuple)
-            and len(pid) == 2
-            and pid[0] == _PID_TAG
-            and isinstance(pid[1], int)
-        ):
-            index = pid[1]
-            arr = self._loaded.get(index)
-            if arr is None:
-                arr = self._shard.load_array(index)
-                self._loaded[index] = arr
-            return arr
-        raise pickle.UnpicklingError(f"unknown persistent id: {pid!r}")
-
-
 class _ShardReader:
     """Lazy random access into one spilled shard.
 
-    The four ``.npy`` files are opened with ``mmap_mode="r"`` on first
+    The two ``.npy`` files are opened with ``mmap_mode="r"`` on first
     use and can be released (dropping the maps) at any time — the next
     access simply reopens them.  ``load(i)`` copies exactly one result's
-    blob and arrays out of the maps, so resident memory tracks the
-    working set, not the shard size.
+    blob out of the map, so resident memory tracks the working set, not
+    the shard size.
     """
 
     def __init__(self, directory: Path, shard_id: int, n_items: int) -> None:
@@ -210,8 +81,6 @@ class _ShardReader:
         self.n_items = n_items
         self._blobs: np.ndarray | None = None
         self._items: np.ndarray | None = None
-        self._arrays: np.ndarray | None = None
-        self._arrmeta: np.ndarray | None = None
 
     def _path(self, part: str) -> Path:
         return self.directory / f"shard-{self.shard_id:02d}.{part}.npy"
@@ -231,25 +100,10 @@ class _ShardReader:
         if self._items is None:
             self._blobs = self._mmap_load(self._path("blobs"))
             self._items = self._mmap_load(self._path("items"))
-            self._arrays = self._mmap_load(self._path("arrays"))
-            self._arrmeta = self._mmap_load(self._path("arrmeta"))
 
     def release(self) -> None:
         """Drop the open memory maps (reopened on next access)."""
-        self._blobs = self._items = self._arrays = self._arrmeta = None
-
-    def load_array(self, index: int) -> np.ndarray:
-        assert self._arrays is not None and self._arrmeta is not None
-        meta = self._arrmeta[index]
-        lo = int(meta["offset"])
-        hi = lo + int(meta["nbytes"])
-        dtype = np.dtype(bytes(meta["dtype"]).decode())
-        shape = tuple(int(s) for s in meta["shape"][: int(meta["ndim"])])
-        # one copy out of the map, then the canonical-dtype re-view: the
-        # result must be a plain writeable ndarray indistinguishable
-        # from the original, never a view pinning the mmap open
-        arr = np.frombuffer(self._arrays[lo:hi].tobytes(), dtype=dtype)
-        return _canonical_dtype_view(arr.reshape(shape).copy())
+        self._blobs = self._items = None
 
     def load(self, index: int) -> Any:
         if not 0 <= index < self.n_items:
@@ -259,8 +113,7 @@ class _ShardReader:
         row = self._items[index]
         lo = int(row["offset"])
         hi = lo + int(row["length"])
-        blob = self._blobs[lo:hi].tobytes()
-        return _SpillUnpickler(io.BytesIO(blob), self).load()
+        return pickle.loads(self._blobs[lo:hi].tobytes())
 
 
 def _remove_tree(path: str) -> None:
@@ -292,19 +145,16 @@ class SpillDir:
 
     def write_shard(self, shard_id: int, results: Sequence[Any]) -> _ShardReader:
         """Spill one shard's ordered results; returns its lazy reader."""
-        collector = _ArrayCollector()
         blobs = io.BytesIO()
         items = np.zeros(len(results), dtype=_ITEM_DTYPE)
         for i, result in enumerate(results):
             offset = blobs.tell()
-            _SpillPickler(blobs, collector).dump(result)
+            blobs.write(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
             items[i] = (offset, blobs.tell() - offset)
         written = 0
         for part, payload in (
             ("blobs", np.frombuffer(blobs.getbuffer(), dtype=np.uint8)),
             ("items", items),
-            ("arrays", np.frombuffer(bytes(collector.payload), dtype=np.uint8)),
-            ("arrmeta", collector.meta_array()),
         ):
             path = self.directory / f"shard-{shard_id:02d}.{part}.npy"
             np.save(path, payload)

@@ -275,6 +275,44 @@ class TestAnalysisCache:
         for cidr, analysis in result.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
 
+    def test_entry_naming_a_missing_module_is_one_miss(
+        self, world200, serial_result, tmp_path
+    ):
+        blocks = self._blocks(world200)
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
+        DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        entry = sorted(tmp_path.rglob("*.pkl"))[0]
+        blob = entry.read_bytes()
+        assert b"repro." in blob
+        # same length, so the pickle parses up to the import and then
+        # raises ModuleNotFoundError rather than an UnpicklingError
+        entry.write_bytes(blob.replace(b"repro.", b"reprX."))
+        rerun = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=rerun)
+        assert result.metrics.cache == {"hits": self.N - 1, "misses": 1, "stores": 1}
+        for cidr, analysis in result.analyses.items():
+            assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
+        assert entry.read_bytes() == blob  # put rewrote the damaged entry
+        again = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
+        healed = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=again)
+        assert healed.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
+
+    def test_byte_flipped_entries_never_raise(self, tmp_path):
+        cache = AnalysisCache(tmp_path)
+        value = {"series": list(range(40)), "label": "block", "ratio": 0.25}
+        cache.put("ab" * 32, value)
+        entry = next(tmp_path.rglob("*.pkl"))
+        blob = entry.read_bytes()
+        for pos in range(len(blob)):
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(blob)
+                damaged[pos] ^= flip
+                entry.write_bytes(bytes(damaged))
+                # a flip that still unpickles is a (wrong) hit; every
+                # other outcome must be a plain miss, never an exception
+                hit, _ = AnalysisCache(tmp_path).get("ab" * 32)
+                assert hit in (True, False)
+
     def test_plain_tasks_bypass_cache(self):
         engine = CampaignEngine(SerialExecutor(), AnalysisCache())
         run = engine.run(_square, [1, 2, 3], label="squares")

@@ -20,6 +20,7 @@ import pytest
 from repro.datasets.builder import DatasetBuilder, SpilledAnalyses
 from repro.net.world import WorldModel, scenario_covid2020
 from repro.obs.progress import ProgressEmitter, use_progress
+from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import (
     AnalysisCache,
     CampaignEngine,
@@ -174,14 +175,13 @@ class TestSpillRoundTrip:
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
         spill = SpillDir.create()
         reader = spill.write_shard(0, items)
-        arrmeta = np.load(spill.directory / "shard-00.arrmeta.npy")
-        assert len(arrmeta) == 0  # nothing above was eligible to externalise
+        parts = sorted(p.name for p in spill.directory.iterdir())
+        assert parts == ["shard-00.blobs.npy", "shard-00.items.npy"]
         [loaded] = SpilledResults(spill, [reader])
         assert pickle.dumps(loaded) == pickle.dumps(items[0])
 
     def test_intra_result_aliasing_is_preserved(self, tmp_path, monkeypatch):
-        # persistent-id saves bypass pickle's memo; without dedup an
-        # array referenced twice would rehydrate as two objects and the
+        # an array referenced twice must rehydrate as one object, or the
         # re-pickled memo structure (and bytes) would change
         shared = np.arange(128, dtype=np.float64)
         item = {"a": shared, "b": shared, "c": shared[:64].copy()}
@@ -273,6 +273,28 @@ class TestShardedEngine:
             merged = sharded.metrics.stages[name]
             assert merged.touched == totals.touched, name
             assert merged.skips == totals.skips, name
+
+    def test_traced_sharded_run_is_one_campaign(self, small_world):
+        unsharded = DatasetBuilder(small_world).analyze(
+            DATASET, engine=CampaignEngine(SerialExecutor())
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = DatasetBuilder(small_world).analyze(
+                DATASET, engine=CampaignEngine(SerialExecutor(), shards=3)
+            )
+        spans = tracer.finished
+        assert [s.name for s in spans].count("campaign") == 1
+        blocks = [s for s in spans if s.name == "block"]
+        assert len(blocks) == traced.metrics.n_tasks
+        for block in blocks:
+            assert block.attrs["shard"] in (0, 1, 2) and block.attrs["shards"] == 3
+        metrics = traced.metrics
+        assert metrics.wall_s == metrics.resources["wall_s"]
+        assert metrics.funnel == unsharded.metrics.funnel
+        assert {name: t.calls for name, t in metrics.stages.items()} == {
+            name: t.calls for name, t in unsharded.metrics.stages.items()
+        }
 
     def test_analyses_are_a_lazy_mapping_and_byte_identical(self, small_world):
         serial = DatasetBuilder(small_world).analyze(
@@ -371,16 +393,15 @@ class TestShardedByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# cache striping
+# one cache layout for every shard count
 # ---------------------------------------------------------------------------
-class TestCacheStriping:
-    def test_resharding_stays_warm_across_stripes(self, small_world, tmp_path):
+class TestCacheResharding:
+    def test_resharding_stays_warm(self, small_world, tmp_path):
         cold = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=2
         )
         first = DatasetBuilder(small_world).analyze(DATASET, engine=cold)
         assert first.metrics.cache["misses"] == first.metrics.n_tasks
-        assert (tmp_path / "shard-00").is_dir() and (tmp_path / "shard-01").is_dir()
 
         warm = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=3
@@ -392,21 +413,17 @@ class TestCacheStriping:
             assert pickle.dumps(second.analyses[cidr]) == pickle.dumps(
                 first.analyses[cidr]
             )
+        assert not list(tmp_path.glob("shard-*"))
 
-    def test_striped_runs_read_unstriped_entries(self, small_world, tmp_path):
+    def test_sharded_runs_read_unsharded_entries(self, small_world, tmp_path):
         flat = CampaignEngine(SerialExecutor(), cache=AnalysisCache(tmp_path))
         DatasetBuilder(small_world).analyze(DATASET, engine=flat)
-        striped = CampaignEngine(
+        sharded = CampaignEngine(
             SerialExecutor(), cache=AnalysisCache(tmp_path), shards=4
         )
-        result = DatasetBuilder(small_world).analyze(DATASET, engine=striped)
+        result = DatasetBuilder(small_world).analyze(DATASET, engine=sharded)
         assert result.metrics.cache["hits"] == result.metrics.n_tasks
-
-    def test_memory_only_cache_is_shared_not_striped(self):
-        cache = AnalysisCache()
-        engine = CampaignEngine(SerialExecutor(), cache=cache, shards=3)
-        assert engine._stripe_cache(0) is cache
-        assert engine._stripe_cache(2) is cache
+        assert not list(tmp_path.glob("shard-*"))
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +443,22 @@ class TestShardedProgress:
             for line in (tmp_path / "progress.jsonl").read_text().splitlines()
         ]
         assert records, "no heartbeats emitted"
+        # one bracket for the whole campaign: done/total are campaign-wide
+        assert [r["event"] for r in records].count("start") == 1
+        assert [r["event"] for r in records].count("finish") == 1
+        assert records[0]["event"] == "start" and records[-1]["event"] == "finish"
         for record in records:
             assert record["shards"] == 3
-            assert record["campaign_total"] == 9
-            assert record["shard"] in (0, 1, 2, None)
-        finishes = [r for r in records if r["event"] == "finish"]
-        assert [r["shard"] for r in finishes] == [0, 1, 2]  # one per shard, forced
-        assert finishes[-1]["campaign_done"] == 9
-        done = [r["campaign_done"] for r in records]
-        assert done == sorted(done), "global progress must be monotonic"
+            assert record["total"] == 9
+            assert record["shard"] in (0, 1, 2)
+            assert "campaign_done" not in record and "campaign_total" not in record
+        done = [r["done"] for r in records]
+        assert done == sorted(done), "campaign progress must be monotonic"
+        assert records[-1]["done"] == 9
+        shards = [r["shard"] for r in records]
+        assert shards == sorted(shards) and set(shards) == {0, 1, 2}
         ticks = [r for r in records if r["event"] == "tick" and r["shard"] == 1]
-        assert ticks and all(r["campaign_done"] > 3 for r in ticks)
+        assert ticks and all(r["done"] >= 3 for r in ticks)
 
     def test_unsharded_records_stay_unchanged(self, tmp_path):
         import json
@@ -450,4 +472,4 @@ class TestShardedProgress:
         ]
         assert records
         for record in records:
-            assert "shard" not in record and "campaign_done" not in record
+            assert "shard" not in record and "shards" not in record
