@@ -1,49 +1,31 @@
-"""Kernel/engine micro-benchmark measurement cores and the bench trajectory.
+"""Kernel micro-benchmarks: vectorized/batched kernels against their oracles.
 
-``BENCH_kernels.json`` used to be a single overwritten snapshot; this
-module versions it into a **trajectory**: the latest sections stay at
-the top level (so existing greps and the pytest artifact tests keep
-working), and every ``repro bench`` invocation appends a full record —
-git describe, machine fingerprint, timings — to a bounded ``history``
-list.  ``repro bench --check`` then compares the newest record against
-the median of comparable prior records (same machine fingerprint, and
-for the engine section the same scale) and fails on a >threshold%
-regression, which is what ROADMAP item 1 means by "a BENCH section
-tracking blocks/sec at scale".
+Each section times a fast kernel against its scalar reference and
+asserts byte-identity between the two before a time is recorded — a
+speedup over a kernel that disagrees is meaningless.  ``repro bench``
+writes the measured sections into ``BENCH_kernels.json``; the
+``benchmarks/test_microbench.py`` artifact tests import the same
+measurement functions and fixtures, so both time exactly the same code.
+Whole-campaign throughput and peak memory are not measured here: that
+is the repo benchmark's job (``perfbench/``), which runs every workload
+in fresh processes and checks its outputs.
 
-The measurement functions here are the single source of truth: the
-``benchmarks/test_microbench.py`` artifact tests import them, so pytest
-runs and ``repro bench`` runs time exactly the same code on exactly the
-same fixtures.  Every vectorized/batched measurement asserts
-byte-identity against its scalar oracle before timing lands in the
-artifact — a speedup over a kernel that disagrees is meaningless.
-
-``measure_cusum_scaling`` exists because the trajectory's first real
-question was "why is ``cusum_rows`` only ~1.2x batched?".  The answer
-used to be "because ``detect_cusum_batch`` only hoisted NaN
+``measure_cusum_scaling`` exists because the first question these
+numbers raised was "why is ``cusum_rows`` only ~1.2x batched?".  The
+answer used to be "because ``detect_cusum_batch`` only hoisted NaN
 forward-fill and looped per-row passes"; the row-parallel
 ``_cusum_pass_batch`` kernel replaced that loop (all rows' segments
 advance together as 2-D reductions, Python work is O(alarms)), and the
-sweep now shows the speedup growing with B (~1.5x at 16 to ~2x at 256+)
+sweep now shows the speedup growing with B (~1.5x at 16 to ~2x at 256)
 instead of flat.  See docs/algorithms.md §14.
-
-``measure_scale`` extends the trajectory to out-of-core scale: a
-sharded serial engine (``--shards``) streams world sizes from
-``REPRO_BENCH_SCALES`` (default 1600, 25k, 100k blocks) and records
-blocks/sec, peak coordinator RSS, and spill volume per scale — the
-"scale" section ROADMAP item 1 asks for.  One pass per scale, no
-best-of: a 100k-block world is minutes, and the RSS bound (not the
-timing noise floor) is the headline.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import pickle
-import platform
 import sys
 import time
 from datetime import datetime
@@ -54,44 +36,24 @@ import numpy as np
 
 __all__ = [
     "BENCH_FILE",
-    "BENCH_SCHEMA",
     "DEFAULT_SECTIONS",
-    "DEFAULT_THRESHOLD_PCT",
-    "append_record",
-    "check_regression",
     "count_matrix_fixture",
-    "load_history",
-    "machine_fingerprint",
     "measure_batched_kernels",
     "measure_cusum_scaling",
-    "measure_engine",
     "measure_kernels",
     "measure_prober_lanes",
-    "measure_scale",
-    "merge_latest_section",
     "quarter_block_fixture",
     "run_sections",
+    "write_sections",
 ]
 
 BENCH_FILE = "BENCH_kernels.json"
-BENCH_SCHEMA = 1
-HISTORY_CAP = 500
-DEFAULT_THRESHOLD_PCT = 25.0
-DEFAULT_SECTIONS = (
-    "kernels",
-    "batched",
-    "cusum_rows_scaling",
-    "prober_lanes",
-    "engine",
-    "scale",
-)
+DEFAULT_SECTIONS = ("kernels", "batched", "cusum_rows_scaling", "prober_lanes")
 
 QUARTER_S = 84 * 86_400.0
 BATCH_BLOCKS = 256
-ENGINE_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
+LANES_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
-SCALE_SWEEP = (1_600, 25_000, 100_000)
-SCALE_SHARD_BLOCKS = 2_000  # target shard width for the scale sweep
 PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
 
 
@@ -233,10 +195,9 @@ def measure_cusum_scaling(
 ) -> dict[str, dict[str, float]]:
     """``cusum_rows`` batched-vs-loop speedup across batch sizes.
 
-    The satellite question behind this sweep: does the ~1.2x batched
-    speedup at B=256 grow with B (fixable dispatch overhead) or stay
-    flat (bandwidth-bound per-row kernel)?  Results are keyed by B so
-    the trajectory records the whole curve.
+    Does the batched speedup grow with B (per-call overhead amortised)
+    or stay flat (a per-row loop inside the batch)?  Results are keyed
+    by B so the file records the whole curve.
     """
     from .timeseries.detect import detect_cusum, detect_cusum_batch, zscore_rows
 
@@ -273,14 +234,12 @@ def measure_prober_lanes(
     """Lane-parallel ``observe_batch`` against per-lane ``observe``.
 
     The lanes are the (block, observer) pairs of a covid world's
-    responsive blocks over ``ENGINE_DATASET`` (the benchmark's
+    responsive blocks over ``LANES_DATASET`` (the benchmark's
     ``funnel-2w`` window), with the runtime's own loss models, cursors
     and generator seeds; the first ``L`` lanes are timed both ways for
     each ``L``.  Both sides include building every probe log (the batch
     assembles them on access), and every log is asserted equal before
-    anything is recorded.  Keyed by ``L``; the keys avoid the gate's
-    ``vectorized_s``/``batched_s`` names, so the crossover curve is a
-    record, not a gated metric.
+    anything is recorded.  Keyed by ``L``.
     """
     from .datasets.builder import _lane_rng, _start_cursor
     from .datasets.catalog import TRINOCULAR_SITES, dataset
@@ -293,7 +252,7 @@ def measure_prober_lanes(
     )
     from .net.world import WorldModel, scenario_covid2020
 
-    ds = dataset(ENGINE_DATASET)
+    ds = dataset(LANES_DATASET)
     n_lanes = max(lane_counts)
     n_blocks = 3 * n_lanes // len(ds.observers)  # ~47% of blocks respond
     world = WorldModel(scenario_covid2020(), n_blocks=n_blocks, seed=11)
@@ -365,71 +324,6 @@ def measure_prober_lanes(
     return out
 
 
-def measure_engine(n_blocks: int | None = None) -> dict[str, float | int]:
-    """Serial whole-world analysis throughput (blocks/sec at scale)."""
-    from .datasets.builder import DatasetBuilder
-    from .experiments.common import bench_scale
-    from .net.world import WorldModel, scenario_covid2020
-    from .runtime import CampaignEngine, SerialExecutor
-
-    scale = int(n_blocks) if n_blocks is not None else bench_scale(200)
-    world = WorldModel(scenario_covid2020(), n_blocks=scale, seed=11)
-    engine = CampaignEngine(SerialExecutor())
-    result = DatasetBuilder(world).analyze(ENGINE_DATASET, engine=engine)
-    metrics = result.metrics
-    return {
-        "scale": scale,
-        "wall_s": metrics.wall_s,
-        "blocks_per_sec": metrics.blocks_per_sec,
-    }
-
-
-def _scale_sweep() -> tuple[int, ...]:
-    """Scales for ``measure_scale``: ``REPRO_BENCH_SCALES`` (comma ints)
-    overrides the default :data:`SCALE_SWEEP` so CI can run a tiny sweep."""
-    from .runtime import envconfig
-
-    return envconfig.get_int_csv("REPRO_BENCH_SCALES") or SCALE_SWEEP
-
-
-def measure_scale(scales: "Sequence[int] | None" = None) -> dict[str, Any]:
-    """Sharded out-of-core throughput and peak RSS across world scales.
-
-    For each world size the whole ``ENGINE_DATASET`` campaign streams
-    through a sharded serial engine (~:data:`SCALE_SHARD_BLOCKS` blocks
-    per shard, at least two shards so spill/merge is always exercised)
-    and records blocks/sec, the coordinator's peak RSS, and the spill
-    volume.  One pass per scale — a 100k-block world takes minutes, and
-    the headline is the RSS bound, not the timing noise floor.  The keys
-    deliberately avoid ``vectorized_s``/``batched_s`` so the regression
-    gate (which keys off those names) ignores this section: the sweep
-    varies with ``REPRO_BENCH_SCALES`` and is not comparable run-to-run.
-    """
-    from .datasets.builder import DatasetBuilder
-    from .net.world import WorldModel, scenario_covid2020
-    from .runtime import CampaignEngine, SerialExecutor
-
-    out: dict[str, Any] = {}
-    for scale in scales if scales is not None else _scale_sweep():
-        n_blocks = int(scale)
-        n_shards = max(-(-n_blocks // SCALE_SHARD_BLOCKS), 2)
-        world = WorldModel(scenario_covid2020(), n_blocks=n_blocks, seed=11)
-        engine = CampaignEngine(SerialExecutor(), shards=n_shards)
-        result = DatasetBuilder(world).analyze(ENGINE_DATASET, engine=engine)
-        metrics = result.metrics
-        resources = metrics.resources or {}
-        shards = metrics.shards or {}
-        out[str(n_blocks)] = {
-            "n_blocks": n_blocks,
-            "n_shards": shards.get("shards", n_shards),
-            "wall_s": metrics.wall_s,
-            "blocks_per_sec": metrics.blocks_per_sec,
-            "rss_peak_bytes": resources.get("rss_peak_bytes", 0),
-            "spill_bytes": shards.get("spill_bytes", 0),
-        }
-    return out
-
-
 def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     """Measure each named section; unknown names raise ``ValueError``."""
     runners: dict[str, Callable[[], Any]] = {
@@ -437,8 +331,6 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "batched": measure_batched_kernels,
         "cusum_rows_scaling": measure_cusum_scaling,
         "prober_lanes": measure_prober_lanes,
-        "engine": measure_engine,
-        "scale": measure_scale,
     }
     out: dict[str, Any] = {}
     for name in sections:
@@ -451,29 +343,12 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# machine fingerprint and the versioned history document
-# ---------------------------------------------------------------------------
-def machine_fingerprint() -> dict[str, Any]:
-    """What hardware/toolchain produced a record (comparability key)."""
-    fields = {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count() or 1,
-    }
-    token = json.dumps(fields, sort_keys=True)
-    fields["id"] = hashlib.sha256(token.encode()).hexdigest()[:12]
-    return fields
+def write_sections(path: "str | os.PathLike[str]", sections: dict[str, Any]) -> None:
+    """Replace the named top-level sections of the bench file in place.
 
-
-def load_history(path: "str | os.PathLike[str]") -> dict[str, Any]:
-    """Read the bench document, migrating a legacy flat snapshot in place.
-
-    A pre-trajectory file (no ``schema`` key) keeps its sections as the
-    "latest" values and starts with an empty history — old numbers are
-    not fabricated into records they never were.
+    Sections not named are left as they are, so ``repro bench
+    --sections X`` and each pytest artifact test refresh only their own
+    numbers.  A missing or unreadable file starts empty.
     """
     p = Path(path)
     try:
@@ -482,244 +357,40 @@ def load_history(path: "str | os.PathLike[str]") -> dict[str, Any]:
         doc = {}
     if not isinstance(doc, dict):
         doc = {}
-    if "schema" not in doc:
-        doc = {"schema": BENCH_SCHEMA, **doc, "history": []}
-    doc.setdefault("history", [])
-    return doc
-
-
-def append_record(
-    path: "str | os.PathLike[str]", sections: dict[str, Any]
-) -> dict[str, Any]:
-    """Append one trajectory record and refresh the latest sections."""
-    from .obs.sinks import git_describe
-
-    doc = load_history(path)
-    record = {
-        "t_unix": time.time(),
-        "git": git_describe(),
-        "machine": machine_fingerprint(),
-        "sections": sections,
-    }
-    doc["history"].append(record)
-    doc["history"] = doc["history"][-HISTORY_CAP:]
-    for name, payload in sections.items():
-        doc[name] = payload
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
-
-
-def merge_latest_section(
-    path: "str | os.PathLike[str]", section: str, payload: Any
-) -> None:
-    """Update one latest section without touching the history.
-
-    This is the pytest artifact tests' write path: they refresh the
-    headline numbers on every run, while only explicit ``repro bench``
-    invocations append trajectory records.
-    """
-    doc = load_history(path)
-    doc[section] = payload
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# regression gate
-# ---------------------------------------------------------------------------
-def _metric_paths(sections: dict[str, Any]) -> list[tuple[str, str, str, bool]]:
-    """(section, sub-key, metric, lower_is_better) triples to compare."""
-    paths: list[tuple[str, str, str, bool]] = []
-    for section, payload in sections.items():
-        if section == "engine":
-            paths.append((section, "", "blocks_per_sec", False))
-            continue
-        if not isinstance(payload, dict):
-            continue
-        for sub, stats in payload.items():
-            if not isinstance(stats, dict):
-                continue
-            if "vectorized_s" in stats:
-                paths.append((section, sub, "vectorized_s", True))
-            elif "batched_s" in stats:
-                paths.append((section, sub, "batched_s", True))
-    return paths
-
-
-def _lookup(sections: dict[str, Any], section: str, sub: str, metric: str):
-    payload = sections.get(section)
-    if not isinstance(payload, dict):
-        return None
-    stats = payload.get(sub) if sub else payload
-    if not isinstance(stats, dict):
-        return None
-    value = stats.get(metric)
-    return float(value) if isinstance(value, (int, float)) else None
-
-
-def _comparable(candidate: dict[str, Any], prior: dict[str, Any]) -> bool:
-    """Prior records count only when measured on comparable ground."""
-    cand_id = (candidate.get("machine") or {}).get("id")
-    prior_id = (prior.get("machine") or {}).get("id")
-    if cand_id != prior_id:
-        return False
-    cand_scale = _lookup(candidate.get("sections") or {}, "engine", "", "scale")
-    prior_scale = _lookup(prior.get("sections") or {}, "engine", "", "scale")
-    if cand_scale is not None and prior_scale is not None and cand_scale != prior_scale:
-        return False
-    return True
-
-
-def check_regression(
-    doc: dict[str, Any], threshold_pct: float = DEFAULT_THRESHOLD_PCT
-) -> tuple[list[str], list[str]]:
-    """(regressions, notes) for the newest record vs the prior trajectory.
-
-    The newest history record is the candidate; the baseline per metric
-    is the **median** of that metric over comparable prior records (same
-    machine fingerprint; same engine scale).  Medians make one earlier
-    noisy run harmless.  Timing metrics regress when slower than
-    baseline by more than ``threshold_pct``; throughput metrics
-    (``blocks_per_sec``) when lower by more than ``threshold_pct``.
-    """
-    history = doc.get("history") or []
-    if len(history) < 2:
-        return [], ["no prior trajectory records to compare against"]
-    candidate = history[-1]
-    pool = [r for r in history[:-1] if _comparable(candidate, r)]
-    if not pool:
-        return [], [
-            "no comparable prior records (different machine fingerprint or scale)"
-        ]
-
-    regressions: list[str] = []
-    notes: list[str] = []
-    cand_sections = candidate.get("sections") or {}
-    for section, sub, metric, lower_better in _metric_paths(cand_sections):
-        cand = _lookup(cand_sections, section, sub, metric)
-        if cand is None:
-            continue
-        prior_values = [
-            v
-            for r in pool
-            if (v := _lookup(r.get("sections") or {}, section, sub, metric)) is not None
-        ]
-        if not prior_values:
-            notes.append(f"{section}/{sub or metric}: new metric, no baseline yet")
-            continue
-        baseline = float(np.median(prior_values))
-        label = f"{section}/{sub}/{metric}" if sub else f"{section}/{metric}"
-        if baseline <= 0:
-            continue
-        if lower_better:
-            change_pct = 100.0 * (cand - baseline) / baseline
-            if change_pct > threshold_pct:
-                regressions.append(
-                    f"{label}: {cand:.6f}s vs median {baseline:.6f}s "
-                    f"(+{change_pct:.0f}% slower, threshold {threshold_pct:.0f}%)"
-                )
-        else:
-            change_pct = 100.0 * (baseline - cand) / baseline
-            if change_pct > threshold_pct:
-                regressions.append(
-                    f"{label}: {cand:.2f} vs median {baseline:.2f} "
-                    f"(-{change_pct:.0f}% throughput, threshold {threshold_pct:.0f}%)"
-                )
-    return regressions, notes
+    doc.update(sections)
+    p.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # CLI (``repro bench``)
 # ---------------------------------------------------------------------------
-def _summarise(sections: dict[str, Any]) -> list[str]:
-    lines = []
-    for section, payload in sections.items():
-        if section == "engine" and isinstance(payload, dict):
-            lines.append(
-                f"  engine: {payload.get('blocks_per_sec', 0.0):.1f} blocks/s "
-                f"at scale {payload.get('scale', '?')} "
-                f"({payload.get('wall_s', 0.0):.2f}s wall)"
-            )
-            continue
-        if section == "scale" and isinstance(payload, dict):
-            for sub, stats in payload.items():
-                if not isinstance(stats, dict):
-                    continue
-                rss_mib = float(stats.get("rss_peak_bytes", 0)) / (1024 * 1024)
-                lines.append(
-                    f"  scale/{sub}: {stats.get('blocks_per_sec', 0.0):.1f} blocks/s, "
-                    f"{stats.get('n_shards', '?')} shards, peak RSS {rss_mib:.0f} MiB"
-                )
-            continue
-        if not isinstance(payload, dict):
-            continue
-        for sub, stats in payload.items():
-            if isinstance(stats, dict) and "speedup" in stats:
-                lines.append(f"  {section}/{sub}: {stats['speedup']:.2f}x")
-    return lines
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the kernel/engine microbenchmarks and append a record "
-            "(git describe, machine fingerprint, timings) to the "
-            "BENCH_kernels.json trajectory; --check compares the newest "
-            "record against the recorded history."
+            "Time the vectorized/batched kernels against their scalar "
+            "oracles (asserting identical output first) and write the "
+            "measured sections into BENCH_kernels.json."
         ),
     )
     parser.add_argument(
         "--output",
         default=BENCH_FILE,
-        help="bench history file (default: %(default)s)",
+        help="bench file to update (default: %(default)s)",
     )
     parser.add_argument(
         "--sections",
         default=",".join(DEFAULT_SECTIONS),
         help="comma-separated sections to run (default: %(default)s)",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare the newest record against the trajectory instead of measuring",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD_PCT,
-        help="regression threshold in percent for --check (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (CI smoke mode)",
-    )
     args = parser.parse_args(argv)
 
-    if args.check:
-        doc = load_history(args.output)
-        regressions, notes = check_regression(doc, threshold_pct=args.threshold)
-        for note in notes:
-            print(f"bench check: {note}")
-        if regressions:
-            for line in regressions:
-                print(f"bench REGRESSION: {line}")
-            if args.warn_only:
-                print(f"bench check: {len(regressions)} regression(s), warn-only mode")
-                return 0
-            return 1
-        print(
-            f"bench check: OK ({len(doc.get('history') or [])} records, "
-            f"threshold {args.threshold:.0f}%)"
-        )
-        return 0
-
     sections = run_sections(s for s in args.sections.split(",") if s)
-    append_record(args.output, sections)
-    doc = load_history(args.output)
-    print(f"bench: recorded {len(doc['history'])} trajectory record(s) in {args.output}")
-    for line in _summarise(sections):
-        print(line)
+    write_sections(args.output, sections)
+    print(f"bench: wrote {', '.join(sections)} to {args.output}")
+    for section, payload in sections.items():
+        for sub, stats in payload.items():
+            print(f"  {section}/{sub}: {stats['speedup']:.2f}x")
     return 0
 
 

@@ -17,8 +17,7 @@
     repro lint                 # statically check repo invariants (REP001-REP008)
     repro lint --format json   # machine-diffable report (CI artifact)
     repro profile fig3         # run one experiment under cProfile
-    repro bench                # append a record to the BENCH_kernels.json trajectory
-    repro bench --check        # fail on a regression against that trajectory
+    repro bench                # time kernels vs their oracles into BENCH_kernels.json
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "experiment name (see 'repro list'), 'list', 'all', 'export', "
             "'report', 'lint' (static invariant checks), 'profile' "
-            "(cProfile one experiment), or 'bench' (kernel/engine "
-            "benchmark trajectory); each subcommand has its own --help"
+            "(cProfile one experiment), or 'bench' (kernel-vs-oracle "
+            "micro-benchmarks); each subcommand has its own --help"
         ),
     )
     parser.add_argument(

@@ -269,7 +269,6 @@ class BlockPipeline:
                     n_out=int(classifications[pos].is_change_sensitive),
                     n_batch=n_batch,
                     cpu_s=share.cpu_s,
-                    rss_delta=share.rss_delta,
                 )
 
             selected = [
@@ -301,7 +300,6 @@ class BlockPipeline:
                         n_out=len(extracted[k].trend) if extracted[k] is not None else 0,
                         n_batch=len(selected),
                         cpu_s=share.cpu_s,
-                        rss_delta=share.rss_delta,
                     )
 
             with_trend = [pos for pos in selected if trends[pos] is not None]
@@ -345,7 +343,6 @@ class BlockPipeline:
                         n_out=len(reports[k].events),
                         n_batch=len(with_trend),
                         cpu_s=share.cpu_s,
-                        rss_delta=share.rss_delta,
                     )
 
             for pos, i in enumerate(indices):

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from ..obs.metrics import get_registry
 from ..obs.names import metric_name
-from ..obs.resources import peak_rss_bytes, thread_cpu_seconds
+from ..obs.resources import thread_cpu_seconds
 from ..obs.trace import get_tracer
 
 __all__ = ["PIPELINE_STAGES", "StageContext", "StageMeter", "StageRecord", "StageShare"]
@@ -36,11 +36,9 @@ PIPELINE_STAGES = ("repair", "combine", "reconstruct", "classify", "trend", "det
 class StageRecord:
     """One stage invocation: how long it took and what flowed through it.
 
-    ``cpu_s`` is thread CPU time consumed by the stage body and
-    ``rss_delta`` the rise in the process RSS high-water mark (bytes)
-    across it — both zero for skipped stages, and both excluded from
-    byte-identity comparisons (like ``wall_s``, they are measurements,
-    not results).
+    ``cpu_s`` is thread CPU time consumed by the stage body — zero for
+    skipped stages, and excluded from byte-identity comparisons (like
+    ``wall_s``, it is a measurement, not a result).
     """
 
     name: str
@@ -49,7 +47,6 @@ class StageRecord:
     n_out: int = 0
     skipped: str | None = None  # reason the stage did not run, None = it ran
     cpu_s: float = 0.0
-    rss_delta: int = 0
 
     @property
     def ran(self) -> bool:
@@ -61,11 +58,10 @@ class StageShare(NamedTuple):
 
     wall_s: float
     cpu_s: float
-    rss_delta: int
 
 
 class StageMeter:
-    """Wall/CPU/RSS-high-water cost of one computation shared by blocks.
+    """Wall/CPU cost of one computation shared by blocks.
 
     Batched stages run once for many blocks; the meter measures the run
     and splits it into per-block :class:`StageShare` entries, so stage
@@ -73,31 +69,30 @@ class StageMeter:
     (where each block is measured directly).
     """
 
-    __slots__ = ("_rss", "_cpu", "_wall")
+    __slots__ = ("_cpu", "_wall")
 
     def __init__(self) -> None:
-        self._rss = peak_rss_bytes()
         self._cpu = thread_cpu_seconds()
         self._wall = time.perf_counter()
 
-    def _elapsed(self) -> tuple[float, float, int]:
+    def _elapsed(self) -> tuple[float, float]:
         wall = time.perf_counter() - self._wall
         cpu = thread_cpu_seconds() - self._cpu
-        return wall, cpu, max(peak_rss_bytes() - self._rss, 0)
+        return wall, cpu
 
     def shares(self, n: int) -> StageShare:
         """An even ``1/n`` share for each of ``n`` blocks."""
-        wall, cpu, rss = self._elapsed()
-        return StageShare(wall_s=wall / n, cpu_s=cpu / n, rss_delta=rss // n)
+        wall, cpu = self._elapsed()
+        return StageShare(wall_s=wall / n, cpu_s=cpu / n)
 
     def split(self, weights: Sequence[float]) -> list[StageShare]:
         """Shares in proportion to ``weights`` (even when they sum to 0)."""
-        wall, cpu, rss = self._elapsed()
+        wall, cpu = self._elapsed()
         total = float(sum(weights))
         fractions = (
             [w / total for w in weights] if total > 0 else [1.0 / len(weights)] * len(weights)
         )
-        return [StageShare(wall * f, cpu * f, int(rss * f)) for f in fractions]
+        return [StageShare(wall * f, cpu * f) for f in fractions]
 
 
 class _ActiveStage:
@@ -128,7 +123,6 @@ class StageContext:
         tracer = get_tracer()
         span_cm = tracer.span(f"stage:{name}") if tracer.enabled else None
         span = span_cm.__enter__() if span_cm is not None else None
-        rss_before = peak_rss_bytes()
         cpu_start = thread_cpu_seconds()
         start = time.perf_counter()
         try:
@@ -136,7 +130,6 @@ class StageContext:
         finally:
             wall_s = time.perf_counter() - start
             cpu_s = thread_cpu_seconds() - cpu_start
-            rss_delta = max(peak_rss_bytes() - rss_before, 0)
             self.records.append(
                 StageRecord(
                     name=name,
@@ -144,7 +137,6 @@ class StageContext:
                     n_in=n_in,
                     n_out=active.n_out,
                     cpu_s=cpu_s,
-                    rss_delta=rss_delta,
                 )
             )
             get_registry().histogram(metric_name("stage", name, "wall_s")).observe(wall_s)
@@ -166,15 +158,13 @@ class StageContext:
         n_out: int = 0,
         n_batch: int = 1,
         cpu_s: float = 0.0,
-        rss_delta: int = 0,
     ) -> None:
         """Record one block's share of a batched stage execution.
 
         ``wall_s`` is the block's slice of the batch wall time (the batched
         pipeline attributes ``batch_wall / n_batch`` to each member), and
-        ``cpu_s``/``rss_delta`` the analogous CPU and RSS high-water
-        shares, while ``n_in``/``n_out`` are the block's true sizes.  The
-        record feeds the same latency histogram as :meth:`stage`, and —
+        ``cpu_s`` the analogous CPU share, while ``n_in``/``n_out`` are
+        the block's true sizes.  The record feeds the same latency histogram as :meth:`stage`, and —
         when tracing — emits a synthetic ``stage:<name>`` span under the
         enclosing span so per-block span accounting stays intact.
         """
@@ -185,7 +175,6 @@ class StageContext:
                 n_in=n_in,
                 n_out=n_out,
                 cpu_s=cpu_s,
-                rss_delta=rss_delta,
             )
         )
         get_registry().histogram(metric_name("stage", name, "wall_s")).observe(wall_s)
@@ -227,7 +216,6 @@ class StageContext:
                 out[r.name] = {
                     "wall_s": r.wall_s,
                     "cpu_s": r.cpu_s,
-                    "rss_delta": r.rss_delta,
                     "n_in": r.n_in,
                     "n_out": r.n_out,
                     "skipped": r.skipped,
@@ -236,7 +224,6 @@ class StageContext:
             else:
                 d["wall_s"] += r.wall_s
                 d["cpu_s"] += r.cpu_s
-                d["rss_delta"] += r.rss_delta
                 d["n_in"] = r.n_in
                 d["n_out"] = r.n_out
                 d["skipped"] = r.skipped

@@ -127,7 +127,6 @@ class StageTotals:
     calls: int = 0
     wall_s: float = 0.0
     cpu_s: float = 0.0
-    rss_delta: int = 0  # summed RSS high-water rise across calls, bytes
     n_in: int = 0
     n_out: int = 0
     skips: dict[str, int] = field(default_factory=dict)
@@ -144,7 +143,6 @@ class StageTotals:
         self.calls += 1
         self.wall_s += record.wall_s
         self.cpu_s += record.cpu_s
-        self.rss_delta += record.rss_delta
         self.n_in += record.n_in
         self.n_out += record.n_out
 
@@ -153,7 +151,6 @@ class StageTotals:
             "calls": self.calls,
             "wall_s": self.wall_s,
             "cpu_s": self.cpu_s,
-            "rss_delta": self.rss_delta,
             "n_in": self.n_in,
             "n_out": self.n_out,
             "skips": dict(self.skips),
@@ -165,7 +162,6 @@ class StageTotals:
             calls=d["calls"],
             wall_s=d["wall_s"],
             cpu_s=d.get("cpu_s", 0.0),  # absent in pre-resource saved traces
-            rss_delta=d.get("rss_delta", 0),
             n_in=d["n_in"],
             n_out=d["n_out"],
             skips=dict(d.get("skips") or {}),
@@ -251,7 +247,7 @@ class RunMetrics:
         if self.fallback:
             lines.append(f"  ! fell back to serial: {self.fallback}")
         if self.stages:
-            rows = [["stage", "calls", "skipped", "wall_s", "cpu_s", "rss+", "n_in", "n_out"]]
+            rows = [["stage", "calls", "skipped", "wall_s", "cpu_s", "n_in", "n_out"]]
             ordered = [n for n in PIPELINE_STAGES if n in self.stages]
             ordered += [n for n in self.stages if n not in PIPELINE_STAGES]
             for name in ordered:
@@ -263,7 +259,6 @@ class RunMetrics:
                         str(sum(t.skips.values())),
                         f"{t.wall_s:.3f}",
                         f"{t.cpu_s:.3f}",
-                        format_bytes(t.rss_delta),
                         str(t.n_in),
                         str(t.n_out),
                     ]

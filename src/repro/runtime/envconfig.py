@@ -35,7 +35,6 @@ __all__ = [
     "get_bool",
     "get_float",
     "get_int",
-    "get_int_csv",
     "overriding",
     "peek",
     "raw",
@@ -109,12 +108,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "0",
         "start tracemalloc so resource reports include allocator deltas "
         "(slow)",
-    ),
-    EnvVar(
-        "REPRO_BENCH_SCALES",
-        "int-csv",
-        "1600,25000,100000",
-        "comma-separated world scales for the bench scale sweep",
     ),
     EnvVar(
         "REPRO_SANITIZE",
@@ -200,19 +193,6 @@ def get_bool(name: str, default: bool) -> bool:
         return False
     _warn_garbage(name, value, "a boolean", "the default")
     return default
-
-
-def get_int_csv(name: str) -> tuple[int, ...] | None:
-    """Comma-separated-int knob; unset/empty/garbage means ``None``."""
-    value = raw(name)
-    if not value:
-        return None
-    try:
-        parsed = tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError:
-        _warn_garbage(name, value, "a comma-separated list of integers", "the default")
-        return None
-    return parsed or None
 
 
 def set_env(name: str, value: str) -> None:

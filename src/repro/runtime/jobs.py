@@ -220,7 +220,6 @@ class ChunkReconstructJob:
             wall_s=truth.wall_s,
             n_out=sim.truth_cells[j],
             cpu_s=truth.cpu_s,
-            rss_delta=truth.rss_delta,
         )
         ctx.record_batched(
             "probe",
@@ -229,7 +228,6 @@ class ChunkReconstructJob:
             n_out=sim.n_probes[j],
             n_batch=len(sim.addresses),
             cpu_s=probe.cpu_s + assembly.cpu_s,
-            rss_delta=probe.rss_delta + assembly.rss_delta,
         )
         return reconstruct_logs(
             self.pipeline, logs, sim.addresses[j], sim.start_s, self.ds, ctx

@@ -1,185 +1,40 @@
-"""Tests for the bench trajectory, cProfile wrapper, and sink hardening."""
+"""Tests for ``repro bench``, the cProfile wrapper, and sink hardening."""
 
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    BENCH_SCHEMA,
-    append_record,
-    check_regression,
-    load_history,
-    machine_fingerprint,
-    merge_latest_section,
-)
 from repro.obs.profiling import collapsed_stacks, profile_call, top_table, write_profile
 
 
 # ---------------------------------------------------------------------------
-# bench history document
+# repro bench
 # ---------------------------------------------------------------------------
-def _record(machine: dict, sections: dict, t: float = 0.0) -> dict:
-    return {"t_unix": t, "git": "test", "machine": machine, "sections": sections}
-
-
-class TestBenchHistory:
-    def test_load_missing_file_is_empty_document(self, tmp_path):
-        doc = load_history(tmp_path / "nope.json")
-        assert doc == {"schema": BENCH_SCHEMA, "history": []}
-
-    def test_legacy_flat_snapshot_migrates_in_place(self, tmp_path):
-        legacy = {
-            "kernels": {"cusum": {"vectorized_s": 0.1, "reference_s": 1.0, "speedup": 10.0}},
-            "batched": {"trend": {"batched_s": 0.2, "scalar_s": 1.0, "speedup": 5.0}},
-        }
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps(legacy))
-        doc = load_history(path)
-        assert doc["schema"] == BENCH_SCHEMA
-        # old latest sections survive; no fabricated history records
-        assert doc["kernels"] == legacy["kernels"]
-        assert doc["batched"] == legacy["batched"]
-        assert doc["history"] == []
-
-    def test_append_record_updates_latest_and_history(self, tmp_path):
-        path = tmp_path / "bench.json"
-        sections = {"engine": {"scale": 8, "wall_s": 0.5, "blocks_per_sec": 16.0}}
-        append_record(path, sections)
-        doc = json.loads(path.read_text())
-        assert doc["engine"] == sections["engine"]
-        assert len(doc["history"]) == 1
-        record = doc["history"][0]
-        assert record["sections"] == sections
-        assert record["machine"]["id"] == machine_fingerprint()["id"]
-        assert record["t_unix"] > 0
-
-        append_record(path, sections)
-        assert len(load_history(path)["history"]) == 2
-
-    def test_merge_latest_section_leaves_history_alone(self, tmp_path):
-        path = tmp_path / "bench.json"
-        append_record(path, {"engine": {"scale": 8, "blocks_per_sec": 16.0}})
-        merge_latest_section(path, "kernels", {"cusum": {"vectorized_s": 0.1}})
-        doc = load_history(path)
-        assert doc["kernels"] == {"cusum": {"vectorized_s": 0.1}}
-        assert len(doc["history"]) == 1  # artifact refresh appends nothing
-
-    def test_machine_fingerprint_is_stable(self):
-        a, b = machine_fingerprint(), machine_fingerprint()
-        assert a == b
-        assert re.fullmatch(r"[0-9a-f]{12}", a["id"])
-
-
-class TestRegressionGate:
-    MACHINE = {"id": "aaaaaaaaaaaa"}
-
-    def _doc(self, *records):
-        return {"schema": BENCH_SCHEMA, "history": list(records)}
-
-    def test_no_history_is_a_note_not_a_failure(self):
-        regs, notes = check_regression(self._doc())
-        assert regs == [] and notes
-
-    def test_injected_50pct_kernel_slowdown_is_detected(self):
-        baseline = {"kernels": {"cusum": {"vectorized_s": 0.100, "speedup": 10.0}}}
-        slowed = {"kernels": {"cusum": {"vectorized_s": 0.150, "speedup": 6.7}}}
-        doc = self._doc(
-            _record(self.MACHINE, baseline, 1.0),
-            _record(self.MACHINE, baseline, 2.0),
-            _record(self.MACHINE, slowed, 3.0),
-        )
-        regs, _ = check_regression(doc, threshold_pct=25.0)
-        assert len(regs) == 1
-        assert "kernels/cusum/vectorized_s" in regs[0]
-        assert "+50%" in regs[0]
-
-    def test_throughput_drop_is_detected(self):
-        fast = {"engine": {"scale": 200, "blocks_per_sec": 100.0}}
-        slow = {"engine": {"scale": 200, "blocks_per_sec": 40.0}}
-        doc = self._doc(
-            _record(self.MACHINE, fast, 1.0), _record(self.MACHINE, slow, 2.0)
-        )
-        regs, _ = check_regression(doc, threshold_pct=25.0)
-        assert len(regs) == 1
-        assert "engine/blocks_per_sec" in regs[0]
-
-    def test_within_threshold_noise_passes(self):
-        a = {"kernels": {"cusum": {"vectorized_s": 0.100}}}
-        b = {"kernels": {"cusum": {"vectorized_s": 0.110}}}  # 10% < 25%
-        doc = self._doc(_record(self.MACHINE, a, 1.0), _record(self.MACHINE, b, 2.0))
-        regs, _ = check_regression(doc, threshold_pct=25.0)
-        assert regs == []
-
-    def test_other_machines_records_are_not_a_baseline(self):
-        fast = {"kernels": {"cusum": {"vectorized_s": 0.010}}}
-        slow = {"kernels": {"cusum": {"vectorized_s": 1.000}}}
-        doc = self._doc(
-            _record({"id": "bbbbbbbbbbbb"}, fast, 1.0),
-            _record(self.MACHINE, slow, 2.0),
-        )
-        regs, notes = check_regression(doc, threshold_pct=25.0)
-        assert regs == []
-        assert any("no comparable" in note for note in notes)
-
-    def test_different_engine_scale_is_not_comparable(self):
-        big = {"engine": {"scale": 200, "blocks_per_sec": 100.0}}
-        small = {"engine": {"scale": 16, "blocks_per_sec": 30.0}}
-        doc = self._doc(
-            _record(self.MACHINE, big, 1.0), _record(self.MACHINE, small, 2.0)
-        )
-        regs, notes = check_regression(doc, threshold_pct=25.0)
-        assert regs == []
-        assert any("no comparable" in note for note in notes)
-
-    def test_median_baseline_shrugs_off_one_noisy_run(self):
-        good = {"kernels": {"cusum": {"vectorized_s": 0.100}}}
-        noisy = {"kernels": {"cusum": {"vectorized_s": 0.500}}}
-        doc = self._doc(
-            _record(self.MACHINE, good, 1.0),
-            _record(self.MACHINE, noisy, 2.0),
-            _record(self.MACHINE, good, 3.0),
-            _record(self.MACHINE, good, 4.0),
-        )
-        regs, _ = check_regression(doc, threshold_pct=25.0)
-        assert regs == []  # median of {0.1, 0.5, 0.1} is 0.1
-
-
 class TestBenchCli:
-    def test_bench_records_and_check_gates(self, tmp_path, monkeypatch, capsys):
+    def test_bench_writes_its_section_and_keeps_the_rest(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
-        monkeypatch.setenv("REPRO_SCALE", "8")
         out = tmp_path / "bench.json"
-        assert cli_main(["bench", "--sections", "engine", "--output", str(out)]) == 0
-        doc = load_history(out)
-        assert len(doc["history"]) == 1
-        assert doc["engine"]["scale"] == 8
+        unrelated = {"cusum": {"vectorized_s": 0.1, "reference_s": 0.2, "speedup": 2.0}}
+        out.write_text(json.dumps({"batched": unrelated}))
+        assert cli_main(["bench", "--sections", "kernels", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["batched", "kernels"]
+        assert doc["batched"] == unrelated
+        assert sorted(doc["kernels"]) == ["cusum", "full_scan_durations", "prober"]
+        assert all(stats["speedup"] > 0 for stats in doc["kernels"].values())
+        assert "kernels/prober:" in capsys.readouterr().out
 
-        # a second run gives --check a baseline; a fresh run of the same
-        # code on the same machine must pass
-        assert cli_main(["bench", "--sections", "engine", "--output", str(out)]) == 0
-        assert cli_main(["bench", "--check", "--output", str(out)]) == 0
-
-        # inject a 50% throughput collapse into the newest record
-        doc = load_history(out)
-        doc["history"][-1]["sections"]["engine"]["blocks_per_sec"] *= 0.5
-        out.write_text(json.dumps(doc))
-        assert cli_main(["bench", "--check", "--output", str(out)]) == 1
-        assert (
-            cli_main(["bench", "--check", "--warn-only", "--output", str(out)]) == 0
-        )
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_unknown_section_is_an_error(self, tmp_path):
+    @pytest.mark.parametrize("name", ["definitely-not-a-section", "engine", "scale"])
+    def test_unknown_section_is_an_error(self, name):
         from repro.bench import run_sections
 
         with pytest.raises(ValueError, match="unknown bench section"):
-            run_sections(["definitely-not-a-section"])
+            run_sections([name])
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,6 @@ class TestSatelliteFixes:
         assert ctx.as_dict()["detect"] == {
             "wall_s": 0.0,
             "cpu_s": 0.0,
-            "rss_delta": 0,
             "n_in": 0,
             "n_out": 0,
             "skipped": "no-trend",
