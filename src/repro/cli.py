@@ -251,10 +251,6 @@ def main(argv: list[str] | None = None) -> int:
 
         set_progress(default_progress())
 
-    from .obs.resources import maybe_start_tracemalloc
-
-    maybe_start_tracemalloc()  # REPRO_TRACEMALLOC=1 adds allocator deltas
-
     if name == "list":
         print("available experiments:")
         for key, module in REGISTRY.items():

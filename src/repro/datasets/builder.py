@@ -67,6 +67,11 @@ __all__ = [
 #: section puts the crossover at 16-32 lanes).
 MIN_BATCH_LANES = 32
 
+#: Bytes at rest each of a builder's truth and observation caches may
+#: hold — roomy enough that the "last few blocks" working set never
+#: evicts early.
+CACHE_BYTES = 32 * 1024 * 1024
+
 
 class SpilledAnalyses(Mapping[str, BlockAnalysis]):
     """Lazy cidr → :class:`BlockAnalysis` view over spilled engine results.
@@ -191,17 +196,13 @@ class DatasetBuilder:
         pipeline: BlockPipeline | None = None,
         *,
         observer_style: str = "adaptive",
-        cache_blocks: int = 4,
-        cache_bytes: int | None = None,
     ) -> None:
         """``observer_style`` picks the probing algorithm: "adaptive" is
         the paper's stop-at-first-positive description; "bayesian" is the
         full belief-driven Trinocular of [71] (see repro.net.bayesian).
 
-        ``cache_bytes`` bounds each of the truth and observation caches
-        by total array bytes at rest; when None it defaults to
-        ``cache_blocks`` x 8 MiB — roomy enough that the legacy
-        "last few blocks" working set never evicts early."""
+        The truth and observation caches are each bounded by
+        :data:`CACHE_BYTES` of array payload at rest."""
         self.world = world
         self.pipeline = pipeline or BlockPipeline()
         if observer_style == "adaptive":
@@ -217,10 +218,6 @@ class DatasetBuilder:
         }
         self.additional = AdditionalProber(name="a", phase_offset_s=601.0)
         self.survey = SurveyObserver(name="survey", phase_offset_s=0.0)
-        self._cache_blocks = cache_blocks
-        self._cache_bytes = (
-            cache_blocks * 8 * 1024 * 1024 if cache_bytes is None else cache_bytes
-        )
         self._obs_cache: OrderedDict[tuple[str, str], tuple[float, float, ObservationSeries]] = (
             OrderedDict()
         )
@@ -254,7 +251,7 @@ class DatasetBuilder:
         self._truth_cache.move_to_end(spec.block.cidr)
         self._truth_cache_bytes += self._truth_nbytes(truth)
         # evict coldest-first by bytes at rest, always keeping the newest
-        while self._truth_cache_bytes > self._cache_bytes and len(self._truth_cache) > 1:
+        while self._truth_cache_bytes > CACHE_BYTES and len(self._truth_cache) > 1:
             _, (_, old) = self._truth_cache.popitem(last=False)
             self._truth_cache_bytes -= self._truth_nbytes(old)
         return truth
@@ -278,7 +275,7 @@ class DatasetBuilder:
         self._obs_cache[key] = (sim_start, sim_end, series)
         self._obs_cache.move_to_end(key)
         self._obs_cache_bytes += self._series_nbytes(series)
-        while self._obs_cache_bytes > self._cache_bytes and len(self._obs_cache) > 1:
+        while self._obs_cache_bytes > CACHE_BYTES and len(self._obs_cache) > 1:
             _, (_, _, old) = self._obs_cache.popitem(last=False)
             self._obs_cache_bytes -= self._series_nbytes(old)
         return series.slice_time(start_s, end_s)

@@ -8,8 +8,8 @@ becomes unpicklable — and the failure only shows up at runtime, on the
 parallel path, after a fallback warning.
 
 This rule inspects every class whose name ends in ``Job`` (the repo's
-dispatch convention — ``BlockAnalysisJob``, ``BatchTailJob``,
-``_ScanTimeJob``, ...) and flags attributes that capture:
+dispatch convention — ``BlockAnalysisJob``, ``_ScanTimeJob``,
+``_FbsSampleJob``, ...) and flags attributes that capture:
 
 * a ``lambda`` (dataclass field default, ``field(default=lambda...)``,
   or ``self.x = lambda ...``);

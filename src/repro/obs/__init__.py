@@ -39,7 +39,6 @@ from .resources import (
     ResourceTracker,
     cpu_seconds,
     format_bytes,
-    maybe_start_tracemalloc,
     peak_rss_bytes,
     rss_bytes,
     thread_cpu_seconds,
@@ -81,7 +80,6 @@ __all__ = [
     "get_tracer",
     "git_describe",
     "load_run",
-    "maybe_start_tracemalloc",
     "peak_rss_bytes",
     "render_report",
     "rss_bytes",

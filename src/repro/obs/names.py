@@ -31,9 +31,6 @@ METRICS = frozenset(
         "cache.hit",
         "cache.miss",
         "cache.store",
-        "engine.batched.blocks",
-        "engine.batched.chunks",
-        "engine.batched.groups",
         "engine.run_wall_s",
         "engine.shards",
         "engine.tasks",

@@ -14,8 +14,8 @@ heartbeat) agrees on units and sources:
 * CPU seconds from ``time.process_time`` (whole process) and
   ``time.thread_time`` (calling thread, used for per-stage splits);
 * optional Python-heap deltas from :mod:`tracemalloc`, sampled only
-  when tracing is already active (``REPRO_TRACEMALLOC=1`` turns it on
-  via :func:`maybe_start_tracemalloc` — it costs 2-4x on allocation
+  when tracing is already active (CPython's own ``PYTHONTRACEMALLOC=1``
+  or ``-X tracemalloc`` turns it on — it costs 2-4x on allocation
   heavy code, so it is never enabled implicitly).
 
 Everything returned here is plain ints/floats so snapshots pickle
@@ -37,7 +37,6 @@ __all__ = [
     "ResourceTracker",
     "cpu_seconds",
     "format_bytes",
-    "maybe_start_tracemalloc",
     "peak_rss_bytes",
     "rss_bytes",
     "thread_cpu_seconds",
@@ -72,24 +71,6 @@ def cpu_seconds() -> float:
 def thread_cpu_seconds() -> float:
     """CPU seconds consumed by the calling thread (per-stage attribution)."""
     return time.thread_time()
-
-
-def maybe_start_tracemalloc() -> bool:
-    """Start tracemalloc when ``REPRO_TRACEMALLOC`` is set; returns active state.
-
-    Deliberately opt-in: tracing slows allocation-heavy code severely,
-    so campaigns only pay for it when explicitly asked.
-    """
-    # lazy: obs is imported by core, so a module-level runtime import
-    # would re-enter repro.runtime mid-initialisation
-    from ..runtime import envconfig
-
-    if tracemalloc.is_tracing():
-        return True
-    if not envconfig.get_bool("REPRO_TRACEMALLOC", False):
-        return False
-    tracemalloc.start()
-    return True
 
 
 @dataclass(frozen=True)

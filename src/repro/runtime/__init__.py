@@ -41,7 +41,7 @@ from .engine import (
     peek_run_log,
 )
 from .executors import Executor, SerialExecutor, SharedMemoryExecutor
-from .jobs import BatchTailJob, BlockAnalysisJob, ChunkReconstructJob, ReconstructedBlock
+from .jobs import BlockAnalysisJob
 from .sharding import ShardPlan, resolve_shards
 from .shm import ArrayDescriptor, SharedArrayPool
 from .spill import SpillDir, SpilledResults
@@ -49,15 +49,12 @@ from .spill import SpillDir, SpilledResults
 __all__ = [
     "AnalysisCache",
     "ArrayDescriptor",
-    "BatchTailJob",
     "BlockAnalysisJob",
     "BlockResult",
     "CACHE_SCHEMA",
     "CampaignEngine",
-    "ChunkReconstructJob",
     "EngineRun",
     "Executor",
-    "ReconstructedBlock",
     "RunMetrics",
     "SerialExecutor",
     "ShardPlan",

@@ -28,9 +28,14 @@ optional directory tier (``--cache DIR`` / ``REPRO_CACHE``) persists
 pickles under ``DIR/<k[:2]>/<k>.pkl`` with atomic renames, so parallel
 runs and repeated invocations are safe.  Cached results are exactly the
 stored objects — the engine guarantees cached, serial, and parallel
-runs stay byte-identical.  An entry that cannot be read back (truncated,
-corrupted, or naming a class that no longer exists) is a miss: the
-block is recomputed and ``put`` atomically replaces the entry.
+runs stay byte-identical.
+
+An entry file is the 32-byte ``sha256`` digest of the pickle followed
+by the pickle itself; ``get`` checks the digest before unpickling, so a
+flipped byte can never be served as a wrong hit.  An entry that cannot
+be read back (a digest mismatch, an entry written without a digest,
+truncated bytes, or a class that no longer exists) is a miss: the block
+is recomputed and ``put`` atomically replaces the entry.
 
 Sharded runs (``--shards N``) read and write the same paths: a key
 hashes the job inputs only, never the shard id, so re-partitioning the
@@ -68,6 +73,9 @@ __all__ = [
 #: 2: cumsum moving average + extended LOESS fast path changed
 #: per-block result bits at the float-rounding level.
 CACHE_SCHEMA = 2
+
+#: Length of the ``sha256`` digest that heads every disk entry.
+_DIGEST_BYTES = 32
 
 
 def stable_token(obj: Any) -> str:
@@ -156,10 +164,13 @@ class AnalysisCache:
         try:
             with open(self._path(key), "rb") as fh:
                 blob = fh.read()
-            value = pickle.loads(blob)
+            payload = memoryview(blob)[_DIGEST_BYTES:]
+            if hashlib.sha256(payload).digest() != blob[:_DIGEST_BYTES]:
+                return False, None  # damaged, truncated, or without a digest
+            value = pickle.loads(payload)
         except Exception:
-            # a missing entry, or one damaged in any way (a bad opcode,
-            # a module that no longer exists, truncated bytes)
+            # a missing entry, or an intact one that no longer loads
+            # (a module or class that no longer exists)
             return False, None
         get_registry().counter("cache.bytes.hit").inc(len(blob))
         self._remember(key, value)
@@ -173,7 +184,8 @@ class AnalysisCache:
             return True
         path = self._path(key)
         try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = hashlib.sha256(payload).digest() + payload
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:

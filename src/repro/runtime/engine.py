@@ -88,10 +88,9 @@ class TracedCall:
     fn: Callable[[Any], Any]
     trace_id: str
     parent_id: str
-    #: span name per task — "block" for per-block jobs, "batch" for the
-    #: batched path's per-chunk tail calls, None for jobs that open one
-    #: ``block`` span per block themselves (the batched path's chunked
-    #: phase A), so block-span accounting counts exactly one per block
+    #: span name per task — "block" for per-block jobs, None for chunk
+    #: jobs that open one ``block`` span per block themselves
+    #: (``map_chunk``), so block-span accounting counts exactly one per block
     span_name: str | None = "block"
 
     def __call__(self, task: Any) -> ShippedResult:
@@ -181,7 +180,6 @@ class RunMetrics:
     fallback: str | None = None
     meters: dict[str, Any] | None = None  # merged registry snapshot (traced runs)
     cache: dict[str, int] | None = None  # hits/misses/stores (cached runs only)
-    batched: dict[str, int] | None = None  # blocks/groups/chunks (batched runs only)
     resources: dict[str, Any] | None = None  # cpu/rss/pool-payload accounting
     shards: dict[str, int] | None = None  # shard count + spill totals (sharded runs)
 
@@ -212,7 +210,6 @@ class RunMetrics:
             "fallback": self.fallback,
             "meters": self.meters,
             "cache": self.cache,
-            "batched": self.batched,
             "resources": self.resources,
             "shards": self.shards,
         }
@@ -233,7 +230,6 @@ class RunMetrics:
             fallback=d.get("fallback"),
             meters=d.get("meters"),
             cache=d.get("cache"),  # absent in pre-cache saved traces
-            batched=d.get("batched"),  # absent in pre-batching saved traces
             resources=d.get("resources"),  # absent in pre-resource saved traces
             shards=d.get("shards"),  # absent in pre-sharding saved traces
         )
@@ -278,12 +274,6 @@ class RunMetrics:
             lines.append(
                 f"  cache: {hits}/{looked} hits ({rate:.0f}%), "
                 f"{self.cache.get('stores', 0)} stored"
-            )
-        if self.batched is not None:
-            lines.append(
-                f"  batched: {self.batched.get('blocks', 0)} blocks in "
-                f"{self.batched.get('groups', 0)} grid groups, "
-                f"{self.batched.get('chunks', 0)} chunks"
             )
         if self.shards is not None:
             lines.append(
@@ -347,19 +337,22 @@ class _TracedDispatch:
 
 
 def _chunk_group(
-    members: list[tuple[int, Any]], workers: int, min_rows: int = 8
-) -> list[list[tuple[int, Any]]]:
-    """Split a batched phase's work into chunks (blocks or grid groups).
+    tasks: list[Any], workers: int, min_rows: int = 8
+) -> list[tuple[Any, ...]]:
+    """Split a chunk job's pending tasks into chunks.
 
     Serial execution keeps everything as one chunk (maximum batch
     width); a parallel executor gets about two chunks per worker so the
     pool load-balances, but never chunks below ``min_rows`` — tiny
-    batches forfeit the columnar win to dispatch overhead.
+    batches forfeit the columnar win to dispatch overhead.  No tasks
+    (every block a cache hit) means nothing to dispatch.
     """
-    if workers <= 1 or len(members) <= min_rows:
-        return [members]
-    size = max(-(-len(members) // (workers * 2)), min_rows)
-    return [members[i : i + size] for i in range(0, len(members), size)]
+    if not tasks:
+        return []
+    if workers <= 1 or len(tasks) <= min_rows:
+        return [tuple(tasks)]
+    size = max(-(-len(tasks) // (workers * 2)), min_rows)
+    return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
 
 #: The run funnel's counters, in report order.
@@ -476,14 +469,12 @@ class CampaignEngine:
         Tracing never touches task results: serial and pooled runs stay
         byte-identical with it on or off.
 
-        When ``fn`` exposes ``batched_split()``, dispatch happens in two
-        phases inside this one run: the reconstruct phase maps over
-        chunks of blocks, survivors regroup by shared sample grid into
-        matrix chunks, and the batch phase maps the tail job over the
-        chunks.  Cache keys, results, and stage records are those of
-        calling ``fn`` per block, byte for byte;
-        :attr:`RunMetrics.batched` records what was regrouped.  Other
-        jobs are mapped per task directly.
+        When ``fn`` exposes ``map_chunk(tasks)``, each shard's pending
+        tasks split into chunks (:func:`_chunk_group`: one chunk when
+        serial, about two per worker otherwise) and one executor map
+        runs ``fn.map_chunk`` over them; cache keys, results, and stage
+        records are those of calling ``fn`` per block, byte for byte.
+        Other jobs are mapped per task directly.
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
@@ -530,19 +521,24 @@ class CampaignEngine:
                         progress.next_shard(cache_hits=len(hits), cache_misses=misses)
                     tags = {"shard": i, "shards": n_shards} if spill is not None else {}
                     pending_tasks = [shard_tasks[j] for j in pending]
-                    batched: dict[str, int] | None = None
                     with tracer.tagged(**tags):
-                        if hasattr(fn, "batched_split"):
-                            computed, batched = self._dispatch_batched(
-                                fn, pending_tasks, traced
+                        if hasattr(fn, "map_chunk"):
+                            chunks = _chunk_group(
+                                pending_tasks, getattr(self.executor, "workers", 1)
                             )
+                            computed = [
+                                result
+                                for chunk in self._map_tasks(
+                                    fn.map_chunk, chunks, traced, None, blocks_done=len
+                                )
+                                for result in chunk
+                            ]
                         else:
                             computed = self._map_tasks(fn, pending_tasks, traced, "block")
                     shard_results = self._merge_results(
                         len(shard_tasks), hits, pending, computed
                     )
                     self._tally(metrics, shard_results)
-                    metrics.batched = _add_counts(metrics.batched, batched)
                     if keys is not None:
                         stores = self._store_results(keys, pending, computed)
                         metrics.cache = _add_counts(
@@ -574,8 +570,6 @@ class CampaignEngine:
                     registry.counter("engine.shards").inc(n_shards)
                 if metrics.cache is not None:
                     self._emit_cache_counters(registry, metrics.cache)
-                if metrics.batched is not None:
-                    self._emit_batched_counters(registry, metrics.batched)
                 registry.counter("engine.tasks").inc(metrics.n_tasks)
                 registry.histogram("engine.run_wall_s").observe(metrics.wall_s)
                 for key, n in metrics.funnel.items():
@@ -705,7 +699,7 @@ class CampaignEngine:
         registry.histogram("resources.cpu_s").observe(res.get("cpu_s", 0.0))
         registry.max_gauge("resources.rss_peak_bytes").set(res.get("rss_peak_bytes", 0))
 
-    # -- batched dispatch ---------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
     def _map_tasks(
         self,
         fn: Callable[[Any], Any],
@@ -718,10 +712,8 @@ class CampaignEngine:
 
         Every completed result ticks the ambient progress emitter by
         ``blocks_done(result)``: 1 for fan-outs that complete one block
-        per result, the chunk's length for the batched phase A, and 0
-        for the batched tail phase (whose blocks phase A already
-        counted), so ``done`` converges to the task total exactly once
-        per block.
+        per result and the chunk's length for ``map_chunk``, so ``done``
+        converges to the task total exactly once per block.
         """
         progress = get_progress()
 
@@ -745,71 +737,6 @@ class CampaignEngine:
             traced.registry.merge(s.meters)
             values.append(s.value)
         return values
-
-    def _dispatch_batched(
-        self,
-        fn: Callable[[Any], Any],
-        pending_tasks: list[Any],
-        traced: "_TracedDispatch | None" = None,
-    ) -> tuple[list[Any], dict[str, int]]:
-        """Two-phase dispatch: chunked reconstruction, then batched tails.
-
-        Phase A maps the reconstruct job over chunks of the pending
-        tasks (the :func:`_chunk_group` policy: one chunk when serial);
-        the job opens one ``block`` span per block itself.  Tasks that
-        short-circuited already hold their final result; the rest
-        regroup by shared sample grid, are chunked to keep a parallel
-        executor's pool busy, and phase B maps the tail job over the
-        chunks (one ``batch`` span each).  Slot order is preserved, so
-        the caller merges results exactly as in the per-block path.
-        """
-        recon_fn, tail_fn = fn.batched_split()
-        workers = getattr(self.executor, "workers", 1)
-        a_chunks = _chunk_group(list(enumerate(pending_tasks)), workers)
-        produced = self._map_tasks(
-            recon_fn,
-            [tuple(task for _, task in c) for c in a_chunks],
-            traced,
-            None,
-            blocks_done=len,
-        )
-        slots: list[Any] = [None] * len(pending_tasks)
-        survivors: list[tuple[int, Any]] = []
-        for members, items in zip(a_chunks, produced):
-            for (i, _), item in zip(members, items):
-                if isinstance(item, BlockResult):
-                    slots[i] = item  # firewalled short-circuit: already final
-                else:
-                    survivors.append((i, item))
-        groups: dict[bytes, list[tuple[int, Any]]] = {}
-        for i, rb in survivors:
-            grid = rb.reconstruction.counts.times.tobytes()
-            groups.setdefault(grid, []).append((i, rb))
-        chunks: list[list[tuple[int, Any]]] = []
-        for members in groups.values():
-            chunks.extend(_chunk_group(members, workers))
-        computed = self._map_tasks(
-            tail_fn,
-            [tuple(rb for _, rb in c) for c in chunks],
-            traced,
-            "batch",
-            blocks_done=lambda _result: 0,  # phase A already counted these blocks
-        )
-        for members, block_results in zip(chunks, computed):
-            for (i, _), result in zip(members, block_results):
-                slots[i] = result
-        stats = {
-            "blocks": len(survivors),
-            "groups": len(groups),
-            "chunks": len(chunks),
-        }
-        return slots, stats
-
-    @staticmethod
-    def _emit_batched_counters(registry: MetricsRegistry, stats: dict[str, int]) -> None:
-        registry.counter("engine.batched.blocks").inc(stats["blocks"])
-        registry.counter("engine.batched.groups").inc(stats["groups"])
-        registry.counter("engine.batched.chunks").inc(stats["chunks"])
 
     # -- aggregation -------------------------------------------------------
     @staticmethod

@@ -103,13 +103,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "minimum seconds between mid-run progress heartbeats",
     ),
     EnvVar(
-        "REPRO_TRACEMALLOC",
-        "bool",
-        "0",
-        "start tracemalloc so resource reports include allocator deltas "
-        "(slow)",
-    ),
-    EnvVar(
         "REPRO_SANITIZE",
         "bool",
         "0",

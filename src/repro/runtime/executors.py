@@ -158,8 +158,8 @@ class SharedMemoryExecutor:
     How it dispatches:
 
     * the process pool is spawned **once**, lazily, and reused by every
-      subsequent ``map()`` until :meth:`close` (an engine run's phase-A
-      and phase-B maps — and any number of runs — share one spawn);
+      subsequent ``map()`` until :meth:`close` (an engine run's
+      per-shard maps — and any number of runs — share one spawn);
     * tasks are pickled with :func:`repro.runtime.shm.shm_dumps`: arrays
       of at least ``DEFAULT_MIN_SHM_BYTES`` are published once into shm
       segments and only small descriptors cross the pipe, so task

@@ -84,7 +84,7 @@ class ArrayDescriptor:
     ``dtype`` is the array-protocol string (``'<f8'``), which numpy
     resolves back to the interned dtype singleton on attach — attached
     views therefore never reintroduce the dtype-identity pickle hazard
-    the batched path canonicalises away.
+    ``BlockAnalysisJob.map_chunk`` canonicalises away before the tail.
     """
 
     segment: str

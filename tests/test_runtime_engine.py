@@ -308,10 +308,11 @@ class TestAnalysisCache:
                 damaged = bytearray(blob)
                 damaged[pos] ^= flip
                 entry.write_bytes(bytes(damaged))
-                # a flip that still unpickles is a (wrong) hit; every
-                # other outcome must be a plain miss, never an exception
+                # the entry's digest catches every flip, even one that
+                # would still unpickle: a plain miss, never an exception
+                # and never a wrong hit
                 hit, _ = AnalysisCache(tmp_path).get("ab" * 32)
-                assert hit in (True, False)
+                assert hit is False
 
     def test_plain_tasks_bypass_cache(self):
         engine = CampaignEngine(SerialExecutor(), AnalysisCache())
@@ -386,8 +387,7 @@ class TestBatchedDispatch:
         return per_block_oracle(world200)
 
     def test_batched_serial_matches_per_block(self, serial_result, per_block_result):
-        # serial_result runs through the batched default path
-        assert serial_result.metrics.batched is not None
+        # serial_result runs through the chunked default path (map_chunk)
         assert list(serial_result.analyses) == [r.key for r in per_block_result]
         for oracle in per_block_result:
             assert pickle.dumps(serial_result.analyses[oracle.key]) == pickle.dumps(
@@ -398,8 +398,8 @@ class TestBatchedDispatch:
         with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
             result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
             assert engine.executor.fallback_reason is None
-        stats = result.metrics.batched
-        assert stats is not None and stats["chunks"] > 1  # genuinely fanned out
+        # genuinely fanned out through the pool, in one dispatch
+        assert result.metrics.resources["pool"]["maps"] == 1
         for oracle in per_block_result:
             assert pickle.dumps(result.analyses[oracle.key]) == pickle.dumps(
                 oracle.analysis
@@ -420,54 +420,25 @@ class TestBatchedDispatch:
                 s.skips,
             ), name
 
-    def test_batched_stats_shape(self, serial_result):
-        stats = serial_result.metrics.batched
-        assert set(stats) == {"blocks", "groups", "chunks"}
-        # every non-firewalled block survives reconstruction; one shared
-        # grid -> one group; serial execution -> one chunk per group
-        assert stats["blocks"] > 0
-        assert stats["groups"] == stats["chunks"] == 1
-
-    def test_metrics_roundtrip_carries_batched(self, serial_result):
-        from repro.runtime import RunMetrics
-
-        metrics = serial_result.metrics
-        again = RunMetrics.from_dict(metrics.as_dict())
-        assert again.batched == metrics.batched
-        assert "batched:" in again.report()
-
-    def test_split_jobs_are_picklable(self, world200):
+    def test_firewalled_short_circuits_reconstruction(self, world200):
+        firewalled = next(s for s in world200.blocks if not s.responsive_by_design)
+        responsive = next(s for s in world200.blocks if s.responsive_by_design)
         job = BlockAnalysisJob(
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
-        recon_fn, tail_fn = job.batched_split()
-        # WorldModel has identity equality; compare via the stable token
-        assert stable_token(pickle.loads(pickle.dumps(recon_fn))) == stable_token(
-            recon_fn
-        )
-        assert pickle.loads(pickle.dumps(tail_fn)) == tail_fn
-
-    def test_firewalled_short_circuits_reconstruction(self, world200):
-        from repro.runtime import ChunkReconstructJob, ReconstructedBlock
-
-        firewalled = next(s for s in world200.blocks if not s.responsive_by_design)
-        responsive = next(s for s in world200.blocks if s.responsive_by_design)
-        job = ChunkReconstructJob(
-            world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
-        )
-        short, rebuilt = job((firewalled, responsive))
-        assert isinstance(short, BlockResult)
-        assert all(r.skipped for r in short.stages)
-        assert isinstance(rebuilt, ReconstructedBlock)
-        assert [r.name for r in rebuilt.stages] == [
-            "truth", "probe", "repair", "combine", "reconstruct"
-        ]
+        short, analysed = job.map_chunk((firewalled, responsive))
+        assert isinstance(short, BlockResult) and isinstance(analysed, BlockResult)
+        assert [r.name for r in short.stages] == list(PIPELINE_STAGES)
+        assert all(r.skipped == "firewalled" for r in short.stages)
+        # the builder's truth/probe records, then the pipeline's, in order
+        assert [r.name for r in analysed.stages] == ["truth", "probe", *PIPELINE_STAGES]
+        assert not any(r.skipped for r in analysed.stages[:5])
 
     def test_cache_is_path_agnostic(self, world200, tmp_path):
         # a cache written by the per-block path (a job without
-        # batched_split, which the engine maps per block) must be served
-        # verbatim by the batched path (same keys, same bytes) — and
-        # hits must bypass both phases.
+        # map_chunk, which the engine maps per block) must be served
+        # verbatim by the chunked path (same keys, same bytes) — and
+        # hits must bypass the chunk job.
         job = BlockAnalysisJob(
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
@@ -475,12 +446,11 @@ class TestBatchedDispatch:
         cold = CampaignEngine(SerialExecutor(), cache=cache)
         first = cold.run(_PerBlock(job), list(world200.blocks))
         assert cold.history[-1].cache["misses"] == 200
-        assert cold.history[-1].batched is None
         warm = CampaignEngine(SerialExecutor(), cache=cache)
         second = DatasetBuilder(world200).analyze(DATASET, engine=warm)
         assert warm.history[-1].cache["hits"] == 200
-        # hits bypass both phases: nothing was reconstructed or chunked
-        assert warm.history[-1].batched == {"blocks": 0, "groups": 0, "chunks": 0}
+        # hits bypass the chunk job: no stage ran
+        assert all(t.calls == 0 for t in warm.history[-1].stages.values())
         for computed in first.results:
             assert pickle.dumps(second.analyses[computed.key]) == pickle.dumps(
                 computed.analysis
@@ -489,7 +459,7 @@ class TestBatchedDispatch:
 
 @dataclass(frozen=True)
 class _PerBlock:
-    """A block job without ``batched_split``: the engine maps it per block."""
+    """A block job without ``map_chunk``: the engine maps it per block."""
 
     job: BlockAnalysisJob
 
@@ -524,15 +494,14 @@ class TestTracedUntracedAgree:
         a, b = untraced.metrics, traced.metrics
         assert a.funnel == b.funnel and a.funnel["routed"] == 40
         assert a.cache == b.cache == {"hits": 0, "misses": 40, "stores": 40}
-        assert a.batched == b.batched and a.batched["blocks"] > 0
         assert {n: t.calls for n, t in a.stages.items()} == {
             n: t.calls for n, t in b.stages.items()
         }
 
 
 class TestChunkedPhaseA:
-    """Phase A probes a whole chunk's lanes at once; every execution mode
-    of it must match the per-block oracle byte for byte."""
+    """The chunk job probes a whole chunk's lanes at once; every execution
+    mode of it must match the per-block oracle byte for byte."""
 
     N = 120  # blocks per run: enough lanes per pool chunk / shard to batch
 
@@ -555,7 +524,8 @@ class TestChunkedPhaseA:
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         self.assert_matches(result, oracle)
         stages = result.metrics.stages
-        assert stages["truth"].calls == stages["probe"].calls == result.metrics.batched["blocks"]
+        responsive = sum(spec.responsive_by_design for spec in blocks)
+        assert stages["truth"].calls == stages["probe"].calls == responsive > 0
 
     def test_shm_pool(self, world200, blocks, oracle):
         with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
@@ -585,17 +555,16 @@ class TestChunkedPhaseA:
         import repro.datasets.builder as builder_mod
 
         job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
-        recon_fn, _ = job.batched_split()
         chunk = tuple(blocks[:12])
+        assert any(spec.responsive_by_design for spec in chunk)
         outputs = []
         for threshold in (0, 10**9):
             monkeypatch.setattr(builder_mod, "MIN_BATCH_LANES", threshold)
-            outputs.append([pickle.dumps(r.reconstruction) for r in recon_fn(chunk)
-                            if not isinstance(r, BlockResult)])
-        assert outputs[0] == outputs[1] and len(outputs[0]) > 0
-        for spec, blob in zip([s for s in chunk if s.responsive_by_design], outputs[0]):
-            want = DatasetBuilder(world200).reconstruct_block(spec, DATASET)
-            assert pickle.dumps(want) == blob
+            results = job.map_chunk(chunk)
+            assert [r.key for r in results] == [spec.block.cidr for spec in chunk]
+            outputs.append([pickle.dumps(r.analysis) for r in results])
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == [oracle[spec.block.cidr] for spec in chunk]
 
     def test_progress_counts_every_block_once(self, world200, blocks, tmp_path):
         import json
