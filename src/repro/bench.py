@@ -241,15 +241,9 @@ def measure_prober_lanes(
     assembles them on access), and every log is asserted equal before
     anything is recorded.  Keyed by ``L``.
     """
-    from .datasets.builder import _lane_rng, _start_cursor
-    from .datasets.catalog import TRINOCULAR_SITES, dataset
-    from .net.prober import (
-        ProbeLane,
-        ProbeTarget,
-        TrinocularObserver,
-        observe_batch,
-        probe_order,
-    )
+    from .datasets.builder import setup_lane
+    from .datasets.catalog import dataset
+    from .net.prober import ProbeTarget, observe_batch, probe_order
     from .net.world import WorldModel, scenario_covid2020
 
     ds = dataset(LANES_DATASET)
@@ -258,10 +252,7 @@ def measure_prober_lanes(
     world = WorldModel(scenario_covid2020(), n_blocks=n_blocks, seed=11)
     start = ds.start_s(world.epoch)
     end = start + ds.duration_s
-    observers = {
-        n: TrinocularObserver(n, phase_offset_s=TRINOCULAR_SITES[n]) for n in ds.observers
-    }
-    lanes: list[tuple[Any, ...]] = []  # (spec, observer, truth, order, target)
+    lanes: list[tuple[Any, ...]] = []  # (spec, observer name, truth, order, target)
     for spec in world.blocks:
         if len(lanes) >= n_lanes:
             break
@@ -270,37 +261,24 @@ def measure_prober_lanes(
         truth = world.truth(spec, end)
         order = probe_order(truth.n_addresses, spec.seed)
         target = ProbeTarget.of(truth, order, start, end)
-        lanes.extend((spec, observers[n], truth, order, target) for n in ds.observers)
+        lanes.extend((spec, name, truth, order, target) for name in ds.observers)
     if len(lanes) < n_lanes:
         raise RuntimeError(f"prober_lanes: world has only {len(lanes)} lanes")
 
+    def setup(spec: Any, name: str, truth: Any) -> Any:
+        return setup_lane(world, spec, name, "adaptive", truth.n_addresses)
+
     def per_lane(chosen: list[tuple[Any, ...]]) -> list[Any]:
         return [
-            obs.observe(
-                truth,
-                order,
-                world.loss_model(spec, obs.name),
-                _lane_rng(spec, obs.name),
-                start_s=start,
-                duration_s=ds.duration_s,
-                start_cursor=_start_cursor(spec, obs.name, truth.n_addresses),
-            )
-            for spec, obs, truth, order, _ in chosen
+            setup(spec, name, truth).observe(truth, order, start, ds.duration_s)
+            for spec, name, truth, order, _ in chosen
         ]
 
     def batched(chosen: list[tuple[Any, ...]]) -> list[Any]:
         logs = observe_batch(
             [
-                ProbeLane(
-                    obs,
-                    target,
-                    world.loss_model(spec, obs.name),
-                    _lane_rng(spec, obs.name),
-                    start_s=start,
-                    duration_s=ds.duration_s,
-                    start_cursor=_start_cursor(spec, obs.name, truth.n_addresses),
-                )
-                for spec, obs, truth, _, target in chosen
+                setup(spec, name, truth).probe_lane(target, start, ds.duration_s)
+                for spec, name, truth, _, target in chosen
             ]
         )
         return list(logs)

@@ -117,8 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "append live heartbeat records (blocks done, blocks/sec, ETA, "
             "RSS, cache hit-rate) to DIR/progress.jsonl while campaigns "
-            "run (sets REPRO_PROGRESS; REPRO_PROGRESS_INTERVAL rate-limits "
-            "mid-run ticks, default 2s)"
+            "run (sets REPRO_PROGRESS; mid-run ticks are at least 2s apart)"
         ),
     )
     return parser

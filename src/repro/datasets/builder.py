@@ -4,23 +4,22 @@ The builder glues the substrate to the pipeline: for each block of a
 :class:`~repro.net.world.WorldModel` it generates ground truth, runs the
 requested observers over a dataset window (with per-path loss models),
 and hands the probe logs to a :class:`~repro.core.pipeline.BlockPipeline`.
-:func:`simulate_chunk` does the same simulation for a whole chunk of
-blocks at once (the batched runtime path): every (block, observer) lane
-of the chunk is probed in one :func:`~repro.net.prober.observe_batch`.
+:func:`simulate_chunk` is the one production simulate path: it does the
+same simulation for a whole chunk of blocks, probing every (block,
+observer) lane of the chunk in one :func:`~repro.net.prober.observe_batch`
+when :func:`batches_lanes` accepts the chunk and lane by lane otherwise.
+The builder's per-block methods are its oracle and the experiments'
+helpers; both set lanes up through :func:`setup_lane`.
 
-Observations are cached per (block, observer) and *sliced* for narrower
-windows — mirroring the paper, which reuses one measurement stream for
-every analysis window (quarters, months, halves).  Both caches evict
-least-recently-used entries by bytes at rest (array payload size), not
-entry count, so a handful of huge blocks cannot balloon memory while
-many small blocks still fit; experiments stream block-by-block either
-way, and eviction never changes results (evicted windows are
-re-simulated deterministically).
+The builder keeps no state between calls: every window is simulated from
+its own start, over exactly the columns it asks for, so an answer never
+depends on what was asked before.  Two windows with the same start do
+not yet share a prefix, because a block's truth still depends on the
+window's end; that property waits on ROADMAP item 1.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -31,6 +30,7 @@ from ..core.aggregate import BlockRecord
 from ..core.reconstruction import Reconstruction
 from ..core.stages import StageContext, StageMeter, StageShare
 from ..net.bayesian import BayesianTrinocularObserver
+from ..net.loss import LossModel
 from ..net.observations import ObservationSeries
 from ..net.prober import (
     AdditionalProber,
@@ -54,10 +54,12 @@ __all__ = [
     "DatasetBuilder",
     "DatasetResult",
     "FunnelCounts",
+    "LaneSetup",
     "SpilledAnalyses",
     "batches_lanes",
     "block_record",
     "reconstruct_logs",
+    "setup_lane",
     "simulate_chunk",
     "unresponsive_analysis",
 ]
@@ -67,10 +69,9 @@ __all__ = [
 #: section puts the crossover at 16-32 lanes).
 MIN_BATCH_LANES = 32
 
-#: Bytes at rest each of a builder's truth and observation caches may
-#: hold — roomy enough that the "last few blocks" working set never
-#: evicts early.
-CACHE_BYTES = 32 * 1024 * 1024
+#: Anything that probes one lane: a Trinocular site (adaptive or
+#: bayesian), the survey, or the §2.8 additional prober.
+Observer = TrinocularObserver | BayesianTrinocularObserver | SurveyObserver | AdditionalProber
 
 
 class SpilledAnalyses(Mapping[str, BlockAnalysis]):
@@ -199,111 +200,35 @@ class DatasetBuilder:
     ) -> None:
         """``observer_style`` picks the probing algorithm: "adaptive" is
         the paper's stop-at-first-positive description; "bayesian" is the
-        full belief-driven Trinocular of [71] (see repro.net.bayesian).
-
-        The truth and observation caches are each bounded by
-        :data:`CACHE_BYTES` of array payload at rest."""
+        full belief-driven Trinocular of [71] (see repro.net.bayesian)."""
         self.world = world
         self.pipeline = pipeline or BlockPipeline()
-        if observer_style == "adaptive":
-            observer_cls = TrinocularObserver
-        elif observer_style == "bayesian":
-            observer_cls = BayesianTrinocularObserver
-        else:
-            raise ValueError(f"unknown observer_style: {observer_style!r}")
         self.observer_style = observer_style
         self.observers = {
-            name: observer_cls(name, phase_offset_s=phase)
-            for name, phase in TRINOCULAR_SITES.items()
+            name: _make_observer(name, observer_style) for name in TRINOCULAR_SITES
         }
-        self.additional = AdditionalProber(name="a", phase_offset_s=601.0)
-        self.survey = SurveyObserver(name="survey", phase_offset_s=0.0)
-        self._obs_cache: OrderedDict[tuple[str, str], tuple[float, float, ObservationSeries]] = (
-            OrderedDict()
-        )
-        self._truth_cache: OrderedDict[str, tuple[float, BlockTruth]] = OrderedDict()
-        self._obs_cache_bytes = 0
-        self._truth_cache_bytes = 0
 
     # -- simulation -------------------------------------------------------
-    @staticmethod
-    def _truth_nbytes(truth: BlockTruth) -> int:
-        return truth.addresses.nbytes + truth.active.nbytes + truth.col_times.nbytes
-
-    @staticmethod
-    def _series_nbytes(series: ObservationSeries) -> int:
-        n = series.times.nbytes + series.addresses.nbytes + series.results.nbytes
-        if series.sources is not None:
-            n += series.sources.nbytes
-        return n
-
     def truth(self, spec: BlockSpec, start_s: float, duration_s: float) -> BlockTruth:
-        """Ground truth covering at least ``[0, start+duration)``, cached."""
-        end = start_s + duration_s
-        cached = self._truth_cache.get(spec.block.cidr)
-        if cached is not None and cached[0] >= end:
-            self._truth_cache.move_to_end(spec.block.cidr)
-            return cached[1]
-        truth = self.world.truth(spec, end)
-        if cached is not None:
-            self._truth_cache_bytes -= self._truth_nbytes(cached[1])
-        self._truth_cache[spec.block.cidr] = (end, truth)
-        self._truth_cache.move_to_end(spec.block.cidr)
-        self._truth_cache_bytes += self._truth_nbytes(truth)
-        # evict coldest-first by bytes at rest, always keeping the newest
-        while self._truth_cache_bytes > CACHE_BYTES and len(self._truth_cache) > 1:
-            _, (_, old) = self._truth_cache.popitem(last=False)
-            self._truth_cache_bytes -= self._truth_nbytes(old)
-        return truth
+        """Ground truth covering ``[0, start+duration)``."""
+        return self.world.truth(spec, start_s + duration_s)
 
     def observe(
-        self, spec: BlockSpec, observer: str, start_s: float, duration_s: float
+        self,
+        spec: BlockSpec,
+        observer: str,
+        start_s: float,
+        duration_s: float,
+        *,
+        truth: BlockTruth,
     ) -> ObservationSeries:
-        """One observer's probe log for a window (cached + sliced)."""
-        key = (spec.block.cidr, observer)
-        end_s = start_s + duration_s
-        cached = self._obs_cache.get(key)
-        if cached is not None and cached[0] <= start_s and cached[1] >= end_s:
-            self._obs_cache.move_to_end(key)
-            return cached[2].slice_time(start_s, end_s)
+        """One observer's probe log for exactly one window.
 
-        sim_start = start_s if cached is None else min(cached[0], start_s)
-        sim_end = end_s if cached is None else max(cached[1], end_s)
-        series = self._simulate(spec, observer, sim_start, sim_end - sim_start)
-        if cached is not None:
-            self._obs_cache_bytes -= self._series_nbytes(cached[2])
-        self._obs_cache[key] = (sim_start, sim_end, series)
-        self._obs_cache.move_to_end(key)
-        self._obs_cache_bytes += self._series_nbytes(series)
-        while self._obs_cache_bytes > CACHE_BYTES and len(self._obs_cache) > 1:
-            _, (_, _, old) = self._obs_cache.popitem(last=False)
-            self._obs_cache_bytes -= self._series_nbytes(old)
-        return series.slice_time(start_s, end_s)
-
-    def _simulate(
-        self, spec: BlockSpec, observer: str, start_s: float, duration_s: float
-    ) -> ObservationSeries:
-        truth = self.truth(spec, start_s, duration_s)
+        ``truth`` is the block's :meth:`truth` for the same window."""
+        lane = setup_lane(self.world, spec, observer, self.observer_style, truth.n_addresses)
         order = probe_order(truth.n_addresses, spec.seed)
-        rng = _lane_rng(spec, observer)
-        loss = self.world.loss_model(spec, observer)
-        if observer == "survey":
-            return self.survey.observe(
-                truth, None, loss, rng, start_s=start_s, duration_s=duration_s
-            )
-        if observer == "a":
-            return self.additional.observe(
-                truth, order, loss, rng, start_s=start_s, duration_s=duration_s
-            )
-        return self.observers[observer].observe(
-            truth,
-            order,
-            loss,
-            rng,
-            start_s=start_s,
-            duration_s=duration_s,
-            start_cursor=_start_cursor(spec, observer, truth.n_addresses),
-        )
+        log = lane.observe(truth, order, start_s, duration_s)
+        return log.slice_time(start_s, start_s + duration_s)
 
     def observe_dataset(
         self, spec: BlockSpec, ds: DatasetSpec | str
@@ -311,7 +236,10 @@ class DatasetBuilder:
         """All of a dataset's observer logs for one block."""
         ds = dataset(ds) if isinstance(ds, str) else ds
         start = ds.start_s(self.world.epoch)
-        return [self.observe(spec, obs, start, ds.duration_s) for obs in ds.observers]
+        truth = self.truth(spec, start, ds.duration_s)
+        return [
+            self.observe(spec, obs, start, ds.duration_s, truth=truth) for obs in ds.observers
+        ]
 
     # -- analysis -----------------------------------------------------------
     def reconstruct_block(
@@ -325,11 +253,10 @@ class DatasetBuilder:
         """Simulate one block's observers and reconstruct its count series.
 
         This is the front half of :meth:`analyze_block` (truth, probe,
-        repair, combine, reconstruct).  The batched runtime path gets the
-        same reconstructions, byte for byte, from :func:`simulate_chunk`
-        plus :func:`reconstruct_logs` per block; this per-block form is
-        its oracle (and what it runs for chunks :func:`batches_lanes`
-        declines).
+        repair, combine, reconstruct).  The runtime gets the same
+        reconstructions, byte for byte, from :func:`simulate_chunk` plus
+        :func:`reconstruct_logs` per block; this per-block form is its
+        oracle.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         pipeline = pipeline or self.pipeline
@@ -339,7 +266,10 @@ class DatasetBuilder:
             truth = self.truth(spec, start, ds.duration_s)
             active.n_out = truth.active.size
         with ctx.stage("probe", n_in=len(ds.observers)) as active:
-            logs = self.observe_dataset(spec, ds)
+            logs = [
+                self.observe(spec, obs, start, ds.duration_s, truth=truth)
+                for obs in ds.observers
+            ]
             active.n_out = sum(len(log) for log in logs)
         return reconstruct_logs(pipeline, logs, truth.addresses, start, ds, ctx)
 
@@ -401,9 +331,12 @@ class DatasetBuilder:
         return result
 
     # -- block statistics ----------------------------------------------------
-    def availability(self, spec: BlockSpec, start_s: float, duration_s: float) -> float:
-        """Long-run availability A: mean activity over E(b) and time (§3.2.3)."""
-        truth = self.truth(spec, start_s, duration_s)
+    def availability(
+        self, spec: BlockSpec, start_s: float, duration_s: float, *, truth: BlockTruth
+    ) -> float:
+        """Long-run availability A: mean activity over E(b) and time (§3.2.3).
+
+        ``truth`` is the block's :meth:`truth` for the same window."""
         lo = truth.column_of(start_s)
         hi = truth.column_of(start_s + duration_s - 1.0) + 1
         window = truth.active[:, lo:hi]
@@ -426,6 +359,71 @@ def _start_cursor(spec: BlockSpec, observer: str, n_addresses: int) -> int:
     return int(rng.integers(n_addresses))
 
 
+def _make_observer(name: str, style: str) -> Observer:
+    """The observer object of a site, the survey or the §2.8 prober."""
+    if name == "survey":
+        return SurveyObserver(name="survey", phase_offset_s=0.0)
+    if name == "a":
+        return AdditionalProber(name="a", phase_offset_s=601.0)
+    if style == "adaptive":
+        return TrinocularObserver(name, phase_offset_s=TRINOCULAR_SITES[name])
+    if style == "bayesian":
+        return BayesianTrinocularObserver(name, phase_offset_s=TRINOCULAR_SITES[name])
+    raise ValueError(f"unknown observer_style: {style!r}")
+
+
+@dataclass(frozen=True)
+class LaneSetup:
+    """How one (block, observer) lane is probed: built by :func:`setup_lane`."""
+
+    observer: Observer
+    loss: LossModel
+    rng: np.random.Generator
+    start_cursor: int
+
+    def observe(
+        self, truth: BlockTruth, order: np.ndarray, start_s: float, duration_s: float
+    ) -> ObservationSeries:
+        """The lane's probe log from its observer's own ``observe``."""
+        if isinstance(self.observer, SurveyObserver):  # scans E(b) in address order
+            return self.observer.observe(
+                truth, None, self.loss, self.rng, start_s=start_s, duration_s=duration_s
+            )
+        return self.observer.observe(
+            truth,
+            order,
+            self.loss,
+            self.rng,
+            start_s=start_s,
+            duration_s=duration_s,
+            start_cursor=self.start_cursor,
+        )
+
+    def probe_lane(self, target: ProbeTarget, start_s: float, duration_s: float) -> ProbeLane:
+        """The lane as :func:`~repro.net.prober.observe_batch` takes it."""
+        assert isinstance(self.observer, TrinocularObserver)
+        return ProbeLane(
+            self.observer, target, self.loss, self.rng, start_s, duration_s, self.start_cursor
+        )
+
+
+def setup_lane(
+    world: WorldModel, spec: BlockSpec, name: str, style: str, n_addresses: int
+) -> LaneSetup:
+    """The observer, loss model, loss-draw stream and start cursor of a lane.
+
+    Only the Trinocular sites start their cursor at an independent
+    position; the §2.8 prober starts at the first target.
+    """
+    cursor = _start_cursor(spec, name, n_addresses) if name in TRINOCULAR_SITES else 0
+    return LaneSetup(
+        observer=_make_observer(name, style),
+        loss=world.loss_model(spec, name),
+        rng=_lane_rng(spec, name),
+        start_cursor=cursor,
+    )
+
+
 def reconstruct_logs(
     pipeline: BlockPipeline,
     logs: list[ObservationSeries],
@@ -442,11 +440,11 @@ def reconstruct_logs(
 
 
 def batches_lanes(ds: DatasetSpec, observer_style: str, n_blocks: int) -> bool:
-    """Whether :func:`simulate_chunk` probes a chunk of ``n_blocks``.
+    """Whether :func:`simulate_chunk` probes a chunk of ``n_blocks`` in one batch.
 
     It does for the adaptive Trinocular sites with at least
     :data:`MIN_BATCH_LANES` lanes; other chunks (the survey, the §2.8
-    prober, the bayesian style, small chunks) are simulated per block.
+    prober, the bayesian style, small chunks) are probed lane by lane.
     """
     return (
         observer_style == "adaptive"
@@ -459,11 +457,12 @@ def batches_lanes(ds: DatasetSpec, observer_style: str, n_blocks: int) -> bool:
 class ChunkSimulation:
     """Truth and probe logs of a chunk of responsive blocks.
 
-    Built by :func:`simulate_chunk`.  Block ``j``'s logs are assembled
-    by :meth:`logs` on demand, so a caller that reconstructs block by
-    block holds one block's logs at a time.  Costs are per block:
-    ``truth_cost`` as measured, ``probe_cost`` the block's share of the
-    chunk's probing by probe count.
+    Built by :func:`simulate_chunk`.  From the lane kernel, block
+    ``j``'s logs are assembled by :meth:`logs` on demand, so a caller
+    that reconstructs block by block holds one block's logs at a time;
+    lanes probed one by one hold their logs.  Costs are per block:
+    ``truth_cost`` as measured, ``probe_cost`` as measured per lane or
+    the block's share of the kernel's probing by probe count.
     """
 
     ds: DatasetSpec
@@ -483,51 +482,53 @@ class ChunkSimulation:
 
 
 def simulate_chunk(
-    world: WorldModel, specs: Sequence[BlockSpec], ds: DatasetSpec
+    world: WorldModel,
+    specs: Sequence[BlockSpec],
+    ds: DatasetSpec,
+    observer_style: str = "adaptive",
 ) -> ChunkSimulation:
-    """Generate truth and probe every site observer of a chunk of blocks.
+    """Generate truth and probe every observer lane of a chunk of blocks.
 
-    Each block's truth is generated through :meth:`WorldModel.truth`
-    and only the window's columns are kept (packed, in probe order);
-    every (block, observer) lane of the chunk then runs in one
-    :func:`~repro.net.prober.observe_batch`, on the streams
+    Each block's truth is generated once through :meth:`WorldModel.truth`
+    and every lane is set up by :func:`setup_lane`, on the streams
     :meth:`DatasetBuilder.observe` uses, so every log is bit-identical
-    to the per-block one.
+    to the per-block one.  When :func:`batches_lanes` accepts the chunk,
+    only the window's truth columns are kept (packed, in probe order)
+    and all lanes run in one :func:`~repro.net.prober.observe_batch`;
+    otherwise each lane runs through its observer's own ``observe``
+    while its block's truth is live.
     """
     start = ds.start_s(world.epoch)
     end = start + ds.duration_s
-    targets: list[ProbeTarget] = []
+    batched = batches_lanes(ds, observer_style, len(specs))
+    batch: list[ProbeLane] = []
+    per_lane: list[ObservationSeries] = []
+    addresses: list[np.ndarray] = []
     truth_cost: list[StageShare] = []
     truth_cells: list[int] = []
+    lane_cost: list[StageShare] = []
     for spec in specs:
         meter = StageMeter()
         truth = world.truth(spec, end)
         order = probe_order(truth.n_addresses, spec.seed)
-        targets.append(ProbeTarget.of(truth, order, start, end))
+        lanes = [
+            setup_lane(world, spec, name, observer_style, truth.n_addresses)
+            for name in ds.observers
+        ]
+        if batched:
+            target = ProbeTarget.of(truth, order, start, end)
+            batch.extend(lane.probe_lane(target, start, ds.duration_s) for lane in lanes)
         truth_cost.append(meter.shares(1))
         truth_cells.append(truth.active.size)
+        addresses.append(truth.addresses)
+        if not batched:
+            meter = StageMeter()
+            per_lane.extend(lane.observe(truth, order, start, ds.duration_s) for lane in lanes)
+            lane_cost.append(meter.shares(1))
 
     meter = StageMeter()
-    observers = [
-        TrinocularObserver(name, phase_offset_s=TRINOCULAR_SITES[name])
-        for name in ds.observers
-    ]
-    logs = observe_batch(
-        [
-            ProbeLane(
-                observer=obs,
-                target=target,
-                loss=world.loss_model(spec, obs.name),
-                rng=_lane_rng(spec, obs.name),
-                start_s=start,
-                duration_s=ds.duration_s,
-                start_cursor=_start_cursor(spec, obs.name, target.m),
-            )
-            for spec, target in zip(specs, targets)
-            for obs in observers
-        ]
-    )
-    n = len(observers)
+    logs = observe_batch(batch) if batched else ProbeLogs(per_lane)
+    n = len(ds.observers)
     n_probes = [
         sum(logs.n_probes(j * n + k) for k in range(n)) for j in range(len(specs))
     ]
@@ -535,10 +536,10 @@ def simulate_chunk(
         ds=ds,
         start_s=start,
         lanes=logs,
-        addresses=[target.addresses for target in targets],
+        addresses=addresses,
         truth_cells=truth_cells,
         truth_cost=truth_cost,
-        probe_cost=meter.split(n_probes),
+        probe_cost=meter.split(n_probes) if batched else lane_cost,
         n_probes=n_probes,
     )
 

@@ -69,11 +69,14 @@ class _FbsSampleJob:
         start = self.ds.start_s(self.world.epoch)
         truth = builder.truth(spec, start, self.ds.duration_s)
         merged = merge_observations(
-            [builder.observe(spec, o, start, self.ds.duration_s) for o in self.ds.observers]
+            [
+                builder.observe(spec, o, start, self.ds.duration_s, truth=truth)
+                for o in self.ds.observers
+            ]
         )
         durations = full_scan_durations(merged, truth.addresses, max_scans=8)
         hours = float(np.median(durations)) / 3600.0 if durations.size else 7 * 24.0
-        a = builder.availability(spec, start, self.ds.duration_s)
+        a = builder.availability(spec, start, self.ds.duration_s, truth=truth)
         return truth.n_addresses, a, hours
 
 
@@ -121,11 +124,13 @@ def run(
     if slowest is not None:
         _, spec = slowest
         truth = builder.truth(spec, start, ds.duration_s)
-        base_logs = [builder.observe(spec, o, start, ds.duration_s) for o in ds.observers]
+        base_logs = [
+            builder.observe(spec, o, start, ds.duration_s, truth=truth) for o in ds.observers
+        ]
         base = full_scan_durations(
             merge_observations(base_logs), truth.addresses, max_scans=8
         )
-        extra_logs = base_logs + [builder.observe(spec, "a", start, ds.duration_s)]
+        extra_logs = base_logs + [builder.observe(spec, "a", start, ds.duration_s, truth=truth)]
         extra = full_scan_durations(
             merge_observations(extra_logs), truth.addresses, max_scans=8
         )

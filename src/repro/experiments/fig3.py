@@ -84,7 +84,8 @@ class _ScanTimeJob:
         start = self.ds.start_s(self.world.epoch)
         truth = builder.truth(spec, start, self.ds.duration_s)
         logs = {
-            o: builder.observe(spec, o, start, self.ds.duration_s) for o in "ejnw"
+            o: builder.observe(spec, o, start, self.ds.duration_s, truth=truth)
+            for o in "ejnw"
         }
         out: dict[str, float | None] = {}
         for combo in OBSERVER_SETS:

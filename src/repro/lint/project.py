@@ -91,7 +91,6 @@ class ProjectContext:
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
-        self.by_path: dict[str, str] = {}
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -112,14 +111,9 @@ class ProjectContext:
                 exports=frozenset(_module_exports(tree)),
             )
             project.modules[name] = info
-            project.by_path[path] = name
         return project
 
     # -- queries ------------------------------------------------------
-    def module_for_path(self, path: str) -> ModuleInfo | None:
-        name = self.by_path.get(path)
-        return self.modules.get(name) if name is not None else None
-
     def package_of(self, module: str) -> str:
         """Top-level package below ``repro`` (``''`` for root modules).
 

@@ -115,10 +115,6 @@ def _match_acquisition(
     return None
 
 
-def _contains(node: ast.AST, target: ast.AST) -> bool:
-    return any(sub is target for sub in ast.walk(node))
-
-
 def _references(node: ast.AST, name: str) -> bool:
     return any(isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node))
 

@@ -22,9 +22,9 @@ Design constraints, in order:
 The ambient emitter mirrors the tracer pattern (:func:`get_progress` /
 :func:`set_progress` / :func:`use_progress`); the CLI installs one from
 ``--progress DIR`` or ``REPRO_PROGRESS`` via :func:`default_progress`.
-``REPRO_PROGRESS_INTERVAL`` (seconds, default 2) rate-limits mid-run
-ticks; start and finish records always emit, so every engine run leaves
-at least two heartbeats.
+Mid-run ticks are at least :data:`PROGRESS_INTERVAL_S` apart; start and
+finish records always emit, so every engine run leaves at least two
+heartbeats.
 
 A sharded campaign (``--shards N``) is still one bracket: the engine
 calls :meth:`~ProgressEmitter.begin` once with ``shards=N`` and
@@ -48,6 +48,7 @@ from typing import Any, Iterator
 from .resources import peak_rss_bytes, rss_bytes
 
 __all__ = [
+    "PROGRESS_INTERVAL_S",
     "NoopProgress",
     "ProgressEmitter",
     "default_progress",
@@ -55,6 +56,9 @@ __all__ = [
     "set_progress",
     "use_progress",
 ]
+
+#: Minimum seconds between a run's mid-run heartbeats.
+PROGRESS_INTERVAL_S = 2.0
 
 
 class NoopProgress:
@@ -92,7 +96,9 @@ class ProgressEmitter(NoopProgress):
     the in-flight line and external rotation of the file is safe.
     """
 
-    def __init__(self, directory: "str | os.PathLike[str]", *, interval_s: float = 2.0) -> None:
+    def __init__(
+        self, directory: "str | os.PathLike[str]", *, interval_s: float = PROGRESS_INTERVAL_S
+    ) -> None:
         self.directory = Path(directory)
         self.interval_s = max(float(interval_s), 0.0)
         self._disabled = False
@@ -227,7 +233,7 @@ def use_progress(emitter: NoopProgress) -> Iterator[NoopProgress]:
 
 def default_progress() -> NoopProgress:
     """Emitter selected by the environment: ``REPRO_PROGRESS`` names the
-    sink directory, ``REPRO_PROGRESS_INTERVAL`` the tick period."""
+    sink directory; ticks are :data:`PROGRESS_INTERVAL_S` apart."""
     # lazy: obs is imported by core, so a module-level runtime import
     # would re-enter repro.runtime mid-initialisation
     from ..runtime import envconfig
@@ -235,5 +241,4 @@ def default_progress() -> NoopProgress:
     raw = envconfig.raw("REPRO_PROGRESS")
     if not raw:
         return NoopProgress()
-    interval = envconfig.get_float("REPRO_PROGRESS_INTERVAL", 2.0)
-    return ProgressEmitter(raw, interval_s=interval)
+    return ProgressEmitter(raw)

@@ -192,12 +192,6 @@ class RunMetrics:
             return 0.0
         return self.n_tasks / self.wall_s
 
-    @property
-    def stage_wall_s(self) -> float:
-        """Summed in-stage wall time (< ``wall_s`` — excludes simulation
-        overheads not recorded as a stage, > ``wall_s`` when parallel)."""
-        return sum(t.wall_s for t in self.stages.values())
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "label": self.label,
@@ -390,9 +384,9 @@ def peek_run_log() -> list[RunMetrics]:
 class CampaignEngine:
     """Runs block tasks through an executor and aggregates instrumentation.
 
-    One engine is reusable across runs; ``history`` keeps that engine's
-    own :class:`RunMetrics` in order (the module-level run log keeps a
-    process-wide view for the CLI).
+    One engine is reusable across runs; each run returns its own
+    :class:`RunMetrics`, and the module-level run log keeps a
+    process-wide view for the CLI.
     """
 
     def __init__(
@@ -409,7 +403,6 @@ class CampaignEngine:
         self.executor: Executor = executor or SerialExecutor()
         self.cache = cache
         self.shards = resolve_shards(shards)
-        self.history: list[RunMetrics] = []
 
     def close(self) -> None:
         """Release executor-held resources (idempotent).
@@ -589,7 +582,6 @@ class CampaignEngine:
             raise
         finally:
             progress.finish()
-        self.history.append(metrics)
         _RUN_LOG.append(metrics)
         if spill is not None:
             return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)

@@ -33,7 +33,6 @@ __all__ = [
     "REGISTRY",
     "env_help",
     "get_bool",
-    "get_float",
     "get_int",
     "overriding",
     "peek",
@@ -97,12 +96,6 @@ REGISTRY: tuple[EnvVar, ...] = (
         "(CLI --progress)",
     ),
     EnvVar(
-        "REPRO_PROGRESS_INTERVAL",
-        "float",
-        "2",
-        "minimum seconds between mid-run progress heartbeats",
-    ),
-    EnvVar(
         "REPRO_SANITIZE",
         "bool",
         "0",
@@ -161,18 +154,6 @@ def get_int(name: str, default: int, *, minimum: int | None = None) -> int:
     if minimum is not None and parsed < minimum:
         return minimum
     return parsed
-
-
-def get_float(name: str, default: float) -> float:
-    """Float knob; garbage warns and falls back to ``default``."""
-    value = raw(name)
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        _warn_garbage(name, value, "a number", str(default))
-        return default
 
 
 def get_bool(name: str, default: bool) -> bool:

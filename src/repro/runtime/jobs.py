@@ -1,20 +1,20 @@
 """Picklable per-block task callables dispatched by the engine.
 
 A job is a frozen dataclass whose fields are the deterministic inputs
-(world, dataset window, pipeline config) and whose ``__call__`` runs one
-block end to end.  Frozen dataclasses pickle cheaply, so the same job
-object is shipped once per chunk to pool workers; each call constructs
-its own :class:`~repro.datasets.builder.DatasetBuilder`, which keeps
-results byte-identical between serial and parallel execution (no shared
-mutable caches).
+(world, dataset window, pipeline config).  Frozen dataclasses pickle
+cheaply, so the same job object is shipped once per chunk to pool
+workers, and a job keeps no state between calls, which keeps results
+byte-identical between serial and parallel execution.
 
 The engine dispatches :class:`BlockAnalysisJob` through
 :meth:`BlockAnalysisJob.map_chunk`, which analyses a whole chunk of
-blocks in one call: every observer lane of the chunk is probed together
-by the lane-parallel prober, each block is repaired, combined and
-reconstructed, and the analysis tail — classify, trend, detect — runs
-over all of the chunk's reconstructions at once through the batched
-columnar kernels.  ``__call__`` stays the per-block oracle.
+blocks in one call: :func:`~repro.datasets.builder.simulate_chunk` (the
+one production simulate path) probes the chunk's observer lanes, each
+block is repaired, combined and reconstructed, and the analysis tail —
+classify, trend, detect — runs over all of the chunk's reconstructions
+at once through the batched columnar kernels.  ``__call__`` stays the
+per-block oracle: it runs one block through the dataset builder's
+``analyze_block``.
 
 Jobs are transport-agnostic: under the shared-memory tier
 (:class:`~repro.runtime.executors.SharedMemoryExecutor`) the large
@@ -107,21 +107,22 @@ class BlockAnalysisJob:
     def map_chunk(self, specs: tuple[BlockSpec, ...]) -> tuple[BlockResult, ...]:
         """Analyse a chunk of blocks end to end; same results as ``__call__``.
 
-        One call generates every responsive block's truth and probes all
-        their observer lanes together
-        (:func:`~repro.datasets.builder.simulate_chunk`, in one ``chunk``
-        span), then repairs, combines and reconstructs block by block.
-        Chunks that :func:`~repro.datasets.builder.batches_lanes` declines
-        are simulated per block exactly as ``__call__`` does.  Either way
-        each block gets its own ``block`` span, firewalled short-circuit,
-        funnel counters and ``truth``/``probe`` stage records; a chunk's
-        probing time is split across its blocks by probe count.  The
-        tail then runs once over the chunk's reconstructions through
+        :func:`~repro.datasets.builder.simulate_chunk` generates every
+        responsive block's truth and probes its observer lanes (in a
+        ``chunk`` span): all lanes of the chunk together when
+        :func:`~repro.datasets.builder.batches_lanes` accepts it, else
+        block by block, lane by lane, so that only one block's probe
+        logs are live at a time.  Each block is then repaired, combined
+        and reconstructed in its own ``block`` span, with the firewalled
+        short-circuit, funnel counters and ``truth``/``probe`` stage
+        records of ``__call__``; the lane kernel's probing time is split
+        across the chunk's blocks by probe count.  The tail then runs
+        once over the chunk's reconstructions through
         :meth:`~repro.core.pipeline.BlockPipeline.analyze_tail_batch` (in
         one ``batch`` span; per-row bit-identical to the scalar stages),
         and each block's tail records follow its front-half records.
         """
-        from ..datasets.builder import DatasetBuilder, batches_lanes, simulate_chunk
+        from ..datasets.builder import batches_lanes, simulate_chunk
 
         tracer = get_tracer()
         out: dict[int, BlockResult] = {}
@@ -134,27 +135,24 @@ class BlockAnalysisJob:
                 annotate(block=spec.block.cidr, dataset=self.ds.name)
                 out[i] = _unresponsive_result(spec)
         responsive = [specs[i] for i in live]
-        sim: ChunkSimulation | None = None
+        step = 1  # probed lane by lane: one block's probe logs live at a time
         if batches_lanes(self.ds, self.observer_style, len(responsive)):
-            with tracer.span("chunk", attrs={"n_blocks": len(responsive)}):
-                sim = simulate_chunk(self.world, responsive, self.ds)
+            step = max(len(responsive), 1)
         recons: list[Reconstruction] = []
         ctxs: list[StageContext] = []
-        for j, spec in enumerate(responsive):
-            with tracer.span("block"):
-                annotate(block=spec.block.cidr, dataset=self.ds.name)
-                get_registry().counter("blocks.analyzed").inc()
-                ctx = StageContext()
-                if sim is None:
-                    builder = DatasetBuilder(
-                        self.world, self.pipeline, observer_style=self.observer_style
-                    )
-                    recon = builder.reconstruct_block(spec, self.ds, ctx=ctx)
-                else:
+        for lo in range(0, len(responsive), step):
+            group = responsive[lo : lo + step]
+            with tracer.span("chunk", attrs={"n_blocks": len(group)}):
+                sim = simulate_chunk(self.world, group, self.ds, self.observer_style)
+            for j, spec in enumerate(group):
+                with tracer.span("block"):
+                    annotate(block=spec.block.cidr, dataset=self.ds.name)
+                    get_registry().counter("blocks.analyzed").inc()
+                    ctx = StageContext()
                     recon = self._reconstruct(sim, j, ctx)
-            recons.append(_canonical_reconstruction(recon))
-            ctxs.append(ctx)
-        del sim  # the chunk's probe outputs must not stay live through the tail
+                recons.append(_canonical_reconstruction(recon))
+                ctxs.append(ctx)
+            del sim  # the probe outputs must not stay live through the tail
         with tracer.span("batch", attrs={"n_blocks": len(recons)}):
             analyses = self.pipeline.analyze_tail_batch(recons, ctxs)
         for i, spec, analysis, ctx in zip(live, responsive, analyses, ctxs):

@@ -186,10 +186,6 @@ class SharedArrayPool:
         return self.publish(blob)
 
     # -- lifecycle ---------------------------------------------------------
-    @property
-    def segment_names(self) -> list[str]:
-        return [seg.name for seg in self._segments]
-
     @staticmethod
     def _release_segments(segments: list[shared_memory.SharedMemory]) -> None:
         while segments:

@@ -205,10 +205,6 @@ class SpilledResults(Sequence[Any]):
     def spill_dir(self) -> Path:
         return self._spill.directory
 
-    @property
-    def spilled_bytes(self) -> int:
-        return self._spill.bytes_written
-
     def __len__(self) -> int:
         return self._total
 

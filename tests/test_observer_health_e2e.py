@@ -26,8 +26,10 @@ def health_survey():
         if not spec.responsive_by_design:
             continue
         start = 92 * 86_400.0
+        truth = builder.truth(spec, start, 7 * 86_400.0)
         logs = [
-            builder.observe(spec, obs, start, 7 * 86_400.0) for obs in OBSERVERS
+            builder.observe(spec, obs, start, 7 * 86_400.0, truth=truth)
+            for obs in OBSERVERS
         ]
         health = compare_observers(logs)
         if all(np.isfinite(h.reply_rate) for h in health):

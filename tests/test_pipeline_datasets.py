@@ -98,15 +98,6 @@ class TestDatasetBuilder:
         logs = builder.observe_dataset(spec, "2020m1-ejnw")
         assert [log.observer for log in logs] == ["e", "j", "n", "w"]
 
-    def test_observation_cache_slices_consistently(self, builder, small_world):
-        spec = next(s for s in small_world.blocks if s.responsive_by_design)
-        ds = dataset("2020m1-ejnw")
-        start = ds.start_s(small_world.epoch)
-        full = builder.observe(spec, "e", start, ds.duration_s)
-        half = builder.observe(spec, "e", start, ds.duration_s / 2)
-        assert len(half) < len(full)
-        assert np.array_equal(half.times, full.slice_time(start, start + ds.duration_s / 2).times)
-
     def test_observers_differ(self, builder, small_world):
         spec = next(s for s in small_world.blocks if s.responsive_by_design)
         logs = builder.observe_dataset(spec, "2020m1-ejnw")
@@ -137,7 +128,8 @@ class TestDatasetBuilder:
 
     def test_availability_in_unit_interval(self, builder, small_world):
         spec = next(s for s in small_world.blocks if s.responsive_by_design)
-        a = builder.availability(spec, 0.0, 14 * 86_400.0)
+        truth = builder.truth(spec, 0.0, 14 * 86_400.0)
+        a = builder.availability(spec, 0.0, 14 * 86_400.0, truth=truth)
         assert 0.0 <= a <= 1.0
 
     def test_survey_dataset_probes_every_address_each_round(self, builder, small_world):

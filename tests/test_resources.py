@@ -10,6 +10,7 @@ import pytest
 from repro.datasets.builder import DatasetBuilder
 from repro.net.world import WorldModel, scenario_covid2020
 from repro.obs.progress import (
+    PROGRESS_INTERVAL_S,
     NoopProgress,
     ProgressEmitter,
     default_progress,
@@ -250,11 +251,10 @@ class TestProgressEmitter:
         monkeypatch.delenv("REPRO_PROGRESS", raising=False)
         assert type(default_progress()) is NoopProgress
         monkeypatch.setenv("REPRO_PROGRESS", str(tmp_path))
-        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0.5")
         emitter = default_progress()
         assert isinstance(emitter, ProgressEmitter)
         assert emitter.directory == tmp_path
-        assert emitter.interval_s == 0.5
+        assert emitter.interval_s == PROGRESS_INTERVAL_S == 2.0
 
     def test_interval_rate_limits_mid_run_ticks(self, tmp_path):
         emitter = ProgressEmitter(tmp_path, interval_s=3600.0)
@@ -274,7 +274,6 @@ class TestCliAcceptance:
         from repro.obs.progress import set_progress
 
         monkeypatch.setenv("REPRO_SCALE", "16")
-        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0")
         monkeypatch.delenv("REPRO_PROGRESS", raising=False)
         sink = tmp_path / "progress"
         try:

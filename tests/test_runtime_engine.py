@@ -63,7 +63,7 @@ class TestSerialParallelEquivalence:
             result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
             assert engine.executor._pool is None  # no pool was spawned
         assert result.funnel() == serial_result.funnel()
-        assert engine.history[-1].executor == "shm[1]"
+        assert result.metrics.executor == "shm[1]"
 
 
 class TestRunMetrics:
@@ -129,7 +129,7 @@ class TestFallback:
             )
         assert len(result.analyses) == 20  # no block lost
         assert "pool spawn failed" in executor.fallback_reason
-        assert engine.history[-1].fallback == executor.fallback_reason
+        assert result.metrics.fallback == executor.fallback_reason
 
     def test_fallback_results_match_serial(self, monkeypatch, world200, serial_result):
         class ExplodingPool:
@@ -157,11 +157,13 @@ class TestEngineGenerics:
         assert run.metrics.funnel == {}  # no BlockResults -> no funnel
 
     def test_engine_history_accumulates(self):
+        from repro.runtime import peek_run_log
+
         engine = CampaignEngine()
         engine.run(_square, [1, 2], label="a")
         engine.run(_square, [3], label="b")
-        assert [m.label for m in engine.history] == ["a", "b"]
-        assert engine.history[0].executor == "serial"
+        assert [m.label for m in peek_run_log()[-2:]] == ["a", "b"]
+        assert peek_run_log()[-2].executor == "serial"
 
     def test_task_exception_propagates(self):
         with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
@@ -206,6 +208,58 @@ class TestBlockAnalysisJob:
         result = job(spec)
         assert not result.analysis.classification.responsive
         assert all(r.skipped == "firewalled" for r in result.stages)
+
+    @staticmethod
+    def assert_chunk_matches_oracle(job, chunk):
+        oracle = [pickle.dumps(job(spec).analysis) for spec in chunk]
+        results = job.map_chunk(chunk)
+        assert [r.key for r in results] == [spec.block.cidr for spec in chunk]
+        assert [pickle.dumps(r.analysis) for r in results] == oracle
+
+    @pytest.mark.parametrize(
+        "ds, style",
+        [("2020it89-w", "adaptive"), (DATASET, "bayesian")],
+        ids=["survey", "bayesian"],
+    )
+    def test_map_chunk_matches_oracle_probing_lane_by_lane(self, world200, ds, style):
+        job = BlockAnalysisJob(
+            world=world200, ds=dataset(ds), pipeline=BlockPipeline(), observer_style=style
+        )
+        chunk = tuple(world200.blocks[:12])
+        assert sum(spec.responsive_by_design for spec in chunk) >= 3
+        self.assert_chunk_matches_oracle(job, chunk)
+
+    def test_small_chunk_never_calls_the_builder(self, world200, monkeypatch):
+        """Below MIN_BATCH_LANES the chunk is still simulated by
+        simulate_chunk, not by the per-block oracle."""
+        from repro.datasets.builder import MIN_BATCH_LANES
+
+        job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
+        chunk = tuple(world200.blocks[:4])
+        lanes = sum(spec.responsive_by_design for spec in chunk) * len(job.ds.observers)
+        assert 0 < lanes < MIN_BATCH_LANES
+        oracle = [pickle.dumps(job(spec).analysis) for spec in chunk]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("map_chunk called the per-block oracle")
+
+        monkeypatch.setattr(DatasetBuilder, "reconstruct_block", refuse)
+        assert [pickle.dumps(r.analysis) for r in job.map_chunk(chunk)] == oracle
+
+    def test_all_firewalled_chunk_simulates_nothing(self, world200, monkeypatch):
+        import repro.datasets.builder as builder_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an all-firewalled chunk was simulated")
+
+        monkeypatch.setattr(builder_mod, "simulate_chunk", refuse)
+        job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
+        chunk = tuple(s for s in world200.blocks if not s.responsive_by_design)[:3]
+        results = job.map_chunk(chunk)
+        assert len(results) == 3
+        for result in results:
+            assert [r.name for r in result.stages] == list(PIPELINE_STAGES)
+            assert all(r.skipped == "firewalled" for r in result.stages)
 
 
 class TestAnalysisCache:
@@ -445,12 +499,12 @@ class TestBatchedDispatch:
         cache = AnalysisCache(tmp_path)
         cold = CampaignEngine(SerialExecutor(), cache=cache)
         first = cold.run(_PerBlock(job), list(world200.blocks))
-        assert cold.history[-1].cache["misses"] == 200
+        assert first.metrics.cache["misses"] == 200
         warm = CampaignEngine(SerialExecutor(), cache=cache)
         second = DatasetBuilder(world200).analyze(DATASET, engine=warm)
-        assert warm.history[-1].cache["hits"] == 200
+        assert second.metrics.cache["hits"] == 200
         # hits bypass the chunk job: no stage ran
-        assert all(t.calls == 0 for t in warm.history[-1].stages.values())
+        assert all(t.calls == 0 for t in second.metrics.stages.values())
         for computed in first.results:
             assert pickle.dumps(second.analyses[computed.key]) == pickle.dumps(
                 computed.analysis
