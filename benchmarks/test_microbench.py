@@ -37,7 +37,7 @@ from repro.datasets.builder import DatasetBuilder
 from repro.experiments.common import bench_scale
 from repro.net.prober import TrinocularObserver
 from repro.net.world import WorldModel, scenario_covid2020
-from repro.runtime import AnalysisCache, CampaignEngine, SerialExecutor, SharedMemoryExecutor
+from repro.runtime import AnalysisCache, CampaignEngine, SerialExecutor, PoolExecutor
 from repro.timeseries.detect import detect_cusum, detect_cusum_reference
 from repro.timeseries.stl import stl_decompose
 
@@ -252,7 +252,7 @@ def test_engine_parallel_world(benchmark, engine_world, serial_reference):
     """Whole-world analysis through a 2-worker pool; byte-identical to serial."""
     result = benchmark.pedantic(
         _engine_analyze,
-        args=(engine_world, SharedMemoryExecutor(workers=2)),
+        args=(engine_world, PoolExecutor(workers=2)),
         rounds=1,
         iterations=1,
     )

@@ -42,7 +42,7 @@ from .runtime import (
     CampaignEngine,
     RunMetrics,
     SerialExecutor,
-    SharedMemoryExecutor,
+    PoolExecutor,
     default_engine,
 )
 from .net import (
@@ -83,7 +83,7 @@ __all__ = [
     "CampaignEngine",
     "RunMetrics",
     "SerialExecutor",
-    "SharedMemoryExecutor",
+    "PoolExecutor",
     "default_engine",
     "BlockAddress",
     "BlockTruth",

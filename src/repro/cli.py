@@ -67,9 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "processes for block analysis (sets REPRO_WORKERS; "
             "1 = serial, the default).  N > 1 runs one persistent "
-            "shared-memory pool: arrays are published once into shm "
-            "segments and workers attach read-only views — results are "
-            "byte-identical to the serial run"
+            "process pool — results are byte-identical to the serial run"
         ),
     )
     parser.add_argument(

@@ -1,18 +1,17 @@
 """REP006 — acquired OS resources must be released on *every* path.
 
-The runtime's safety rules — "the parent publishes, the parent
-unlinks" (shm segments), "the coordinator writes, the coordinator
-deletes" (spill dirs) — only hold when every acquisition is dominated
-by a release: a ``with`` block, a ``try/finally``, a registered
-``weakref.finalize``, or escape into an object that owns the resource
-and has a lifecycle method.  A named shm segment leaked on an
-exception edge outlives the process in ``/dev/shm``; a leaked
-``ProcessPoolExecutor`` strands worker processes.
+The runtime's safety rules — "the pool's owner shuts it down" (process
+pools), "the coordinator writes, the coordinator deletes" (spill
+dirs) — only hold when every acquisition is dominated by a release: a
+``with`` block, a ``try/finally``, a registered ``weakref.finalize``,
+or escape into an object that owns the resource and has a lifecycle
+method.  A named shm segment leaked on an exception edge outlives the
+process in ``/dev/shm``; a leaked ``ProcessPoolExecutor`` strands
+worker processes.
 
 This is a CFG-lite, flow-sensitive check.  For each acquisition of
 
 * ``multiprocessing.shared_memory.SharedMemory(...)``
-* ``repro.runtime.shm.SharedArrayPool(...)``
 * ``concurrent.futures.ProcessPoolExecutor(...)``
 * ``tempfile.TemporaryDirectory(...)`` / ``tempfile.mkdtemp(...)``
 * ``np.load(..., mmap_mode=...)`` (a live mmap handle)
@@ -59,7 +58,6 @@ if TYPE_CHECKING:
 #: acquisition constructor -> method names that release it.
 RELEASE_METHODS: dict[str, frozenset[str]] = {
     "SharedMemory": frozenset({"close", "unlink"}),
-    "SharedArrayPool": frozenset({"release"}),
     "ProcessPoolExecutor": frozenset({"shutdown"}),
     "TemporaryDirectory": frozenset({"cleanup"}),
     "mkdtemp": frozenset(),
@@ -104,7 +102,7 @@ def _match_acquisition(
         return None
     resolved = _resolve(chain, aliases, froms)
     last = resolved[-1]
-    if last in ("SharedMemory", "SharedArrayPool", "ProcessPoolExecutor", "TemporaryDirectory", "mkdtemp"):
+    if last in ("SharedMemory", "ProcessPoolExecutor", "TemporaryDirectory", "mkdtemp"):
         return _Acquisition(ctor=last, node=node)
     if last == "load" and resolved[0] == "numpy":
         for kw in node.keywords:

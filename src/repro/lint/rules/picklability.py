@@ -1,7 +1,7 @@
 """REP003 — engine-dispatched job classes must stay picklable.
 
 Everything the campaign engine fans out through ``SerialExecutor`` /
-``SharedMemoryExecutor`` is pickled to pool workers (and must
+``PoolExecutor`` is pickled to pool workers (and must
 round-trip byte-identically for the serial==pool guarantee).  Lambdas, nested
 functions, and open file handles are the classic ways a job silently
 becomes unpicklable — and the failure only shows up at runtime, on the
@@ -19,12 +19,11 @@ dispatch convention — ``BlockAnalysisJob``, ``_ScanTimeJob``,
 * a live shared-memory resource: a ``SharedMemory(...)`` handle, a
   ``memoryview(...)``, or a segment buffer (``self.x = seg.buf``).
 
-The shared-memory cases exist for the shm dispatch tier
-(:mod:`repro.runtime.shm`): a job must carry only plain-data
-*descriptors* (:class:`~repro.runtime.shm.ArrayDescriptor`) across the
-pool — live handles and buffer views are process-local, pickle either
-not at all or into something that no longer aliases the segment, and
-would tie a task's lifetime to a mapping the parent is about to unlink.
+A job that needs a shared-memory segment must carry only plain data
+naming it (its name, shape, dtype) and attach per call: live handles
+and buffer views are process-local, pickle either not at all or into
+something that no longer aliases the segment, and would tie a task's
+lifetime to a mapping its owner may unlink.
 
 ``field(default_factory=...)`` is fine — the factory runs at init time
 and only its *result* is stored.
@@ -152,8 +151,8 @@ def _method_violations(cls: ast.ClassDef, path: str) -> list[Violation]:
     "picklability",
     "*Job classes may not capture lambdas, nested functions, open "
     "handles, or live shared-memory resources (SharedMemory handles, "
-    "memoryviews, segment buffers) in their attributes — shm crosses "
-    "the pool as descriptors only",
+    "memoryviews, segment buffers) in their attributes — jobs carry "
+    "plain data only",
 )
 def check(ctx: "LintContext") -> list[Violation]:
     violations: list[Violation] = []

@@ -6,9 +6,7 @@ a release; this module proves dynamically that no acquisition
 an explicit :func:`install`), it patches the runtime's acquisition and
 release choke points with a tracking registry:
 
-* shm segments — ``SharedArrayPool._new_segment`` registers, the
-  pool's ``_release_segments`` (also its GC finalizer) unregisters;
-* persistent process pools — ``SharedMemoryExecutor._ensure_pool``
+* persistent process pools — ``PoolExecutor._ensure_pool``
   registers, ``_teardown_pool`` unregisters;
 * spill directories — ``SpillDir.__init__`` registers, the module's
   ``_remove_tree`` (shared by ``cleanup()`` and the finalizer)
@@ -17,9 +15,8 @@ release choke points with a tracking registry:
 Enforcement happens at two boundaries:
 
 * **engine close** — ``CampaignEngine.close`` additionally asserts
-  that the closed executor holds no live pool and that the segments
-  its last map published are gone, raising :class:`ResourceLeakError`
-  otherwise;
+  that the closed executor holds no live pool, raising
+  :class:`ResourceLeakError` otherwise;
 * **process exit** — an ``atexit`` hook (and the pytest
   ``sessionfinish`` hook in ``tests/conftest.py``) collects garbage,
   then fails the process if *anything* is still live.
@@ -142,35 +139,13 @@ class ResourceSanitizer:
         # lazy: lint stays import-light and layer-clean (REP007)
         from ..runtime import engine as engine_mod
         from ..runtime import executors as executors_mod
-        from ..runtime import shm as shm_mod
         from ..runtime import spill as spill_mod
 
         sanitizer = self
 
-        # shm segments ------------------------------------------------
-        orig_new_segment = shm_mod.SharedArrayPool._new_segment
-
-        def new_segment(self: Any, min_bytes: int) -> Any:
-            seg = orig_new_segment(self, min_bytes)
-            sanitizer.register("shm-segment", seg.name)
-            return seg
-
-        orig_release_segments = shm_mod.SharedArrayPool.__dict__["_release_segments"]
-
-        def release_segments(segments: list[Any]) -> None:
-            names = [seg.name for seg in segments]
-            orig_release_segments.__func__(segments)
-            for name in names:
-                sanitizer.unregister("shm-segment", name)
-
-        self._patch(shm_mod.SharedArrayPool, "_new_segment", new_segment)
-        self._patch(
-            shm_mod.SharedArrayPool, "_release_segments", staticmethod(release_segments)
-        )
-
         # persistent pools ---------------------------------------------
-        orig_ensure_pool = executors_mod.SharedMemoryExecutor._ensure_pool
-        orig_teardown_pool = executors_mod.SharedMemoryExecutor._teardown_pool
+        orig_ensure_pool = executors_mod.PoolExecutor._ensure_pool
+        orig_teardown_pool = executors_mod.PoolExecutor._teardown_pool
 
         def ensure_pool(self: Any) -> Any:
             before = self._pool
@@ -185,8 +160,8 @@ class ResourceSanitizer:
             if pool is not None:
                 sanitizer.unregister("process-pool", _pool_name(pool))
 
-        self._patch(executors_mod.SharedMemoryExecutor, "_ensure_pool", ensure_pool)
-        self._patch(executors_mod.SharedMemoryExecutor, "_teardown_pool", teardown_pool)
+        self._patch(executors_mod.PoolExecutor, "_ensure_pool", ensure_pool)
+        self._patch(executors_mod.PoolExecutor, "_teardown_pool", teardown_pool)
 
         # spill directories --------------------------------------------
         orig_spill_init = spill_mod.SpillDir.__init__
@@ -231,8 +206,7 @@ class ResourceSanitizer:
     def check_engine_close(self, executor: Any) -> None:
         """Scoped post-close assertion for one engine's executor.
 
-        The executor must hold no live pool, and the segments its most
-        recent map published must be gone.  Scoped (rather than
+        The executor must hold no live pool.  Scoped (rather than
         "nothing live anywhere") so closing one engine cannot trip over
         a neighbour's in-flight resources.
         """
@@ -242,11 +216,6 @@ class ResourceSanitizer:
             leaks.extend(
                 r for r in self.live("process-pool") if r.name == _pool_name(pool)
             )
-        for name in getattr(executor, "last_segments", []) or []:
-            if self.is_live("shm-segment", name):
-                leaks.extend(
-                    r for r in self.live("shm-segment") if r.name == name
-                )
         if leaks:
             raise ResourceLeakError(
                 f"{len(leaks)} resource(s) leaked past engine close "

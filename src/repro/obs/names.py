@@ -36,7 +36,6 @@ METRICS = frozenset(
         "engine.tasks",
         "executor.chunk_size",
         "executor.fallbacks",
-        "executor.payload.shm_bytes",
         "executor.payload.task_bytes",
         "executor.pool_spawns",
         "executor.pool_workers",

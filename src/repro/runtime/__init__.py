@@ -6,9 +6,8 @@ seam through which the repo drives that map:
 
 * :class:`~repro.runtime.executors.Executor` — the pluggable mapping
   strategy (:class:`SerialExecutor`, and the process pool
-  :class:`SharedMemoryExecutor` — persistent workers fed by
-  :mod:`~repro.runtime.shm` array descriptors, with chunked dispatch
-  and serial fallback);
+  :class:`PoolExecutor` — persistent workers fed plain pickles, with
+  chunked dispatch and serial fallback);
 * :class:`~repro.runtime.engine.CampaignEngine` — runs an iterable of
   block tasks through an executor and aggregates per-stage
   :class:`~repro.core.stages.StageRecord` instrumentation into
@@ -40,26 +39,23 @@ from .engine import (
     engine_scope,
     peek_run_log,
 )
-from .executors import Executor, SerialExecutor, SharedMemoryExecutor
+from .executors import Executor, PoolExecutor, SerialExecutor
 from .jobs import BlockAnalysisJob
 from .sharding import ShardPlan, resolve_shards
-from .shm import ArrayDescriptor, SharedArrayPool
 from .spill import SpillDir, SpilledResults
 
 __all__ = [
     "AnalysisCache",
-    "ArrayDescriptor",
     "BlockAnalysisJob",
     "BlockResult",
     "CACHE_SCHEMA",
     "CampaignEngine",
     "EngineRun",
     "Executor",
+    "PoolExecutor",
     "RunMetrics",
     "SerialExecutor",
     "ShardPlan",
-    "SharedArrayPool",
-    "SharedMemoryExecutor",
     "ShippedResult",
     "SpillDir",
     "SpilledResults",

@@ -30,7 +30,7 @@ from ..obs.resources import ResourceTracker, cpu_seconds, format_bytes, peak_rss
 from ..obs.trace import NoopTracer, SpanRecord, Tracer, get_tracer, use_tracer
 from . import envconfig
 from .cache import AnalysisCache, default_cache
-from .executors import Executor, SerialExecutor, SharedMemoryExecutor
+from .executors import Executor, PoolExecutor, SerialExecutor
 from .sharding import ShardPlan, resolve_shards
 from .spill import SpillDir, SpilledResults
 
@@ -294,10 +294,11 @@ class RunMetrics:
                 )
             pool = res.get("pool")
             if pool:
+                fn_bytes, task_bytes = pool.get("fn_bytes", 0), pool.get("task_bytes", 0)
                 lines.append(
-                    f"  pool: {format_bytes(pool.get('task_bytes', 0))} payload out "
-                    f"over {pool.get('maps', 0)} dispatches, "
-                    f"{format_bytes(pool.get('shm_bytes', 0))} via shm"
+                    f"  pool: {format_bytes(fn_bytes + task_bytes)} payload out "
+                    f"over {pool.get('maps', 0)} dispatches "
+                    f"(job {format_bytes(fn_bytes)}, tasks {format_bytes(task_bytes)})"
                 )
             workers = res.get("workers")
             if workers:
@@ -671,7 +672,7 @@ class CampaignEngine:
             if delta.get("maps", 0) > 0:
                 res["pool"] = {
                     key: delta.get(key, 0)
-                    for key in ("fn_bytes", "task_bytes", "shm_bytes", "maps")
+                    for key in ("fn_bytes", "task_bytes", "maps")
                 }
         if meters is not None:
             workers: dict[str, Any] = {}
@@ -755,7 +756,7 @@ def default_engine() -> CampaignEngine:
     """Engine for callers that did not pick one: ``REPRO_WORKERS`` decides.
 
     ``REPRO_WORKERS`` unset, empty, ``0`` or ``1`` means serial; any
-    larger value selects a :class:`SharedMemoryExecutor` pool of that
+    larger value selects a :class:`PoolExecutor` pool of that
     size, which stays up until the engine is closed — callers that own
     the engine should use it as a context manager (see
     :func:`engine_scope`).  A value that is not an integer, or is
@@ -792,7 +793,7 @@ def default_engine() -> CampaignEngine:
     cache = default_cache()
     if workers <= 1:
         return CampaignEngine(SerialExecutor(), cache)
-    return CampaignEngine(SharedMemoryExecutor(workers=workers), cache)
+    return CampaignEngine(PoolExecutor(workers=workers), cache)
 
 
 def engine_scope(

@@ -64,7 +64,7 @@ REGISTRY: tuple[EnvVar, ...] = (
         "REPRO_WORKERS",
         "int",
         "1 (serial)",
-        "size of the shared-memory process pool for block analysis "
+        "size of the process pool for block analysis "
         "(CLI --workers)",
     ),
     EnvVar(
@@ -99,8 +99,8 @@ REGISTRY: tuple[EnvVar, ...] = (
         "REPRO_SANITIZE",
         "bool",
         "0",
-        "install the runtime ResourceSanitizer: track shm segments, "
-        "process pools, and spill dirs; fail on leaks at engine close "
+        "install the runtime ResourceSanitizer: track process pools "
+        "and spill dirs; fail on leaks at engine close "
         "and process exit",
     ),
 )

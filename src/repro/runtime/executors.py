@@ -16,16 +16,15 @@ drive the live progress heartbeat.  Hooks must not mutate results.
 Two executors ship:
 
 * :class:`SerialExecutor` — in-process reference semantics;
-* :class:`SharedMemoryExecutor` — the process pool: one **persistent**
-  pool reused across ``map()`` calls, with large task arrays published
-  once into ``multiprocessing.shared_memory`` segments and only small
-  descriptors pickled across (see :mod:`repro.runtime.shm`).
+* :class:`PoolExecutor` — the process pool: one **persistent**
+  ``ProcessPoolExecutor`` reused across ``map()`` calls, fed plain
+  pickles.
 
-Payload accounting: the pool's task bytes (what crossed the pipe) and
-shm bytes (what was published to segments) fall out of dispatch for
-free and are always recorded.  Totals accumulate on ``.payload`` and in
-the ``executor.payload.*`` counters; the engine reports the per-run
-delta under ``RunMetrics.resources``.
+Payload accounting: the pool's job and task bytes (what crossed the
+pipe) fall out of dispatch for free and are always recorded.  Totals
+accumulate on ``.payload`` and in the ``executor.payload.task_bytes``
+counter; the engine reports the per-run delta under
+``RunMetrics.resources``.
 """
 
 from __future__ import annotations
@@ -40,19 +39,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 from ..obs.metrics import get_registry
-from .shm import (
-    DEFAULT_MIN_SHM_BYTES,
-    ArrayDescriptor,
-    SharedArrayPool,
-    attach_bytes,
-    shm_dumps,
-    shm_loads,
-)
 
 __all__ = [
     "Executor",
+    "PoolExecutor",
     "SerialExecutor",
-    "SharedMemoryExecutor",
 ]
 
 #: Signature of the per-result observation hook.
@@ -113,10 +104,10 @@ _FN_CACHE: dict[str, Callable[[Any], Any]] = {}
 _FN_CACHE_CAP = 8
 
 
-def _load_fn(desc: ArrayDescriptor, digest: str) -> Callable[[Any], Any]:
+def _load_fn(fn_payload: bytes, digest: str) -> Callable[[Any], Any]:
     fn = _FN_CACHE.get(digest)
     if fn is None:
-        fn = shm_loads(attach_bytes(desc))
+        fn = pickle.loads(fn_payload)
         while len(_FN_CACHE) >= _FN_CACHE_CAP:
             _FN_CACHE.pop(next(iter(_FN_CACHE)))
         _FN_CACHE[digest] = fn
@@ -124,20 +115,19 @@ def _load_fn(desc: ArrayDescriptor, digest: str) -> Callable[[Any], Any]:
 
 
 @dataclass(frozen=True)
-class _ShmCall:
-    """Tiny picklable chunk envelope of the pool.
+class _PickledCall:
+    """Chunk envelope of the pool: the job's pickle plus its digest.
 
-    Carries only the callable's shm descriptor + digest; each task
-    arrives as a pre-pickled payload whose large arrays resolve to
-    zero-copy segment views (:func:`repro.runtime.shm.shm_loads`).
+    Every chunk carries the pickled job as bytes; each worker unpickles
+    it once per digest (:data:`_FN_CACHE`).  Tasks arrive pre-pickled.
     """
 
-    fn_desc: ArrayDescriptor
+    fn_payload: bytes
     fn_digest: str
 
     def __call__(self, payload: bytes) -> Any:
-        fn = _load_fn(self.fn_desc, self.fn_digest)
-        return fn(shm_loads(payload))
+        fn = _load_fn(self.fn_payload, self.fn_digest)
+        return fn(pickle.loads(payload))
 
 
 def _shutdown_pool(pool_box: list[ProcessPoolExecutor]) -> None:
@@ -146,8 +136,8 @@ def _shutdown_pool(pool_box: list[ProcessPoolExecutor]) -> None:
         pool_box.pop().shutdown(wait=False, cancel_futures=True)
 
 
-class SharedMemoryExecutor:
-    """The process pool: persistent workers + shared-memory array handoff.
+class PoolExecutor:
+    """The process pool: persistent workers fed plain pickles.
 
     Parameters
     ----------
@@ -160,59 +150,45 @@ class SharedMemoryExecutor:
     * the process pool is spawned **once**, lazily, and reused by every
       subsequent ``map()`` until :meth:`close` (an engine run's
       per-shard maps — and any number of runs — share one spawn);
-    * tasks are pickled with :func:`repro.runtime.shm.shm_dumps`: arrays
-      of at least ``DEFAULT_MIN_SHM_BYTES`` are published once into shm
-      segments and only small descriptors cross the pipe, so task
-      payload shrinks by the array bytes (the
-      ``executor.payload.shm_bytes`` counter makes the difference
-      visible);
-    * the callable is pickled once per map into a shm blob; workers
-      unpickle and cache it by digest instead of once per chunk;
+    * the callable is pickled once per map; every chunk carries those
+      bytes, and workers unpickle and cache the job by digest instead
+      of once per chunk;
+    * each task is pickled once up front, so the payload accounting is
+      exact;
     * each map dispatches ``ceil(n / (workers * 4))`` tasks per chunk,
       so every worker gets several chunks and the pool load-balances.
 
-    Results come back plain-pickled — the repo's jobs return compact
-    result structs, which is the cheap direction — in task order.
-    Results are byte-identical to :class:`SerialExecutor`: attached
-    views carry the same values, shapes, and interned dtypes as
-    unpickled arrays would.  If the pool cannot be spawned, or breaks
-    mid-run (e.g. a worker is OOM-killed), the executor falls back to
-    in-process execution so no block is lost; ``fallback_reason``
-    records why.  Exceptions raised by ``fn`` itself are *not*
-    swallowed — they propagate to the caller exactly as they would
-    serially.
+    Results come back in task order and are byte-identical to
+    :class:`SerialExecutor`.  If the pool cannot be spawned, cannot
+    accept the map's tasks, or breaks mid-run (e.g. a worker is
+    OOM-killed), the executor falls back to in-process execution so no
+    block is lost; ``fallback_reason`` records why.  Exceptions raised
+    by ``fn`` itself are *not* swallowed — they propagate to the caller
+    exactly as they would serially, and the pool stays up.
 
-    Lifecycle: segments published for one map are unlinked in a
-    ``finally`` as soon as that map completes, raises, or falls back;
-    :meth:`close` (also the context-manager exit and a GC finalizer)
-    shuts the pool down.  No exit path leaves a named segment behind.
+    Lifecycle: :meth:`close` (also the context-manager exit and a GC
+    finalizer) shuts the pool down.
     """
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = os.cpu_count() or 1 if workers is None else int(workers)
         self.fallback_reason: str | None = None
         #: Cumulative payload accounting, measured for free during
-        #: dispatch.  ``fn_bytes`` + ``task_bytes`` is what actually
-        #: crossed the pipe (the callable blob and the
-        #: descriptor-carrying task pickles); ``shm_bytes`` the array +
-        #: callable bytes published to segments.
+        #: dispatch: ``fn_bytes`` + ``task_bytes`` is what crossed the
+        #: pipe (the job pickle once per chunk, and the task pickles).
         self.payload: dict[str, int] = {
             "fn_bytes": 0,
             "task_bytes": 0,
-            "shm_bytes": 0,
             "maps": 0,
             "pool_spawns": 0,
         }
-        #: Segment names created by the most recent ``map`` (released by
-        #: the time ``map`` returns; kept for tests and debugging).
-        self.last_segments: list[str] = []
         self._pool: ProcessPoolExecutor | None = None
         self._pool_box: list[ProcessPoolExecutor] = []
         self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool_box)
 
     @property
     def name(self) -> str:
-        return f"shm[{self.workers}]"
+        return f"pool[{self.workers}]"
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
@@ -243,7 +219,7 @@ class SharedMemoryExecutor:
         """Shut down the persistent pool (idempotent)."""
         self._teardown_pool()
 
-    def __enter__(self) -> "SharedMemoryExecutor":
+    def __enter__(self) -> "PoolExecutor":
         return self
 
     def __exit__(self, *exc: Any) -> None:
@@ -268,44 +244,52 @@ class SharedMemoryExecutor:
         chunk = max(1, -(-len(tasks) // (n_active * 4)))
         registry = get_registry()
         registry.gauge("executor.chunk_size").set(chunk)
-        arrays = SharedArrayPool()
+        proto = pickle.HIGHEST_PROTOCOL
         try:
-            fn_payload = shm_dumps(fn, arrays, DEFAULT_MIN_SHM_BYTES)
-            call = _ShmCall(
-                fn_desc=arrays.publish_bytes(fn_payload),
-                fn_digest=hashlib.sha256(fn_payload).hexdigest(),
-            )
-            packed = [shm_dumps(t, arrays, DEFAULT_MIN_SHM_BYTES) for t in tasks]
-            self.last_segments = list(arrays.created)
-            results = []
-            for result in pool.map(call, packed, chunksize=chunk):
+            fn_payload = pickle.dumps(fn, protocol=proto)
+            call = _PickledCall(fn_payload, hashlib.sha256(fn_payload).hexdigest())
+            packed = [pickle.dumps(t, protocol=proto) for t in tasks]
+            # submits every chunk eagerly: an OSError here is the pool's
+            stream = pool.map(call, packed, chunksize=chunk)
+        except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
+            return self._fall_back(exc, fn, tasks, on_result)
+        results = []
+        try:
+            for result in stream:
                 if on_result is not None:
                     on_result(result)
                 results.append(result)
-            task_bytes = sum(len(p) for p in packed)
-            self.payload["fn_bytes"] += len(fn_payload)
-            self.payload["task_bytes"] += task_bytes
-            self.payload["shm_bytes"] += arrays.published_bytes
-            self.payload["maps"] += 1
-            registry.counter("executor.payload.task_bytes").inc(
-                len(fn_payload) + task_bytes
-            )
-            registry.counter("executor.payload.shm_bytes").inc(
-                arrays.published_bytes
-            )
-            return results
-        except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-            # Pool infrastructure failure: the persistent pool is no
-            # longer trustworthy — tear it down (a later map may respawn)
-            # and rerun everything in-process so no block is lost.
-            self.fallback_reason = f"pool failed: {type(exc).__name__}: {exc}"
-            registry.counter("executor.fallbacks").inc()
-            self._teardown_pool()
-            return _run_serial(fn, tasks, on_result)
-        finally:
-            # every exit path — success, task exception, pool failure —
-            # unlinks this map's segments; workers only ever attach
-            arrays.release()
+        except (BrokenProcessPool, pickle.PicklingError) as exc:
+            return self._fall_back(exc, fn, tasks, on_result)
+        n_chunks = -(-len(tasks) // chunk)
+        fn_bytes = len(fn_payload) * n_chunks
+        task_bytes = sum(len(p) for p in packed)
+        self.payload["fn_bytes"] += fn_bytes
+        self.payload["task_bytes"] += task_bytes
+        self.payload["maps"] += 1
+        registry.counter("executor.payload.task_bytes").inc(fn_bytes + task_bytes)
+        return results
+
+    def _fall_back(
+        self,
+        exc: BaseException,
+        fn: Callable[[Any], Any],
+        tasks: list[Any],
+        on_result: OnResult | None,
+    ) -> list[Any]:
+        """Pool infrastructure failure: the persistent pool is no longer
+        trustworthy — tear it down (a later map may respawn) and rerun
+        everything in-process so no block is lost."""
+        self.fallback_reason = f"pool failed: {type(exc).__name__}: {exc}"
+        get_registry().counter("executor.fallbacks").inc()
+        self._teardown_pool()
+        return _run_serial(fn, tasks, on_result)
 
     def __repr__(self) -> str:
-        return f"SharedMemoryExecutor(workers={self.workers})"
+        return f"PoolExecutor(workers={self.workers})"
+
+
+#: The executor's former name, kept because the benchmark harness
+#: (``perfbench/workloads.py``) imports it and ``perfbench/tracer.py``
+#: patches ``.map`` by this name.
+SharedMemoryExecutor = PoolExecutor

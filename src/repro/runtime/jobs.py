@@ -16,15 +16,12 @@ at once through the batched columnar kernels.  ``__call__`` stays the
 per-block oracle: it runs one block through the dataset builder's
 ``analyze_block``.
 
-Jobs are transport-agnostic: under the shared-memory tier
-(:class:`~repro.runtime.executors.SharedMemoryExecutor`) the large
-arrays inside a task arrive as read-only zero-copy views attached from
-shm segments instead of unpickled copies.  That is safe precisely
-because jobs only ever *read* their inputs (every kernel copies before
-mutating), and it is why lint REP003 forbids ``*Job`` classes from
-capturing live ``SharedMemory`` handles or memoryviews: a job may carry
-only plain data and :class:`~repro.runtime.shm.ArrayDescriptor`-style
-records, so the same pickled job works on every executor.
+Jobs are executor-agnostic: the process pool
+(:class:`~repro.runtime.executors.PoolExecutor`) pickles the job once
+per map and workers receive an unpickled copy.  Lint REP003 forbids
+``*Job`` classes from capturing live ``SharedMemory`` handles or
+memoryviews: a job carries only plain data, so the same pickled job
+works on every executor.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ Contiguity is the identity-preserving property: concatenating per-shard
 result lists in shard order reproduces exactly the slot order of an
 unsharded run, so ``--shards 1``, ``--shards N``, and the unsharded
 path yield byte-identical experiment outputs the same way
-serial/parallel/batched/shm dispatch already do.
+serial and pool dispatch already do.
 
 ``REPRO_SHARDS`` (the CLI's ``--shards N``) selects the shard count the
 same way ``REPRO_WORKERS`` selects the executor: unset, empty, ``0`` or

@@ -98,16 +98,6 @@ class TimeSeries:
             return 0.0
         return float(self.times[-1] - self.times[0])
 
-    @property
-    def nbytes(self) -> int:
-        """Payload size of the series data (times + values), in bytes.
-
-        This is what the dispatch plane would move for this series —
-        the shared-memory tier publishes exactly these arrays when the
-        series rides inside a task above the publication threshold.
-        """
-        return int(self.times.nbytes + self.values.nbytes)
-
     def with_values(self, values: np.ndarray) -> "TimeSeries":
         """Return a series with the same times and new values."""
         return TimeSeries(self.times, values)
@@ -262,11 +252,6 @@ class BlockMatrix:
     @property
     def n_samples(self) -> int:
         return int(self.times.size)
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size of the matrix data (grid + all rows), in bytes."""
-        return int(self.times.nbytes + self.values.nbytes)
 
     def row(self, i: int) -> TimeSeries:
         """Block ``i``'s series as a :class:`TimeSeries`."""

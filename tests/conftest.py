@@ -1,8 +1,8 @@
 """Shared fixtures: small deterministic worlds and canonical series.
 
 Also wires the opt-in runtime ResourceSanitizer into the suite: run
-``REPRO_SANITIZE=1 pytest`` and every shm segment, process pool, and
-spill directory acquired during the session is tracked, with the
+``REPRO_SANITIZE=1 pytest`` and every process pool and spill
+directory acquired during the session is tracked, with the
 session failing if anything is still live at the end (the CI
 sanitize-smoke job runs tier-1 exactly this way).
 """

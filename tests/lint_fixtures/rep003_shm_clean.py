@@ -1,14 +1,21 @@
-# REP003 clean: a job carrying only plain-data shm descriptors.
+# REP003 clean: a frozen job naming its shared-memory segment by plain data.
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 
-from repro.runtime.shm import ArrayDescriptor, attach_view
+import numpy as np
 
 
 @dataclass(frozen=True)
-class DescriptorTailJob:
-    desc: ArrayDescriptor  # name/shape/dtype/offset record: plain data
+class SegmentSumJob:
+    segment: str  # the segment's name, shape and dtype: plain data
+    shape: tuple[int, ...]
+    dtype: str = "float64"
     scale: float = 1.0
 
     def __call__(self, _task):
-        view = attach_view(self.desc)  # attached per call, never stored
-        return float(view.sum()) * self.scale
+        seg = shared_memory.SharedMemory(name=self.segment)  # attached per call
+        try:
+            view = np.ndarray(self.shape, dtype=self.dtype, buffer=seg.buf)
+            return float(view.sum()) * self.scale
+        finally:
+            seg.close()

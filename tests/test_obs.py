@@ -22,7 +22,7 @@ from repro.runtime import (
     CampaignEngine,
     RunMetrics,
     SerialExecutor,
-    SharedMemoryExecutor,
+    PoolExecutor,
     StageTotals,
     default_engine,
 )
@@ -267,7 +267,7 @@ class TestTracedEngineRun:
 
     def test_traced_parallel_matches_serial_results(self):
         tracer = Tracer()
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             run = engine.run(_square, list(range(10)), label="p", tracer=tracer)
         assert run.results == [i * i for i in range(10)]
         assert sum(1 for s in tracer.finished if s.name == "block") == 10
@@ -301,7 +301,7 @@ class TestSatelliteFixes:
     def test_default_engine_valid_values_stay_silent(self, monkeypatch):
         import warnings as warnings_mod
 
-        for value, executor_cls in [("0", SerialExecutor), ("3", SharedMemoryExecutor)]:
+        for value, executor_cls in [("0", SerialExecutor), ("3", PoolExecutor)]:
             monkeypatch.setenv("REPRO_WORKERS", value)
             with warnings_mod.catch_warnings():
                 warnings_mod.simplefilter("error")

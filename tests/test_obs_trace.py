@@ -21,7 +21,7 @@ from repro.datasets.builder import DatasetBuilder
 from repro.experiments.common import covid_world
 from repro.obs.sinks import load_run
 from repro.obs.trace import NOOP, Tracer, get_tracer, use_tracer
-from repro.runtime import CampaignEngine, SerialExecutor, SharedMemoryExecutor, drain_run_log
+from repro.runtime import CampaignEngine, SerialExecutor, PoolExecutor, drain_run_log
 
 FIG3_DATASET = "2020q1-ejnw"
 
@@ -47,7 +47,7 @@ class TestTraceRoundTrip:
         manifest = json.loads((trace_dir / "run.json").read_text())
         assert manifest["label"] == "fig3"
         assert manifest["env"] == {"REPRO_SCALE": "64", "REPRO_WORKERS": "2"}
-        assert manifest["executors"] == ["shm[2]"]
+        assert manifest["executors"] == ["pool[2]"]
         assert manifest["funnel"]["routed"] == 64
         assert manifest["wall_s"] > 0.0
         assert manifest["n_engine_runs"] == 2  # analyze + fig3:scan
@@ -130,7 +130,7 @@ class TestTracingDoesNotPerturbResults:
             serial = DatasetBuilder(world).analyze(
                 dataset, engine=CampaignEngine(SerialExecutor())
             )
-        executor = SharedMemoryExecutor(workers=2)
+        executor = PoolExecutor(workers=2)
         with use_tracer(Tracer()), CampaignEngine(executor) as engine:
             parallel = DatasetBuilder(world).analyze(dataset, engine=engine)
         assert executor.fallback_reason is None
@@ -153,7 +153,7 @@ class TestTracingDoesNotPerturbResults:
         cold = DatasetBuilder(world).analyze(dataset, engine=cold_engine)
         assert cold.metrics.cache["misses"] == 64
         with use_tracer(Tracer()) as tracer, CampaignEngine(
-            SharedMemoryExecutor(workers=2), AnalysisCache(tmp_path)
+            PoolExecutor(workers=2), AnalysisCache(tmp_path)
         ) as warm_engine:
             warm = DatasetBuilder(world).analyze(dataset, engine=warm_engine)
         assert warm.metrics.cache == {"hits": 64, "misses": 0, "stores": 0}

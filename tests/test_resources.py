@@ -26,7 +26,7 @@ from repro.obs.resources import (
     rss_bytes,
     thread_cpu_seconds,
 )
-from repro.runtime import CampaignEngine, SerialExecutor, SharedMemoryExecutor
+from repro.runtime import CampaignEngine, PoolExecutor, SerialExecutor
 
 DATASET = "2020it89-match-ejnw"  # two weeks, four observers: cheap but real
 
@@ -107,41 +107,47 @@ class TestEngineResourceAccounting:
 
     def test_parallel_run_reports_pool_payload(self, world40):
         # pool payload is measured during dispatch: no opt-in needed
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             result = DatasetBuilder(world40).analyze(DATASET, engine=engine)
             assert engine.executor.fallback_reason is None
         res = result.metrics.resources
         assert res is not None
         pool = res.get("pool")
         assert pool is not None
-        assert set(pool) == {"fn_bytes", "task_bytes", "shm_bytes", "maps"}
+        assert set(pool) == {"fn_bytes", "task_bytes", "maps"}
         assert pool["fn_bytes"] > 0
         assert pool["task_bytes"] > 0
         assert pool["maps"] >= 1
         assert "pool:" in result.metrics.report()
 
     def test_payload_counts_each_byte_exactly_once(self):
-        """fn/task bytes equal the individually measured pickles, and the
-        payload counter adds each exactly once; the callable blob is the
-        only thing published to shm when tasks carry no arrays."""
+        """fn_bytes is the job pickle times the chunks that carried it,
+        task_bytes the summed task pickles; the run's pool section holds
+        exactly those and the map count, and the payload counter adds
+        each byte once."""
         import pickle
 
         from repro.obs.metrics import scoped_registry
 
         tasks = list(range(12))
-        with scoped_registry() as registry, SharedMemoryExecutor(workers=2) as executor:
-            results = executor.map(_square, tasks)
-            assert executor.fallback_reason is None
-        assert results == [t * t for t in tasks]
+        chunks = 6  # ceil(12 / (2 workers * 4)) = 2 tasks per chunk
+        with scoped_registry() as registry:
+            with CampaignEngine(PoolExecutor(workers=2)) as engine:
+                run = engine.run(_square, tasks, label="square")
+                assert engine.executor.fallback_reason is None
+            assert registry.gauge("executor.chunk_size").value == 2
+            counted = registry.counter("executor.payload.task_bytes").value
+        assert list(run.results) == [t * t for t in tasks]
         proto = pickle.HIGHEST_PROTOCOL
-        fn_bytes = len(pickle.dumps(_square, protocol=proto))
+        fn_bytes = len(pickle.dumps(_square, protocol=proto)) * chunks
         task_bytes = sum(len(pickle.dumps(t, protocol=proto)) for t in tasks)
-        assert executor.payload["fn_bytes"] == fn_bytes
-        assert executor.payload["task_bytes"] == task_bytes
-        assert executor.payload["shm_bytes"] == fn_bytes
-        assert registry.counter("executor.payload.task_bytes").value == (
-            fn_bytes + task_bytes
-        )
+        assert run.metrics.resources is not None
+        assert run.metrics.resources["pool"] == {
+            "fn_bytes": fn_bytes,
+            "task_bytes": task_bytes,
+            "maps": 1,
+        }
+        assert counted == fn_bytes + task_bytes
 
     def test_traced_run_reports_worker_resources(self, world40):
         from repro.obs.trace import Tracer, use_tracer
@@ -207,7 +213,7 @@ class TestEngineResourceAccounting:
         serial = DatasetBuilder(world40).analyze(
             DATASET, engine=CampaignEngine(SerialExecutor())
         )
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             parallel = DatasetBuilder(world40).analyze(DATASET, engine=engine)
         for cidr, analysis in parallel.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial.analyses[cidr])

@@ -19,7 +19,7 @@ from repro.runtime import (
     BlockResult,
     CampaignEngine,
     SerialExecutor,
-    SharedMemoryExecutor,
+    PoolExecutor,
     StageTotals,
     default_engine,
     stable_token,
@@ -49,7 +49,7 @@ def per_block_oracle(world, blocks=None):
 
 class TestSerialParallelEquivalence:
     def test_parallel_matches_serial_byte_identical(self, world200, serial_result):
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             parallel = DatasetBuilder(world200).analyze(DATASET, engine=engine)
             assert engine.executor.fallback_reason is None
         assert list(parallel.analyses) == list(serial_result.analyses)
@@ -59,11 +59,11 @@ class TestSerialParallelEquivalence:
             ), f"parallel diverged from serial for {cidr}"
 
     def test_workers_one_degenerates_to_serial(self, world200, serial_result):
-        with CampaignEngine(SharedMemoryExecutor(workers=1)) as engine:
+        with CampaignEngine(PoolExecutor(workers=1)) as engine:
             result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
             assert engine.executor._pool is None  # no pool was spawned
         assert result.funnel() == serial_result.funnel()
-        assert result.metrics.executor == "shm[1]"
+        assert result.metrics.executor == "pool[1]"
 
 
 class TestRunMetrics:
@@ -121,7 +121,7 @@ class TestFallback:
                 raise OSError("no processes for you")
 
         monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", ExplodingPool)
-        executor = SharedMemoryExecutor(workers=2)
+        executor = PoolExecutor(workers=2)
         blocks = list(world200.blocks)[:20]
         with CampaignEngine(executor) as engine:
             result = DatasetBuilder(world200).analyze(
@@ -138,7 +138,7 @@ class TestFallback:
 
         monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", ExplodingPool)
         blocks = list(world200.blocks)[:20]
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             result = DatasetBuilder(world200).analyze(
                 DATASET, blocks=blocks, engine=engine
             )
@@ -150,7 +150,7 @@ class TestFallback:
 
 class TestEngineGenerics:
     def test_ordering_preserved_for_plain_tasks(self):
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             run = engine.run(_square, list(range(20)), label="squares")
         assert run.results == [i * i for i in range(20)]
         assert run.metrics.n_tasks == 20
@@ -166,7 +166,7 @@ class TestEngineGenerics:
         assert peek_run_log()[-2].executor == "serial"
 
     def test_task_exception_propagates(self):
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             with pytest.raises(ValueError, match="bad task"):
                 engine.run(_explode, list(range(8)), label="explode")
 
@@ -179,7 +179,7 @@ class TestDefaultEngine:
     def test_env_selects_parallel(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         with default_engine() as engine:
-            assert isinstance(engine.executor, SharedMemoryExecutor)
+            assert isinstance(engine.executor, PoolExecutor)
             assert engine.executor.workers == 3
 
     def test_garbage_env_is_serial(self, monkeypatch):
@@ -295,7 +295,7 @@ class TestAnalysisCache:
         self, world200, serial_result, tmp_path
     ):
         blocks = self._blocks(world200)
-        executor = SharedMemoryExecutor(workers=2)
+        executor = PoolExecutor(workers=2)
         with CampaignEngine(executor, AnalysisCache(tmp_path)) as engine:
             cold = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
             assert executor.fallback_reason is None
@@ -449,7 +449,7 @@ class TestBatchedDispatch:
             ), f"batched diverged from per-block for {oracle.key}"
 
     def test_batched_parallel_matches_per_block(self, world200, per_block_result):
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             result = DatasetBuilder(world200).analyze(DATASET, engine=engine)
             assert engine.executor.fallback_reason is None
         # genuinely fanned out through the pool, in one dispatch
@@ -582,7 +582,7 @@ class TestChunkedPhaseA:
         assert stages["truth"].calls == stages["probe"].calls == responsive > 0
 
     def test_shm_pool(self, world200, blocks, oracle):
-        with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
             result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
             assert engine.executor.fallback_reason is None
         self.assert_matches(result, oracle)
@@ -627,7 +627,7 @@ class TestChunkedPhaseA:
 
         emitter = ProgressEmitter(tmp_path, interval_s=0.0)
         with use_progress(emitter):
-            with CampaignEngine(SharedMemoryExecutor(workers=2)) as engine:
+            with CampaignEngine(PoolExecutor(workers=2)) as engine:
                 DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         records = [json.loads(line) for line in emitter.path.read_text().splitlines()]
         assert records[-1]["done"] == records[-1]["total"] == self.N

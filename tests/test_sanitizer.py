@@ -1,6 +1,6 @@
 """ResourceSanitizer: the dynamic oracle behind REP006.
 
-Leak-injection suite: acquire real segments / pools / spill dirs,
+Leak-injection suite: acquire real pools / spill dirs,
 deliberately withhold the release, and assert the sanitizer sees them;
 then release and assert the registry drains.  Every resource acquired
 here IS released before the test returns, so the suite stays clean
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import gc
 
-import numpy as np
 import pytest
 
 from repro.lint.sanitizer import (
@@ -23,9 +22,8 @@ from repro.lint.sanitizer import (
     get_sanitizer,
     install_if_enabled,
 )
-from repro.runtime import shm as shm_mod
-from repro.runtime.executors import SharedMemoryExecutor
-from repro.runtime.shm import SharedArrayPool
+from repro.runtime import spill as spill_mod
+from repro.runtime.executors import PoolExecutor
 from repro.runtime.spill import SpillDir
 
 
@@ -37,39 +35,32 @@ def sanitizer():
     san.uninstall()
 
 
-def test_segment_leak_is_tracked_until_released(sanitizer):
-    pool = SharedArrayPool()
-    pool.publish(np.arange(8, dtype=np.float64))
-    live = sanitizer.live("shm-segment")
-    assert [r.name for r in live] == list(pool.created)
-    assert "shm.py:" in live[0].created_at  # the acquiring frame
-
-    with pytest.raises(ResourceLeakError, match="shm-segment"):
-        sanitizer.assert_clean("the test boundary")
-
-    pool.release()
-    assert sanitizer.live("shm-segment") == []
-    sanitizer.assert_clean()
-
-
 def test_finalizer_safety_net_also_unregisters(sanitizer):
-    pool = SharedArrayPool()
-    pool.publish(np.arange(4, dtype=np.float64))
-    assert sanitizer.live("shm-segment")
-    del pool  # no explicit release: the GC finalizer must drain it
+    spill = SpillDir.create()
+    directory = spill.directory
+    assert sanitizer.live("spill-dir")
+    del spill  # no explicit cleanup: the GC finalizer must drain it
     gc.collect()
-    assert sanitizer.live("shm-segment") == []
+    assert sanitizer.live("spill-dir") == []
+    assert not directory.exists()
 
 
 def test_spill_dir_tracked_and_drained_by_cleanup(sanitizer):
     spill = SpillDir.create()
-    assert [r.name for r in sanitizer.live("spill-dir")] == [str(spill.directory)]
+    live = sanitizer.live("spill-dir")
+    assert [r.name for r in live] == [str(spill.directory)]
+    assert "spill.py:" in live[0].created_at  # the acquiring frame
+
+    with pytest.raises(ResourceLeakError, match="spill-dir"):
+        sanitizer.assert_clean("the test boundary")
+
     spill.cleanup()
     assert sanitizer.live("spill-dir") == []
+    sanitizer.assert_clean()
 
 
 def test_persistent_pool_tracked_across_ensure_and_teardown(sanitizer):
-    executor = SharedMemoryExecutor(workers=2)
+    executor = PoolExecutor(workers=2)
     pool = executor._ensure_pool()
     assert pool is not None
     assert [r.name for r in sanitizer.live("process-pool")] == [_pool_name(pool)]
@@ -84,7 +75,6 @@ def test_engine_close_boundary_flags_a_live_pool(sanitizer):
     class _Executor:
         def __init__(self) -> None:
             self._pool = object()
-            self.last_segments: list[str] = []
 
     executor = _Executor()
     sanitizer.register("process-pool", _pool_name(executor._pool))
@@ -92,18 +82,6 @@ def test_engine_close_boundary_flags_a_live_pool(sanitizer):
         sanitizer.check_engine_close(executor)
     sanitizer.unregister("process-pool", _pool_name(executor._pool))
     sanitizer.check_engine_close(executor)  # clean now
-
-
-def test_engine_close_boundary_flags_leaked_last_segments(sanitizer):
-    class _Executor:
-        _pool = None
-        last_segments = ["repro_shm_fixture_0"]
-
-    sanitizer.register("shm-segment", "repro_shm_fixture_0")
-    with pytest.raises(ResourceLeakError, match="repro_shm_fixture_0"):
-        sanitizer.check_engine_close(_Executor())
-    sanitizer.unregister("shm-segment", "repro_shm_fixture_0")
-    sanitizer.check_engine_close(_Executor())
 
 
 def test_analyze_closes_the_default_pool_it_creates(sanitizer, monkeypatch, small_world):
@@ -119,28 +97,33 @@ def test_analyze_closes_the_default_pool_it_creates(sanitizer, monkeypatch, smal
         result = DatasetBuilder(small_world).analyze(
             "2020it89-match-ejnw", blocks=list(small_world.blocks)[:20]
         )
-    assert result.metrics.executor == "shm[2]"
+    assert result.metrics.executor == "pool[2]"
     assert result.metrics.fallback is None
     assert registry.counter("executor.pool_spawns").value == 1  # a pool really ran
     assert sanitizer.live("process-pool") == []
 
 
 def test_uninstall_restores_the_original_methods():
-    before = SharedArrayPool.__dict__["_new_segment"]
+    before_pool = PoolExecutor.__dict__["_ensure_pool"]
+    before_spill = SpillDir.__dict__["__init__"]
     san = ResourceSanitizer()
     san.install()
-    assert SharedArrayPool.__dict__["_new_segment"] is not before
+    assert PoolExecutor.__dict__["_ensure_pool"] is not before_pool
+    assert SpillDir.__dict__["__init__"] is not before_spill
     san.uninstall()
-    assert SharedArrayPool.__dict__["_new_segment"] is before
-    assert shm_mod.SharedArrayPool._new_segment is before
+    assert PoolExecutor.__dict__["_ensure_pool"] is before_pool
+    assert SpillDir.__dict__["__init__"] is before_spill
+    assert spill_mod.SpillDir.__init__ is before_spill
 
 
 def test_install_is_idempotent():
     san = ResourceSanitizer()
     san.install()
-    patched = SharedArrayPool.__dict__["_new_segment"]
+    patched_pool = PoolExecutor.__dict__["_ensure_pool"]
+    patched_spill = SpillDir.__dict__["__init__"]
     san.install()  # second install must not stack another wrapper
-    assert SharedArrayPool.__dict__["_new_segment"] is patched
+    assert PoolExecutor.__dict__["_ensure_pool"] is patched_pool
+    assert SpillDir.__dict__["__init__"] is patched_spill
     san.uninstall()
 
 

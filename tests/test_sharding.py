@@ -4,8 +4,8 @@ The contract under test is the one docs/algorithms.md §16 states: a
 sharded run (``--shards N``) is an execution detail.  Plans partition
 tasks contiguously, spilled results rehydrate byte-identically, caches
 stay warm across re-sharding, and every experiment output matches the
-unsharded run under ``pickle.dumps`` — for serial, parallel, and shm
-dispatch alike.
+unsharded run under ``pickle.dumps`` — for serial and pool dispatch
+alike.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.runtime import (
     CampaignEngine,
     SerialExecutor,
     ShardPlan,
-    SharedMemoryExecutor,
+    PoolExecutor,
     SpillDir,
     SpilledResults,
     resolve_shards,
@@ -367,7 +367,7 @@ class TestShardedByteIdentity:
     def test_parallel_sharded_matches(self, fig3_serial_bytes):
         from repro.experiments import fig3
 
-        with CampaignEngine(SharedMemoryExecutor(workers=2), shards=3) as engine:
+        with CampaignEngine(PoolExecutor(workers=2), shards=3) as engine:
             result = fig3.run(n_blocks=64, engine=engine)
             assert engine.executor.fallback_reason is None
         assert pickle.dumps(result) == fig3_serial_bytes
@@ -375,7 +375,7 @@ class TestShardedByteIdentity:
     def test_shm_sharded_matches(self, fig3_serial_bytes):
         from repro.experiments import fig3
 
-        with CampaignEngine(SharedMemoryExecutor(workers=2), shards=2) as engine:
+        with CampaignEngine(PoolExecutor(workers=2), shards=2) as engine:
             result = fig3.run(n_blocks=64, engine=engine)
             assert engine.executor.fallback_reason is None
         assert pickle.dumps(result) == fig3_serial_bytes
