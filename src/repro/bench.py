@@ -40,6 +40,7 @@ __all__ = [
     "count_matrix_fixture",
     "measure_batched_kernels",
     "measure_cusum_scaling",
+    "measure_front_half",
     "measure_kernels",
     "measure_prober_lanes",
     "quarter_block_fixture",
@@ -48,11 +49,13 @@ __all__ = [
 ]
 
 BENCH_FILE = "BENCH_kernels.json"
-DEFAULT_SECTIONS = ("kernels", "batched", "cusum_rows_scaling", "prober_lanes")
+DEFAULT_SECTIONS = ("kernels", "batched", "cusum_rows_scaling", "prober_lanes", "front_half")
 
 QUARTER_S = 84 * 86_400.0
 BATCH_BLOCKS = 256
 LANES_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
+FRONT_HALF_DATASET = "2020h1-ejnw"  # 26 weeks, four observers
+FRONT_HALF_BLOCKS = 16  # responsive blocks: 64 lanes, one lane-kernel chunk
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
 
@@ -302,6 +305,64 @@ def measure_prober_lanes(
     return out
 
 
+def measure_front_half(n_blocks: int = FRONT_HALF_BLOCKS) -> dict[str, dict[str, float]]:
+    """The columnar front half against the per-block log route.
+
+    One ``FRONT_HALF_DATASET`` chunk of ``n_blocks`` responsive blocks of
+    a covid world is simulated once (untimed) through ``simulate_chunk``.
+    Then each block's repair/combine/reconstruct front half is timed both
+    ways: :class:`~repro.core.front_half.LaneBlock` straight from the lane
+    rounds, and the oracle, which assembles every lane's log and runs
+    ``reconstruct_logs`` on it.  Every reconstruction is asserted
+    byte-identical before anything is recorded.
+    """
+    from .core.front_half import LaneBlock
+    from .core.pipeline import BlockPipeline
+    from .core.stages import StageContext
+    from .datasets.builder import reconstruct_logs, sample_grid, simulate_chunk
+    from .datasets.catalog import dataset
+    from .net.world import WorldModel, scenario_covid2020
+
+    ds = dataset(FRONT_HALF_DATASET)
+    world = WorldModel(scenario_covid2020(), n_blocks=3 * n_blocks, seed=11)
+    specs = [spec for spec in world.blocks if spec.responsive_by_design][:n_blocks]
+    if len(specs) < n_blocks:
+        raise RuntimeError(f"front_half: world has only {len(specs)} responsive blocks")
+    sim = simulate_chunk(world, specs, ds)
+    grid = sample_grid(sim.start_s, ds)
+    pipeline = BlockPipeline()
+
+    def columnar() -> list[Any]:
+        out = []
+        for j in range(len(specs)):
+            block = LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
+            assert block is not None
+            out.append(block.reconstruct(StageContext()))
+        return out
+
+    def oracle() -> list[Any]:
+        return [
+            reconstruct_logs(
+                pipeline, sim.logs(j), sim.addresses[j], sim.start_s, ds, StageContext()
+            )
+            for j in range(len(specs))
+        ]
+
+    columnar_s, got = _best_of(columnar, repeats=2)
+    oracle_s, want = _best_of(oracle, repeats=2)
+    for a, b in zip(got, want):
+        assert pickle.dumps(a) == pickle.dumps(b)
+    return {
+        "chunk": {
+            "blocks": float(len(specs)),
+            "probes": float(sum(sim.n_probes)),
+            "columnar_s": columnar_s,
+            "oracle_s": oracle_s,
+            "speedup": oracle_s / columnar_s,
+        }
+    }
+
+
 def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     """Measure each named section; unknown names raise ``ValueError``."""
     runners: dict[str, Callable[[], Any]] = {
@@ -309,6 +370,7 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "batched": measure_batched_kernels,
         "cusum_rows_scaling": measure_cusum_scaling,
         "prober_lanes": measure_prober_lanes,
+        "front_half": measure_front_half,
     }
     out: dict[str, Any] = {}
     for name in sections:

@@ -59,6 +59,7 @@ __all__ = [
     "batches_lanes",
     "block_record",
     "reconstruct_logs",
+    "sample_grid",
     "setup_lane",
     "simulate_chunk",
     "unresponsive_analysis",
@@ -255,8 +256,9 @@ class DatasetBuilder:
         This is the front half of :meth:`analyze_block` (truth, probe,
         repair, combine, reconstruct).  The runtime gets the same
         reconstructions, byte for byte, from :func:`simulate_chunk` plus
-        :func:`reconstruct_logs` per block; this per-block form is its
-        oracle.
+        :class:`~repro.core.front_half.LaneBlock` (lane-kernel chunks) or
+        :func:`reconstruct_logs` (lanes probed one by one) per block;
+        this per-block form is its oracle.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         pipeline = pipeline or self.pipeline
@@ -424,6 +426,11 @@ def setup_lane(
     )
 
 
+def sample_grid(start_s: float, ds: DatasetSpec) -> np.ndarray:
+    """The round grid a block's count series is sampled on."""
+    return start_s + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
+
+
 def reconstruct_logs(
     pipeline: BlockPipeline,
     logs: list[ObservationSeries],
@@ -433,7 +440,7 @@ def reconstruct_logs(
     ctx: StageContext,
 ) -> Reconstruction:
     """Repair, combine and reconstruct one block's probe logs."""
-    grid = start_s + np.arange(int(ds.duration_s / ROUND_SECONDS)) * ROUND_SECONDS
+    grid = sample_grid(start_s, ds)
     per_observer = pipeline.stage_repair(logs, ctx)
     merged = pipeline.stage_combine(per_observer, ctx)
     return pipeline.stage_reconstruct(merged, addresses, grid, ctx)
@@ -457,10 +464,11 @@ def batches_lanes(ds: DatasetSpec, observer_style: str, n_blocks: int) -> bool:
 class ChunkSimulation:
     """Truth and probe logs of a chunk of responsive blocks.
 
-    Built by :func:`simulate_chunk`.  From the lane kernel, block
-    ``j``'s logs are assembled by :meth:`logs` on demand, so a caller
-    that reconstructs block by block holds one block's logs at a time;
-    lanes probed one by one hold their logs.  Costs are per block:
+    Built by :func:`simulate_chunk`.  From the lane kernel, lanes keep
+    only their resolved rounds (``lanes.rounds(i)``), which
+    :class:`~repro.core.front_half.LaneBlock` reconstructs from directly;
+    :meth:`logs` assembles block ``j``'s logs on demand for the log
+    route.  Lanes probed one by one hold their logs.  Costs are per block:
     ``truth_cost`` as measured, ``probe_cost`` as measured per lane or
     the block's share of the kernel's probing by probe count.
     """
@@ -474,11 +482,15 @@ class ChunkSimulation:
     probe_cost: list[StageShare]
     n_probes: list[int]
 
+    def lane_ids(self, j: int) -> range:
+        """Block ``j``'s lanes, in the dataset's observer order."""
+        n = len(self.ds.observers)
+        return range(j * n, (j + 1) * n)
+
     def logs(self, j: int) -> list[ObservationSeries]:
         """Block ``j``'s probe logs, in the dataset's observer order."""
-        n = len(self.ds.observers)
         end_s = self.start_s + self.ds.duration_s
-        return [self.lanes[j * n + k].slice_time(self.start_s, end_s) for k in range(n)]
+        return [self.lanes[i].slice_time(self.start_s, end_s) for i in self.lane_ids(j)]
 
 
 def simulate_chunk(

@@ -28,6 +28,7 @@ from .usage import BlockTruth
 __all__ = [
     "TrinocularObserver",
     "AdditionalProber",
+    "LaneRounds",
     "ProbeLane",
     "ProbeLogs",
     "ProbeTarget",
@@ -544,21 +545,52 @@ class ProbeLane:
 
 
 @dataclass(frozen=True)
-class _LaneRounds:
-    """A resolved lane: per-round probe counts and reply flags."""
+class LaneRounds:
+    """A lane the kernel resolved: per-round probe counts and reply flags.
+
+    Round ``r`` starts at ``round_starts[r]`` and sends ``k[r]`` probes
+    ``spacing`` seconds apart (accumulated like :func:`_candidate_times`);
+    its last probe is the only positive one, and only when ``hit[r]``.
+    Because the cursor never resets, probe ``i`` of the lane targets
+    ``addresses[order[(start_cursor + i) % m]]``.
+    """
 
     lane: ProbeLane
     end_s: float
     k: np.ndarray  # probes sent per round
     hit: np.ndarray  # round ended on a positive reply
 
+    @property
+    def start_s(self) -> float:
+        return self.lane.start_s
+
+    @property
+    def round_starts(self) -> np.ndarray:
+        return self.lane.observer.round_starts(self.lane.start_s, self.end_s)
+
+    @property
+    def spacing(self) -> float:
+        return self.lane.observer.probe_spacing_s
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.lane.target.order
+
+    @property
+    def addresses(self) -> np.ndarray:
+        return self.lane.target.addresses
+
+    @property
+    def start_cursor(self) -> int:
+        return self.lane.start_cursor
+
     def log(self) -> ObservationSeries:
+        """The lane's probe log, as :meth:`TrinocularObserver.observe` returns it."""
         obs, target = self.lane.observer, self.lane.target
-        round_starts = obs.round_starts(self.lane.start_s, self.end_s)
         K = min(obs.max_probes_per_round, target.m)
         return _assemble_log(
             obs.name,
-            _candidate_times(round_starts, K, obs.probe_spacing_s),
+            _candidate_times(self.round_starts, K, obs.probe_spacing_s),
             self.k,
             self.hit,
             target.order,
@@ -574,9 +606,11 @@ class ProbeLogs:
     flag); a log is expanded to times/addresses/results only when read,
     so a caller that consumes its lanes block by block holds one block's
     logs at a time.  Reading a lane twice assembles it twice.
+    :meth:`rounds` hands out the resolved rounds themselves, for callers
+    that never need the per-probe log.
     """
 
-    def __init__(self, lanes: "list[_LaneRounds | ObservationSeries]") -> None:
+    def __init__(self, lanes: "list[LaneRounds | ObservationSeries]") -> None:
         self._lanes = lanes
 
     def __len__(self) -> int:
@@ -588,6 +622,11 @@ class ProbeLogs:
 
     def __iter__(self) -> "Iterator[ObservationSeries]":
         return (self[i] for i in range(len(self)))
+
+    def rounds(self, i: int) -> LaneRounds | None:
+        """Lane ``i``'s resolved rounds; None when the lane holds a plain log."""
+        lane = self._lanes[i]
+        return None if isinstance(lane, ObservationSeries) else lane
 
     def n_probes(self, i: int) -> int:
         """Probes lane ``i`` sent, without assembling its log."""
@@ -627,7 +666,7 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
     if len({id(rng) for rng in rngs}) != len(rngs):
         raise ValueError("observe_batch lanes must not share a Generator")
 
-    out: "list[_LaneRounds | ObservationSeries]" = []
+    out: "list[LaneRounds | ObservationSeries]" = []
     live: list[_LiveLane] = []
     counted = False
     for lane in lanes:
@@ -664,7 +703,7 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
         kernel.run()
         for j, item in enumerate(kernel.live):
             n = item.n_rounds
-            out[item.slot] = _LaneRounds(
+            out[item.slot] = LaneRounds(
                 item.lane, item.end_s, kernel.k_out[:n, j], kernel.hit_out[:n, j]
             )
         sent = int(kernel.k_out.sum(dtype=np.int64))

@@ -10,11 +10,12 @@ The engine dispatches :class:`BlockAnalysisJob` through
 :meth:`BlockAnalysisJob.map_chunk`, which analyses a whole chunk of
 blocks in one call: :func:`~repro.datasets.builder.simulate_chunk` (the
 one production simulate path) probes the chunk's observer lanes, each
-block is repaired, combined and reconstructed, and the analysis tail —
-classify, trend, detect — runs over all of the chunk's reconstructions
-at once through the batched columnar kernels.  ``__call__`` stays the
-per-block oracle: it runs one block through the dataset builder's
-``analyze_block``.
+block is repaired, combined and reconstructed (straight from the lane
+kernel's rounds by :class:`~repro.core.front_half.LaneBlock` when the
+kernel probed the chunk), and the analysis tail — classify, trend,
+detect — runs over all of the chunk's reconstructions at once through
+the batched columnar kernels.  ``__call__`` stays the per-block oracle:
+it runs one block through the dataset builder's ``analyze_block``.
 
 Jobs are executor-agnostic: the process pool
 (:class:`~repro.runtime.executors.PoolExecutor`) pickles the job once
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.front_half import LaneBlock
 from ..core.pipeline import BlockPipeline
 from ..core.reconstruction import Reconstruction
 from ..core.stages import PIPELINE_STAGES, StageContext, StageMeter
@@ -110,10 +112,11 @@ class BlockAnalysisJob:
         :func:`~repro.datasets.builder.batches_lanes` accepts it, else
         block by block, lane by lane, so that only one block's probe
         logs are live at a time.  Each block is then repaired, combined
-        and reconstructed in its own ``block`` span, with the firewalled
-        short-circuit, funnel counters and ``truth``/``probe`` stage
-        records of ``__call__``; the lane kernel's probing time is split
-        across the chunk's blocks by probe count.  The tail then runs
+        and reconstructed in its own ``block`` span (see
+        :meth:`_reconstruct`), with the firewalled short-circuit, funnel
+        counters and ``truth``/``probe`` stage records of ``__call__``;
+        the lane kernel's probing time is split across the chunk's
+        blocks by probe count.  The tail then runs
         once over the chunk's reconstructions through
         :meth:`~repro.core.pipeline.BlockPipeline.analyze_tail_batch` (in
         one ``batch`` span; per-row bit-identical to the scalar stages),
@@ -161,11 +164,20 @@ class BlockAnalysisJob:
     def _reconstruct(
         self, sim: ChunkSimulation, j: int, ctx: StageContext
     ) -> Reconstruction:
-        """Block ``j`` of a simulated chunk, recorded like the per-block path."""
-        from ..datasets.builder import reconstruct_logs
+        """Block ``j`` of a simulated chunk, recorded like the per-block path.
 
+        Lanes the kernel resolved go straight from their rounds to the
+        reconstruction (:class:`~repro.core.front_half.LaneBlock`); a
+        block whose lanes hold plain logs, or whose probe times are not
+        whole seconds, takes the per-block log route.
+        """
+        from ..datasets.builder import reconstruct_logs, sample_grid
+
+        # resolving the lanes (or assembling their logs) is probing work too
         meter = StageMeter()
-        logs = sim.logs(j)  # assembling the logs is probing work too
+        grid = sample_grid(sim.start_s, self.ds)
+        block = LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
+        logs = sim.logs(j) if block is None else []
         assembly = meter.shares(1)
         truth, probe = sim.truth_cost[j], sim.probe_cost[j]
         ctx.record_batched(
@@ -182,9 +194,11 @@ class BlockAnalysisJob:
             n_batch=len(sim.addresses),
             cpu_s=probe.cpu_s + assembly.cpu_s,
         )
-        return reconstruct_logs(
-            self.pipeline, logs, sim.addresses[j], sim.start_s, self.ds, ctx
-        )
+        if block is None:
+            return reconstruct_logs(
+                self.pipeline, logs, sim.addresses[j], sim.start_s, self.ds, ctx
+            )
+        return block.reconstruct(ctx, repair=self.pipeline.apply_repair)
 
 
 def _canonical_dtype_view(arr: np.ndarray) -> np.ndarray:

@@ -10,15 +10,23 @@ whose running-minimum identity reorders float additions).
 
 from __future__ import annotations
 
-from datetime import datetime
+import pickle
+from datetime import date, datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.front_half import LaneBlock
+from repro.core.pipeline import BlockPipeline
 from repro.core.reconstruction import (
     full_scan_durations,
     full_scan_durations_reference,
 )
+from repro.core.stages import StageContext
+from repro.datasets.builder import reconstruct_logs, sample_grid
+from repro.datasets.catalog import DatasetSpec
 from repro.net.events import Calendar
 from repro.net.loss import BernoulliLoss, DiurnalCongestionLoss, NoLoss
 from repro.net.observations import ObservationSeries
@@ -351,6 +359,136 @@ class TestObserveBatchEquivalence:
         lanes = [ProbeLane(TrinocularObserver(n), target, rng=rng) for n in "ej"]
         with pytest.raises(ValueError, match="share a Generator"):
             observe_batch(lanes)
+
+
+# ---------------------------------------------------------------------------
+# columnar front half vs the per-block log route
+# ---------------------------------------------------------------------------
+@st.composite
+def front_half_chunks(draw):
+    """A chunk of blocks laid out as ``simulate_chunk`` lays it out: every
+    block's observer lanes, block-major, probed in one ``observe_batch``.
+
+    Returns ``(start_s, ds, lanes, blocks)`` with one ``(truth, fractional)``
+    per block; ``fractional`` says whether a lane of the block with probes
+    has a non-integer phase (the front half must decline that block).
+    """
+    # zero rounds, one round (for small phases), or many
+    weeks = draw(st.sampled_from([0.0, 0.0005, 0.001, 0.1, 0.2]))
+    start = draw(st.sampled_from([0.0, 86_400.0]))
+    n_obs = draw(st.integers(1, 4))
+    ds = DatasetSpec("front-half", date(2020, 1, 1), weeks, tuple("ejnw"[:n_obs]))
+    phases = [draw(st.sampled_from([0.0, 137.0, 347.0, 551.0, 656.0])) for _ in range(n_obs)]
+    if n_obs > 1 and draw(st.booleans()):
+        phases[1] = phases[0]  # equal times: the merge's tie-break decides
+    if draw(st.integers(0, 4)) == 0:
+        phases[-1] += 0.5  # probe times are not whole seconds
+    lanes, blocks = [], []
+    for b in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 40))
+        usage = draw(
+            st.sampled_from(
+                [
+                    SparseUsage(n_addresses=size, stale_addresses=0),
+                    WorkplaceUsage(n_desktops=size, n_servers=1),
+                    ServerFarmUsage(n_servers=size),
+                ]
+            )
+        )
+        seed = draw(st.integers(0, 2**16))
+        truth = make_truth(usage, days=(start + ds.duration_s) / 86_400.0 + 0.05, seed=seed)
+        m = truth.n_addresses
+        order = probe_order(m, seed)
+        if draw(st.integers(0, 5)) == 0:
+            order = order[:0]  # every lane of the block is empty
+        target = ProbeTarget.of(truth, order, start, start + ds.duration_s)
+        fractional = False
+        for o, phase in enumerate(phases):
+            loss = draw(
+                st.sampled_from(
+                    [
+                        NoLoss(),
+                        BernoulliLoss(p=0.3),
+                        DiurnalCongestionLoss(base=0.05, peak=0.8, tz_hours=float(o)),
+                    ]
+                )
+            )
+            obs = TrinocularObserver(
+                "ejnw"[o],
+                phase_offset_s=phase,
+                # budgets from one probe to above m, so K = m occurs
+                max_probes_per_round=draw(st.integers(1, m + 3)),
+            )
+            lane = ProbeLane(
+                obs, target, loss, np.random.default_rng([seed, o]),
+                start_s=start, duration_s=ds.duration_s,
+                start_cursor=draw(st.integers(0, m - 1)),
+            )
+            lanes.append(lane)
+            fractional |= phase != int(phase) and order.size > 0 and phase < ds.duration_s
+        blocks.append((truth, fractional))
+    return start, ds, lanes, blocks
+
+
+def stage_sizes(ctx):
+    return [(r.name, r.n_in, r.n_out, r.skipped) for r in ctx.records]
+
+
+class TestFrontHalfEquivalence:
+    """``LaneBlock.reconstruct`` against ``reconstruct_logs`` on the
+    assembled, window-sliced lane logs (the runtime's log route)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=front_half_chunks(), repair=st.booleans())
+    def test_matches_reconstruct_logs(self, chunk, repair):
+        start, ds, lanes, blocks = chunk
+        logs = observe_batch(lanes)
+        pipeline = BlockPipeline(apply_repair=repair)
+        grid = sample_grid(start, ds)
+        n = len(ds.observers)
+        for j, (truth, fractional) in enumerate(blocks):
+            ids = range(j * n, (j + 1) * n)
+            end = start + ds.duration_s
+            want_ctx = StageContext()
+            want = reconstruct_logs(
+                pipeline, [logs[i].slice_time(start, end) for i in ids],
+                truth.addresses, start, ds, want_ctx,
+            )
+            block = LaneBlock.of(logs, ids, truth.addresses, grid)
+            if fractional:
+                assert block is None
+                continue
+            assert block is not None
+            ctx = StageContext()
+            got = block.reconstruct(ctx, repair=repair)
+            assert pickle.dumps(got) == pickle.dumps(want)
+            assert stage_sizes(ctx) == stage_sizes(want_ctx)
+
+    def test_lossy_month_with_ties(self):
+        """A month of four lossy lanes, two of them in lockstep: 101
+        repairs, resumed lost replies and equal-time merges all occur."""
+        truth = make_truth(WorkplaceUsage(n_desktops=30, n_servers=2), days=29.0, seed=3)
+        order = probe_order(truth.n_addresses, 3)
+        target = ProbeTarget.of(truth, order)
+        ds = DatasetSpec("front-half", date(2020, 1, 1), 4.0, tuple("ejnw"))
+        lanes = [
+            ProbeLane(
+                TrinocularObserver(name, phase_offset_s=phase), target,
+                BernoulliLoss(p=0.2), np.random.default_rng(i),
+                duration_s=ds.duration_s, start_cursor=7 * i,
+            )
+            for i, (name, phase) in enumerate(zip("ejnw", (137.0, 137.0, 449.0, 551.0)))
+        ]
+        logs = observe_batch(lanes)
+        want_ctx = StageContext()
+        want = reconstruct_logs(
+            BlockPipeline(), [logs[i] for i in range(4)], truth.addresses, 0.0, ds, want_ctx
+        )
+        ctx = StageContext()
+        got = LaneBlock.of(logs, range(4), truth.addresses, sample_grid(0.0, ds)).reconstruct(ctx)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert stage_sizes(ctx) == stage_sizes(want_ctx)
+        assert got.is_complete and np.nanmax(got.counts.values) > 0
 
 
 class TestSparseUsageEquivalence:

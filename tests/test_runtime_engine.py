@@ -229,6 +229,35 @@ class TestBlockAnalysisJob:
         assert sum(spec.responsive_by_design for spec in chunk) >= 3
         self.assert_chunk_matches_oracle(job, chunk)
 
+    @pytest.mark.parametrize("ds", ["2020h1-ejnw", "2020m1-ejnw"])
+    def test_lane_kernel_chunk_reconstructs_from_rounds(self, world200, ds, monkeypatch):
+        """A batched chunk reconstructs every block straight from the lane
+        rounds, never through the log route, with the oracle's bytes and
+        the oracle's stage names and sizes."""
+        import repro.datasets.builder as builder_mod
+        from repro.datasets.builder import MIN_BATCH_LANES
+
+        job = BlockAnalysisJob(world=world200, ds=dataset(ds), pipeline=BlockPipeline())
+        chunk = tuple(world200.blocks[:20])
+        lanes = sum(spec.responsive_by_design for spec in chunk) * len(job.ds.observers)
+        assert lanes >= MIN_BATCH_LANES
+        # every lane loses replies: the scenario's base loss is Bernoulli
+        assert world200.scenario.base_loss.max_probability() > 0
+        oracle = [job(spec) for spec in chunk]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lane-kernel block took the log route")
+
+        monkeypatch.setattr(builder_mod, "reconstruct_logs", refuse)
+        results = job.map_chunk(chunk)
+        assert [pickle.dumps(r.analysis) for r in results] == [
+            pickle.dumps(r.analysis) for r in oracle
+        ]
+        for got, want in zip(results, oracle):
+            assert [(r.name, r.n_in, r.n_out, r.skipped) for r in got.stages] == [
+                (r.name, r.n_in, r.n_out, r.skipped) for r in want.stages
+            ]
+
     def test_small_chunk_never_calls_the_builder(self, world200, monkeypatch):
         """Below MIN_BATCH_LANES the chunk is still simulated by
         simulate_chunk, not by the per-block oracle."""
