@@ -29,7 +29,7 @@ def main() -> None:
     # a non-diurnal destination: long-lived sparse addresses
     calendar = Calendar(epoch=datetime(2023, 4, 1), tz_hours=8.0)
     usage = SparseUsage(n_addresses=120, mean_on_days=6.0, mean_off_days=3.0)
-    truth = usage.generate(np.random.default_rng(7), round_grid(28 * 86_400.0), calendar)
+    truth = usage.generate(7, round_grid(28 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, 7)
 
     congested = DiurnalCongestionLoss(base=0.04, peak=0.5, peak_hour=21.0, tz_hours=8.0)

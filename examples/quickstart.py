@@ -27,9 +27,7 @@ def main() -> None:
         events=(WorkFromHome(start=date(2020, 3, 15), work_factor=0.05),),
     )
     usage = WorkplaceUsage(n_desktops=40, n_servers=2)
-    truth = usage.generate(
-        np.random.default_rng(42), round_grid(84 * 86_400.0), calendar
-    )
+    truth = usage.generate(42, round_grid(84 * 86_400.0), calendar)
     print(f"block has |E(b)| = {truth.n_addresses} ever-active addresses")
 
     # 2. measurement: four observers, unsynchronized, shared probe order

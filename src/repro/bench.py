@@ -2,7 +2,10 @@
 
 Each section times a fast kernel against its scalar reference and
 asserts byte-identity between the two before a time is recorded — a
-speedup over a kernel that disagrees is meaningless.  ``repro bench``
+speedup over a kernel that disagrees is meaningless.  The ``truth``
+section instead times window-local truth against generating the same
+blocks from the scenario epoch, asserting the window's columns agree.
+``repro bench``
 writes the measured sections into ``BENCH_kernels.json``; the
 ``benchmarks/test_microbench.py`` artifact tests import the same
 measurement functions and fixtures, so both time exactly the same code.
@@ -43,19 +46,28 @@ __all__ = [
     "measure_front_half",
     "measure_kernels",
     "measure_prober_lanes",
+    "measure_truth",
     "quarter_block_fixture",
     "run_sections",
     "write_sections",
 ]
 
 BENCH_FILE = "BENCH_kernels.json"
-DEFAULT_SECTIONS = ("kernels", "batched", "cusum_rows_scaling", "prober_lanes", "front_half")
+DEFAULT_SECTIONS = (
+    "kernels",
+    "batched",
+    "cusum_rows_scaling",
+    "prober_lanes",
+    "front_half",
+    "truth",
+)
 
 QUARTER_S = 84 * 86_400.0
 BATCH_BLOCKS = 256
 LANES_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
 FRONT_HALF_DATASET = "2020h1-ejnw"  # 26 weeks, four observers
 FRONT_HALF_BLOCKS = 16  # responsive blocks: 64 lanes, one lane-kernel chunk
+TRUTH_BLOCKS = 48  # responsive blocks per truth window
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
 
@@ -71,7 +83,7 @@ def quarter_block_fixture():
 
     calendar = Calendar(epoch=datetime(2020, 1, 1), tz_hours=0.0)
     usage = WorkplaceUsage(n_desktops=60, n_servers=2)
-    truth = usage.generate(np.random.default_rng(5), round_grid(QUARTER_S), calendar)
+    truth = usage.generate(5, round_grid(QUARTER_S), calendar)
     order = probe_order(truth.n_addresses, 5)
     log = TrinocularObserver("e").observe(truth, order, rng=np.random.default_rng(6))
     return truth, order, log
@@ -261,7 +273,7 @@ def measure_prober_lanes(
             break
         if not spec.responsive_by_design:
             continue
-        truth = world.truth(spec, end)
+        truth = world.truth(spec, ds.duration_s, start_s=start)
         order = probe_order(truth.n_addresses, spec.seed)
         target = ProbeTarget.of(truth, order, start, end)
         lanes.extend((spec, name, truth, order, target) for name in ds.observers)
@@ -363,6 +375,53 @@ def measure_front_half(n_blocks: int = FRONT_HALF_BLOCKS) -> dict[str, dict[str,
     }
 
 
+def measure_truth(n_blocks: int = TRUTH_BLOCKS) -> dict[str, dict[str, float]]:
+    """Window-local truth against generating the same blocks from day 0.
+
+    For the two-week ``LANES_DATASET`` and the 26-week
+    ``FRONT_HALF_DATASET`` window, ``n_blocks`` responsive blocks of a
+    covid world get their truth from ``WorldModel.truth`` twice: over
+    the window only, and from the scenario epoch to the window's end
+    (what truth cost before it was window-local).  Every window truth
+    is asserted equal to the epoch truth's columns over the window
+    before anything is recorded.  Keyed by dataset name.
+    """
+    from .datasets.catalog import dataset
+    from .net.usage import ROUND_SECONDS
+    from .net.world import WorldModel, scenario_covid2020
+
+    world = WorldModel(scenario_covid2020(), n_blocks=3 * n_blocks, seed=11)
+    specs = [spec for spec in world.blocks if spec.responsive_by_design][:n_blocks]
+    if len(specs) < n_blocks:
+        raise RuntimeError(f"truth: world has only {len(specs)} responsive blocks")
+    out: dict[str, dict[str, float]] = {}
+    for name in (LANES_DATASET, FRONT_HALF_DATASET):
+        ds = dataset(name)
+        start = ds.start_s(world.epoch)
+
+        def window(start: float = start, duration: float = ds.duration_s) -> list[Any]:
+            return [world.truth(spec, duration, start_s=start) for spec in specs]
+
+        def from_epoch(end: float = start + ds.duration_s) -> list[Any]:
+            return [world.truth(spec, end) for spec in specs]
+
+        window_s, got = _best_of(window, repeats=2)
+        epoch_s, want = _best_of(from_epoch, repeats=2)
+        first = int(start // ROUND_SECONDS)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.addresses, b.addresses)
+            assert np.array_equal(a.active, b.active[:, first:])
+        out[name] = {
+            "blocks": float(len(specs)),
+            "window_cells": float(sum(t.active.size for t in got)),
+            "from_epoch_cells": float(sum(t.active.size for t in want)),
+            "window_s": window_s,
+            "from_epoch_s": epoch_s,
+            "speedup": epoch_s / window_s,
+        }
+    return out
+
+
 def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     """Measure each named section; unknown names raise ``ValueError``."""
     runners: dict[str, Callable[[], Any]] = {
@@ -371,6 +430,7 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "cusum_rows_scaling": measure_cusum_scaling,
         "prober_lanes": measure_prober_lanes,
         "front_half": measure_front_half,
+        "truth": measure_truth,
     }
     out: dict[str, Any] = {}
     for name in sections:

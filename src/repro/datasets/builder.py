@@ -13,9 +13,10 @@ helpers; both set lanes up through :func:`setup_lane`.
 
 The builder keeps no state between calls: every window is simulated from
 its own start, over exactly the columns it asks for, so an answer never
-depends on what was asked before.  Two windows with the same start do
-not yet share a prefix, because a block's truth still depends on the
-window's end; that property waits on ROADMAP item 1.
+depends on what was asked before.  Truth is window-local (a block's
+activity on a day does not depend on the window observing it), so two
+windows agree wherever they overlap, and two windows with the same start
+give probe logs that share a prefix.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ class DatasetBuilder:
 
     # -- simulation -------------------------------------------------------
     def truth(self, spec: BlockSpec, start_s: float, duration_s: float) -> BlockTruth:
-        """Ground truth covering ``[0, start+duration)``."""
-        return self.world.truth(spec, start_s + duration_s)
+        """Ground truth covering ``[start_s, start_s + duration_s)`` (the
+        window's columns only; see :meth:`WorldModel.truth`)."""
+        return self.world.truth(spec, duration_s, start_s=start_s)
 
     def observe(
         self,
@@ -521,7 +523,7 @@ def simulate_chunk(
     lane_cost: list[StageShare] = []
     for spec in specs:
         meter = StageMeter()
-        truth = world.truth(spec, end)
+        truth = world.truth(spec, ds.duration_s, start_s=start)
         order = probe_order(truth.n_addresses, spec.seed)
         lanes = [
             setup_lane(world, spec, name, observer_style, truth.n_addresses)

@@ -72,7 +72,7 @@ def run(seed: int = 66) -> RepairAblationResult:
             stale_addresses=0,
         )
         truth = usage.generate(
-            np.random.default_rng(block_seed),
+            block_seed,
             round_grid(DURATION_DAYS * 86_400.0),
             calendar,
         )

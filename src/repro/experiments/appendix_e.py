@@ -73,9 +73,7 @@ def run(seed: int = 36) -> AppendixEResult:
             n_servers=int(rng.integers(1, 4)),
             presence=float(rng.uniform(0.75, 0.9)),
         )
-        truth = usage.generate(
-            np.random.default_rng(block_seed), round_grid(84 * 86_400.0), calendar
-        )
+        truth = usage.generate(block_seed, round_grid(84 * 86_400.0), calendar)
         order = probe_order(truth.n_addresses, block_seed)
         logs = [
             TrinocularObserver(name, phase_offset_s=107.0 * (i + 1)).observe(

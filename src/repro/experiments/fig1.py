@@ -69,8 +69,7 @@ def build_usc_block(seed: int = 1144):
         ),
     )
     usage = WorkplaceUsage(n_desktops=16, n_servers=2, presence=0.8, stale_addresses=70)
-    rng = np.random.default_rng(seed)
-    truth = usage.generate(rng, round_grid(QUARTER_DAYS * 86_400.0), calendar)
+    truth = usage.generate(seed, round_grid(QUARTER_DAYS * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     return calendar, truth, order
 

@@ -61,9 +61,7 @@ class Fig11Result:
 def _analyze(usage, calendar, seed: int) -> BlockAnalysis:
     # run past the end of March so the late-March lockdown clears the
     # detector's trailing boundary guard
-    truth = usage.generate(
-        np.random.default_rng(seed), round_grid(112 * 86_400.0), calendar
-    )
+    truth = usage.generate(seed, round_grid(112 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     logs = [
         TrinocularObserver(name, phase_offset_s=149.0 * (i + 1)).observe(

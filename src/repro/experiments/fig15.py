@@ -58,9 +58,7 @@ def run(seed: int = 65) -> Fig15Result:
     usage = DynamicPoolUsage(
         pool_size=220, peak=0.60, trough=0.06, peak_hour=14.0, quiet_week_probability=0.0
     )
-    truth = usage.generate(
-        np.random.default_rng(seed), round_grid(84 * 86_400.0), calendar
-    )
+    truth = usage.generate(seed, round_grid(84 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     logs = [
         TrinocularObserver(name, phase_offset_s=173.0 * (i + 1)).observe(

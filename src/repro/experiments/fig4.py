@@ -60,8 +60,7 @@ class Fig4Result:
 
 def _compare(name: str, usage, seed: int) -> BlockComparison:
     calendar = Calendar(epoch=EPOCH, tz_hours=0.0)
-    rng = np.random.default_rng(seed)
-    truth = usage.generate(rng, round_grid(DURATION_DAYS * 86_400.0), calendar)
+    truth = usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     logs = [
         TrinocularObserver(obs, phase_offset_s=131.0 * (i + 1)).observe(

@@ -93,9 +93,7 @@ def _sweep_block(pool_size: int, trough: float, seed: int) -> SweptBlock:
         quiet_week_probability=0.0,
         stale_addresses=0,
     )
-    truth = usage.generate(
-        np.random.default_rng(seed), round_grid(DURATION_DAYS * 86_400.0), calendar
-    )
+    truth = usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
 
     pipeline = BlockPipeline()

@@ -81,9 +81,7 @@ def run(seed: int = 63) -> Fig6Result:
     # a Chinese destination whose addresses hold state for days (like the
     # paper's sample block: long green runs in the raster plots)
     usage = SparseUsage(n_addresses=120, mean_on_days=6.0, mean_off_days=3.0, stale_addresses=8)
-    truth = usage.generate(
-        np.random.default_rng(seed), round_grid(DURATION_DAYS * 86_400.0), calendar
-    )
+    truth = usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     congested = DiurnalCongestionLoss(
         base=0.04, peak=0.50, peak_hour=21.0, width_hours=11.0, tz_hours=8.0

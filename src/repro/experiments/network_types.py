@@ -90,7 +90,7 @@ def run(seed: int = 33) -> NetworkTypesResult:
     for kind, tz, usage, block_seed in cases:
         calendar = Calendar(epoch=EPOCH, tz_hours=tz)
         truth = usage.generate(
-            np.random.default_rng(block_seed),
+            block_seed,
             round_grid(DURATION_DAYS * 86_400.0),
             calendar,
         )

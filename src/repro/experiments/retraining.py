@@ -101,7 +101,7 @@ def run(seed: int = 35) -> RetrainingResult:
             quiet_week_probability=0.0,
             stale_addresses=0,
         )
-        generated = usage.generate(rng, round_grid(horizon), calendar)
+        generated = usage.generate(block_seed, round_grid(horizon), calendar)
         # ...embedded into the low half of the /24 so the +128 renumbering
         # moves users onto addresses no target list has ever seen
         base = np.zeros((256, generated.n_cols), dtype=bool)

@@ -24,9 +24,9 @@ rule ID     name                  invariant
 ``REP005``  metrics-hygiene       instrument names are literals registered in
                                   ``repro.obs.names`` (or built via
                                   ``metric_name`` from a registered family)
-``REP006``  resource-lifecycle    every shm segment, process pool, spill/temp
-                                  dir, and mmap acquisition is released on all
-                                  paths (``with`` / ``try-finally`` /
+``REP006``  resource-lifecycle    every process pool, spill/temp dir, and mmap
+                                  acquisition is released on all paths
+                                  (``with`` / ``try-finally`` /
                                   ``weakref.finalize``), flow-sensitively
 ``REP007``  import-layering       module-level imports follow the declarative
                                   layer map, form no cycles, and name symbols
@@ -37,7 +37,7 @@ rule ID     name                  invariant
 ==========  ====================  =============================================
 
 The static tier has a dynamic oracle: :mod:`repro.lint.sanitizer`
-(``REPRO_SANITIZE=1``) tracks live segments/pools/spill dirs at runtime
+(``REPRO_SANITIZE=1``) tracks live pools and spill dirs at runtime
 and fails on leaks at engine close and process exit — what REP006
 approximates statically, the sanitizer proves on real runs.
 

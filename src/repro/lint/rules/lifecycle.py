@@ -5,13 +5,11 @@ pools), "the coordinator writes, the coordinator deletes" (spill
 dirs) — only hold when every acquisition is dominated by a release: a
 ``with`` block, a ``try/finally``, a registered ``weakref.finalize``,
 or escape into an object that owns the resource and has a lifecycle
-method.  A named shm segment leaked on an exception edge outlives the
-process in ``/dev/shm``; a leaked ``ProcessPoolExecutor`` strands
-worker processes.
+method.  A leaked ``ProcessPoolExecutor`` strands worker processes; a
+leaked spill or temp dir outlives the run on disk.
 
 This is a CFG-lite, flow-sensitive check.  For each acquisition of
 
-* ``multiprocessing.shared_memory.SharedMemory(...)``
 * ``concurrent.futures.ProcessPoolExecutor(...)``
 * ``tempfile.TemporaryDirectory(...)`` / ``tempfile.mkdtemp(...)``
 * ``np.load(..., mmap_mode=...)`` (a live mmap handle)
@@ -57,7 +55,6 @@ if TYPE_CHECKING:
 
 #: acquisition constructor -> method names that release it.
 RELEASE_METHODS: dict[str, frozenset[str]] = {
-    "SharedMemory": frozenset({"close", "unlink"}),
     "ProcessPoolExecutor": frozenset({"shutdown"}),
     "TemporaryDirectory": frozenset({"cleanup"}),
     "mkdtemp": frozenset(),
@@ -102,7 +99,7 @@ def _match_acquisition(
         return None
     resolved = _resolve(chain, aliases, froms)
     last = resolved[-1]
-    if last in ("SharedMemory", "ProcessPoolExecutor", "TemporaryDirectory", "mkdtemp"):
+    if last in ("ProcessPoolExecutor", "TemporaryDirectory", "mkdtemp"):
         return _Acquisition(ctor=last, node=node)
     if last == "load" and resolved[0] == "numpy":
         for kw in node.keywords:
@@ -409,7 +406,7 @@ class _FunctionScanner:
 @register(
     "REP006",
     "resource-lifecycle",
-    "shm segments, pools, spill/temp dirs, and mmap handles must be "
+    "process pools, spill/temp dirs, and mmap handles must be "
     "released on all paths (with / try-finally / weakref.finalize)",
 )
 def check(ctx: "LintContext") -> list[Violation]:

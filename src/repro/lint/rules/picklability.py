@@ -15,15 +15,7 @@ dispatch convention — ``BlockAnalysisJob``, ``_ScanTimeJob``,
   or ``self.x = lambda ...``);
 * a function nested inside a method (``def helper(): ...`` then
   ``self.x = helper``);
-* an open handle (``self.x = open(...)``);
-* a live shared-memory resource: a ``SharedMemory(...)`` handle, a
-  ``memoryview(...)``, or a segment buffer (``self.x = seg.buf``).
-
-A job that needs a shared-memory segment must carry only plain data
-naming it (its name, shape, dtype) and attach per call: live handles
-and buffer views are process-local, pickle either not at all or into
-something that no longer aliases the segment, and would tie a task's
-lifetime to a mapping its owner may unlink.
+* an open handle (``self.x = open(...)``).
 
 ``field(default_factory=...)`` is fine — the factory runs at init time
 and only its *result* is stored.
@@ -123,12 +115,6 @@ def _method_violations(cls: ast.ClassDef, path: str) -> list[Violation]:
                     problem = f"nested function {value.id!r}"
                 elif isinstance(value, ast.Call) and _call_name(value) == "open":
                     problem = "an open file handle"
-                elif isinstance(value, ast.Call) and _call_name(value) == "SharedMemory":
-                    problem = "a live SharedMemory handle"
-                elif isinstance(value, ast.Call) and _call_name(value) == "memoryview":
-                    problem = "a memoryview"
-                elif isinstance(value, ast.Attribute) and value.attr == "buf":
-                    problem = "a shared-memory buffer ('.buf')"
                 else:
                     continue
                 out.append(
@@ -149,10 +135,8 @@ def _method_violations(cls: ast.ClassDef, path: str) -> list[Violation]:
 @register(
     "REP003",
     "picklability",
-    "*Job classes may not capture lambdas, nested functions, open "
-    "handles, or live shared-memory resources (SharedMemory handles, "
-    "memoryviews, segment buffers) in their attributes — jobs carry "
-    "plain data only",
+    "*Job classes may not capture lambdas, nested functions, or open "
+    "handles in their attributes — jobs carry plain data only",
 )
 def check(ctx: "LintContext") -> list[Violation]:
     violations: list[Violation] = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from typing import Callable
 
 import numpy as np
 
@@ -327,9 +328,17 @@ class Calendar:
         return workday, factor
 
     def apply_transforms(
-        self, truth: np.ndarray, col_times: np.ndarray, rng: np.random.Generator
+        self,
+        truth: np.ndarray,
+        col_times: np.ndarray,
+        event_rng: Callable[[int], np.random.Generator],
     ) -> np.ndarray:
-        """Run all truth transforms (outages, renumbering, migration)."""
-        for ev in self.events:
-            truth = ev.transform(truth, col_times, rng)
+        """Run all truth transforms (outages, renumbering, migration).
+
+        ``event_rng(i)`` is the ``i``-th event's own generator, so an
+        event's draws (``Migration``'s residual users) do not depend on
+        the window: every transform acts on each column alone or on
+        those row draws."""
+        for i, ev in enumerate(self.events):
+            truth = ev.transform(truth, col_times, event_rng(i))
         return truth

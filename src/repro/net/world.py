@@ -37,7 +37,6 @@ from .events import (
 from .geo import WORLD_CITIES, City, GeoInfo
 from .loss import BernoulliLoss, DiurnalCongestionLoss, LossModel
 from .usage import (
-    ROUND_SECONDS,
     BlockTruth,
     DynamicPoolUsage,
     FirewalledUsage,
@@ -525,22 +524,17 @@ class WorldModel:
     def truth(self, spec: BlockSpec, duration_s: float, *, start_s: float = 0.0) -> BlockTruth:
         """Ground truth for one block over ``[start_s, start_s+duration_s)``.
 
-        Truth is generated from time zero so that a block looks identical
-        regardless of the dataset window observing it.
+        Only the window's columns are generated: the epoch-anchored
+        rounds from the one containing ``start_s`` to the window's end
+        (capped at the scenario's horizon).  A block's activity in a
+        column is a pure function of its seed, kind and absolute day
+        (see :class:`~repro.net.usage.TruthStream`), so every window
+        observing the block sees the same world, and a probe maps to
+        the same absolute column whichever window generated it.
         """
-        total = min(start_s + duration_s, self.scenario.max_duration_s)
-        grid = round_grid(total)
-        rng = np.random.default_rng([spec.seed, 0xB])
-        truth = self.usage_model(spec).generate(rng, grid, self.calendar(spec))
-        if start_s > 0:
-            first_col = int(start_s // ROUND_SECONDS)
-            truth = BlockTruth(
-                addresses=truth.addresses,
-                active=truth.active[:, first_col:],
-                col_times=truth.col_times[first_col:],
-                round_seconds=truth.round_seconds,
-            )
-        return truth
+        end = min(start_s + duration_s, self.scenario.max_duration_s)
+        grid = round_grid(end, start_s=start_s)
+        return self.usage_model(spec).generate((spec.seed, 0xB), grid, self.calendar(spec))
 
     def loss_model(self, spec: BlockSpec, observer: str) -> LossModel:
         broken = self.scenario.broken_observers.get(observer)

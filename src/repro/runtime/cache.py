@@ -72,7 +72,9 @@ __all__ = [
 #: change that is invisible in the job's input fields).
 #: 2: cumsum moving average + extended LOESS fast path changed
 #: per-block result bits at the float-rounding level.
-CACHE_SCHEMA = 2
+#: 3: window-local truth (per-day counter-based truth streams) changed
+#: every time-varying block's ground truth.
+CACHE_SCHEMA = 3
 
 #: Length of the ``sha256`` digest that heads every disk entry.
 _DIGEST_BYTES = 32

@@ -20,9 +20,9 @@ it runs one block through the dataset builder's ``analyze_block``.
 Jobs are executor-agnostic: the process pool
 (:class:`~repro.runtime.executors.PoolExecutor`) pickles the job once
 per map and workers receive an unpickled copy.  Lint REP003 forbids
-``*Job`` classes from capturing live ``SharedMemory`` handles or
-memoryviews: a job carries only plain data, so the same pickled job
-works on every executor.
+``*Job`` classes from capturing lambdas, nested functions or open
+handles: a job carries only plain data, so the same pickled job works
+on every executor.
 """
 
 from __future__ import annotations

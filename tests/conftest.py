@@ -62,8 +62,7 @@ def workplace_block():
         events=(Holiday(first=date(2020, 1, 6), name="test holiday"),),
     )
     usage = WorkplaceUsage(n_desktops=30, n_servers=2, stale_addresses=4)
-    rng = np.random.default_rng(99)
-    truth = usage.generate(rng, round_grid(14 * 86_400.0), calendar)
+    truth = usage.generate(99, round_grid(14 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, 99)
     log = TrinocularObserver("e", phase_offset_s=100.0).observe(
         truth, order, rng=np.random.default_rng(7)

@@ -2,12 +2,11 @@
 
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 
 
 def leak_dropped() -> None:
     # acquired with no handle at all: nothing can ever release it
-    shared_memory.SharedMemory(create=True, size=64)
+    tempfile.TemporaryDirectory(prefix="fixture-")
 
 
 def leak_exception_edge(blocks):
@@ -23,7 +22,7 @@ def leak_never_released():
 
 
 class Holder:
-    """Stores a segment on self but can never let go of it again."""
+    """Stores a pool on self but can never let go of it again."""
 
     def __init__(self) -> None:
-        self.seg = shared_memory.SharedMemory(create=True, size=64)
+        self.pool = ProcessPoolExecutor(max_workers=2)

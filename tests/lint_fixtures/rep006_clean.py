@@ -4,7 +4,6 @@ import shutil
 import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -15,12 +14,11 @@ def with_context(blocks):
 
 
 def try_finally():
-    seg = shared_memory.SharedMemory(create=True, size=64)
+    scratch = tempfile.TemporaryDirectory(prefix="fixture-")
     try:
-        return seg.size
+        return len(scratch.name)
     finally:
-        seg.close()
-        seg.unlink()
+        scratch.cleanup()
 
 
 def mmap_view(path):
@@ -29,13 +27,12 @@ def mmap_view(path):
 
 
 def handoff():
-    seg = shared_memory.SharedMemory(create=True, size=64)
-    _adopt(seg)  # ownership transferred to the callee
+    pool = ProcessPoolExecutor(max_workers=2)
+    _adopt(pool)  # ownership transferred to the callee
 
 
-def _adopt(seg) -> None:
-    seg.close()
-    seg.unlink()
+def _adopt(pool) -> None:
+    pool.shutdown()
 
 
 class FinalizedOwner:

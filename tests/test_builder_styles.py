@@ -104,11 +104,6 @@ class TestStatelessBuilder:
             fresh = DatasetBuilder(world).truth(spec, m1.start_s(world.epoch), m1.duration_s)
             assert _same_truth(after, fresh), spec.block.cidr
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="truth depends on the window's end until ROADMAP item 1 makes it "
-        "window-independent, so a half window is not the full window's prefix",
-    )
     def test_same_start_windows_share_a_prefix(self, small_world):
         builder = DatasetBuilder(small_world)
         ds = dataset("2020m1-ejnw")

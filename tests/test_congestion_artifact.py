@@ -28,7 +28,7 @@ def congested_observation():
     usage = SparseUsage(
         n_addresses=120, mean_on_days=6.0, mean_off_days=3.0, stale_addresses=0
     )
-    truth = usage.generate(np.random.default_rng(7), round_grid(28 * 86_400.0), calendar)
+    truth = usage.generate(7, round_grid(28 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, 7)
     loss = DiurnalCongestionLoss(base=0.04, peak=0.5, peak_hour=21.0, tz_hours=8.0)
     log = TrinocularObserver("w").observe(

@@ -55,9 +55,7 @@ class TestZeroAddressBlocks:
         from repro.net.prober import TrinocularObserver, probe_order
 
         cal = Calendar(epoch=datetime(2020, 1, 1))
-        truth = FirewalledUsage(eb_addresses=8).generate(
-            np.random.default_rng(0), round_grid(3 * 86_400.0), cal
-        )
+        truth = FirewalledUsage(eb_addresses=8).generate(0, round_grid(3 * 86_400.0), cal)
         order = probe_order(truth.n_addresses, 0)
         log = TrinocularObserver("e").observe(truth, order)
         analysis = BlockPipeline().analyze([log], truth.addresses)
@@ -70,7 +68,7 @@ class TestZeroAddressBlocks:
 
         cal = Calendar(epoch=datetime(2020, 1, 1))
         truth = NatGatewayUsage(n_routers=3, stale_addresses=0).generate(
-            np.random.default_rng(0), round_grid(7 * 86_400.0), cal
+            0, round_grid(7 * 86_400.0), cal
         )
         order = probe_order(truth.n_addresses, 0)
         log = TrinocularObserver("e").observe(truth, order)
@@ -87,7 +85,7 @@ class TestShortObservationWindows:
 
         cal = Calendar(epoch=datetime(2020, 1, 1))
         truth = WorkplaceUsage(n_desktops=30, n_servers=1).generate(
-            np.random.default_rng(1), round_grid(2 * 86_400.0), cal
+            1, round_grid(2 * 86_400.0), cal
         )
         order = probe_order(truth.n_addresses, 1)
         log = TrinocularObserver("e").observe(truth, order)

@@ -168,7 +168,7 @@ class TestTruthTransforms:
         cal = make_calendar(
             events=[Outage(start_s=0.0, end_s=660.0), ServiceWindow(end_s=660.0 * 90)]
         )
-        out = cal.apply_transforms(self.truth, self.cols, self.rng)
+        out = cal.apply_transforms(self.truth, self.cols, lambda i: self.rng)
         assert not out[:, 0].any()
         assert not out[:, 95].any()
         assert out[:, 50].all()

@@ -11,7 +11,7 @@ whose running-minimum identity reorders float additions).
 from __future__ import annotations
 
 import pickle
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
@@ -27,7 +27,14 @@ from repro.core.reconstruction import (
 from repro.core.stages import StageContext
 from repro.datasets.builder import reconstruct_logs, sample_grid
 from repro.datasets.catalog import DatasetSpec
-from repro.net.events import Calendar
+from repro.net.events import (
+    Calendar,
+    Holiday,
+    Migration,
+    Outage,
+    Renumbering,
+    ServiceWindow,
+)
 from repro.net.loss import BernoulliLoss, DiurnalCongestionLoss, NoLoss
 from repro.net.observations import ObservationSeries
 from repro.net.prober import (
@@ -46,14 +53,16 @@ from repro.net.usage import (
     WorkplaceUsage,
     round_grid,
 )
+from repro.net.world import _build_usage
 from repro.timeseries.detect import detect_cusum, detect_cusum_reference
 
 EPOCH = datetime(2020, 1, 1)
+KINDS = ("pool", "workplace", "home", "nat", "server", "churn", "sparse", "firewalled")
 
 
 def make_truth(usage, days=2.0, seed=0, tz_hours=0.0):
     cal = Calendar(epoch=EPOCH, tz_hours=tz_hours)
-    return usage.generate(np.random.default_rng(seed), round_grid(days * 86_400.0), cal)
+    return usage.generate(seed, round_grid(days * 86_400.0), cal)
 
 
 def assert_same_series(fast: ObservationSeries, slow: ObservationSeries) -> None:
@@ -491,19 +500,60 @@ class TestFrontHalfEquivalence:
         assert got.is_complete and np.nanmax(got.counts.values) > 0
 
 
-class TestSparseUsageEquivalence:
-    """The bulk on/off span draw against the span-by-span loop."""
+def kind_usage(kind, seed):
+    """A block kind's usage model with world-drawn parameters."""
+    return _build_usage(kind, np.random.default_rng([seed, 0xA]))
+
+
+def same_truth(a, b):
+    return (
+        np.array_equal(a.addresses, b.addresses)
+        and np.array_equal(a.active, b.active)
+        and np.array_equal(a.col_times, b.col_times)
+    )
+
+
+class TestTruthGeneratorEquivalence:
+    """Every kind's window-local generator against its per-day twin."""
 
     @staticmethod
-    def check_spans(usage, days, seed):
-        grid = round_grid(days * 86_400.0)
-        cal = Calendar(epoch=EPOCH)
-        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = usage._generate_core(fast_rng, grid, cal)
-        slow = usage._generate_core_reference(slow_rng, grid, cal)
-        assert fast.dtype == slow.dtype and fast.shape == slow.shape
-        assert np.array_equal(fast, slow)
-        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    def check_truth(usage, key, start_s, end_s, tz_hours=0.0, events=()):
+        cal = Calendar(epoch=EPOCH, tz_hours=tz_hours, events=tuple(events))
+        grid = round_grid(end_s, start_s=start_s)
+        fast = usage.generate(key, grid, cal)
+        slow = usage.generate_reference(key, grid, cal)
+        assert fast.active.dtype == slow.active.dtype == bool
+        assert same_truth(fast, slow)
+        return fast
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_windows(self, kind, seed):
+        rng = np.random.default_rng([seed, 0xE0])
+        start = float(rng.uniform(0.0, 30.0)) * 86_400.0
+        end = start + float(rng.uniform(0.02, 12.0)) * 86_400.0
+        tz = float(rng.choice([-9.5, -5.0, 0.0, 5.75, 8.0, 12.0]))
+        events = (
+            Outage(start_s=start + 3_000.0, end_s=start + 20_000.0),
+            Renumbering(time_s=start + 86_400.0, shift=int(rng.integers(1, 64))),
+            ServiceWindow(end_s=end - 40_000.0),
+            Migration(time_s=start + 2 * 86_400.0, residual_fraction=0.3),
+            Holiday(first=(EPOCH + timedelta(seconds=start)).date(), days=2),
+        )
+        truth = self.check_truth(kind_usage(kind, seed), (seed, 0xB), start, end, tz, events)
+        assert truth.n_cols == len(round_grid(end, start_s=start))
+
+    def test_edge_cases(self):
+        self.check_truth(ServerFarmUsage(n_servers=0), 5, 0.0, 86_400.0)
+        # maintenance every day: windows open at the run's start are kept
+        busy = ServerFarmUsage(n_servers=20, maintenance_rate_per_day=0.5)
+        self.check_truth(busy, 8, 5 * 86_400.0 + 1_000.0, 7 * 86_400.0)
+
+
+class TestSparseUsageEquivalence:
+    """The telegraph kind's day-batched span draw against its per-day twin."""
+
+    check_truth = staticmethod(TestTruthGeneratorEquivalence.check_truth)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_parameters(self, seed):
@@ -513,22 +563,33 @@ class TestSparseUsageEquivalence:
             mean_on_days=float(rng.uniform(0.01, 6.0)),
             mean_off_days=float(rng.uniform(0.01, 6.0)),
         )
-        self.check_spans(usage, float(rng.uniform(0.01, 200.0)), seed)
+        horizon = float(rng.uniform(0.01, 200.0)) * 86_400.0
+        self.check_truth(usage, seed, 0.0, horizon)
+        self.check_truth(usage, seed, float(rng.uniform(0.0, horizon)), horizon)
 
     @pytest.mark.parametrize("days", [14.0, 31.0, 182.0])
     def test_world_parameters(self, days):
-        """The churn and sparse kinds' parameter ranges at campaign horizons."""
-        self.check_spans(SparseUsage(n_addresses=80, mean_on_days=0.4, mean_off_days=0.5), days, 1)
-        self.check_spans(SparseUsage(n_addresses=24, mean_on_days=1.4, mean_off_days=2.0), days, 2)
-        self.check_spans(SparseUsage(n_addresses=4, mean_on_days=5.0, mean_off_days=6.0), days, 3)
+        """The churn and sparse kinds' parameter ranges at campaign horizons,
+        on the epoch and for a window that ends at the horizon."""
+        for key, usage in enumerate(
+            (
+                SparseUsage(n_addresses=80, mean_on_days=0.4, mean_off_days=0.5),
+                SparseUsage(n_addresses=24, mean_on_days=1.4, mean_off_days=2.0),
+                SparseUsage(n_addresses=4, mean_on_days=5.0, mean_off_days=6.0),
+            ),
+            start=1,
+        ):
+            self.check_truth(usage, key, 0.0, days * 86_400.0)
+            self.check_truth(usage, key, (days - 9.0) * 86_400.0, days * 86_400.0)
 
     def test_edge_cases(self):
-        self.check_spans(SparseUsage(n_addresses=10), 0.0, 4)  # no columns
-        self.check_spans(SparseUsage(n_addresses=0), 3.0, 5)  # no addresses
-        self.check_spans(SparseUsage(n_addresses=10, mean_on_days=0.0), 3.0, 6)  # empty on-spans
-        # spans far longer than the horizon: one span per address
+        self.check_truth(SparseUsage(n_addresses=10), 4, 0.0, 0.0)  # no columns
+        self.check_truth(SparseUsage(n_addresses=0), 5, 0.0, 3 * 86_400.0)  # no addresses
+        # spans far longer than the horizon: every address holds its state
         long_spans = SparseUsage(n_addresses=30, mean_on_days=500.0, mean_off_days=500.0)
-        self.check_spans(long_spans, 1.0, 7)
+        self.check_truth(long_spans, 7, 86_400.0, 2 * 86_400.0)
+        with pytest.raises(ValueError, match="positive"):
+            self.check_truth(SparseUsage(n_addresses=10, mean_on_days=0.0), 6, 0.0, 86_400.0)
 
 
 class TestFullScanEquivalence:

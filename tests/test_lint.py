@@ -169,25 +169,6 @@ def test_rep003_clean_job_passes(tmp_path):
     assert lint_rule(root, "REP003") == []
 
 
-def test_rep003_flags_live_shm_captures(tmp_path):
-    root = make_tree(
-        tmp_path, {"src/repro/runtime/myjobs.py": fixture("rep003_shm_bad.py")}
-    )
-    violations = lint_rule(root, "REP003")
-    messages = " | ".join(v.message for v in violations)
-    assert len(violations) == 4
-    assert messages.count("a live SharedMemory handle") == 2  # bare + dotted
-    assert "a memoryview" in messages
-    assert "a shared-memory buffer ('.buf')" in messages
-
-
-def test_rep003_descriptor_carrying_job_is_clean(tmp_path):
-    root = make_tree(
-        tmp_path, {"src/repro/runtime/myjobs.py": fixture("rep003_shm_clean.py")}
-    )
-    assert lint_rule(root, "REP003") == []
-
-
 # ---------------------------------------------------------------------------
 # REP004 cache-key completeness + schema fingerprint
 

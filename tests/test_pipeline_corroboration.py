@@ -22,7 +22,7 @@ def _analyze(corroborate: bool, seed: int = 81):
         events=(Outage(start_s=14 * 86_400.0, end_s=14 * 86_400.0 + 30 * 3600.0),),
     )
     usage = DynamicPoolUsage(pool_size=48, peak=0.8, trough=0.1, quiet_week_probability=0.0)
-    truth = usage.generate(np.random.default_rng(seed), round_grid(28 * 86_400.0), calendar)
+    truth = usage.generate(seed, round_grid(28 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
     logs = [
         TrinocularObserver(name, phase_offset_s=97.0 * (i + 1)).observe(

@@ -24,7 +24,7 @@ EPOCH = datetime(2020, 1, 1)
 
 def make_truth(usage, days=2, seed=0):
     cal = Calendar(epoch=EPOCH, tz_hours=0.0)
-    return usage.generate(np.random.default_rng(seed), round_grid(days * 86_400.0), cal)
+    return usage.generate(seed, round_grid(days * 86_400.0), cal)
 
 
 class TestProbeOrder:

@@ -21,7 +21,7 @@ def make_truth(n_addresses: int, seed: int):
     usage = SparseUsage(
         n_addresses=n_addresses, mean_on_days=1.0, mean_off_days=1.0, stale_addresses=0
     )
-    return usage.generate(np.random.default_rng(seed), round_grid(86_400.0), calendar)
+    return usage.generate(seed, round_grid(86_400.0), calendar)
 
 
 class TestTrinocularProperties:

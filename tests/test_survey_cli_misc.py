@@ -84,8 +84,8 @@ class TestUsageProperties:
         cal = Calendar(epoch=datetime(2020, 1, 1))
         grid = round_grid(3 * 86_400.0)
         usage = WorkplaceUsage(n_desktops=10, n_servers=1)
-        a = usage.generate(np.random.default_rng(seed), grid, cal)
-        b = usage.generate(np.random.default_rng(seed), grid, cal)
+        a = usage.generate(seed, grid, cal)
+        b = usage.generate(seed, grid, cal)
         assert np.array_equal(a.active, b.active)
         assert np.array_equal(a.addresses, b.addresses)
 
@@ -94,9 +94,7 @@ class TestUsageProperties:
     def test_pool_counts_bounded_by_pool_size(self, pool_size):
         cal = Calendar(epoch=datetime(2020, 1, 1))
         usage = DynamicPoolUsage(pool_size=pool_size, stale_addresses=0)
-        truth = usage.generate(
-            np.random.default_rng(1), round_grid(2 * 86_400.0), cal
-        )
+        truth = usage.generate(1, round_grid(2 * 86_400.0), cal)
         assert truth.counts().max() <= pool_size
 
     @given(st.integers(min_value=2, max_value=40))

@@ -26,7 +26,7 @@ WEEK = 7 * 86_400.0
 
 def generate(usage, days=14, tz=0.0, events=(), seed=0):
     cal = Calendar(epoch=EPOCH, tz_hours=tz, events=tuple(events))
-    return usage.generate(np.random.default_rng(seed), round_grid(days * 86_400.0), cal), cal
+    return usage.generate(seed, round_grid(days * 86_400.0), cal), cal
 
 
 class TestBlockTruth:
