@@ -30,7 +30,7 @@ from ..obs.resources import ResourceTracker, cpu_seconds, format_bytes, peak_rss
 from ..obs.trace import NoopTracer, SpanRecord, Tracer, get_tracer, use_tracer
 from . import envconfig
 from .cache import AnalysisCache, default_cache
-from .executors import Executor, PoolExecutor, SerialExecutor
+from .executors import Executor, Pending, PoolExecutor, SerialExecutor
 from .sharding import ShardPlan, resolve_shards
 from .spill import SpillDir, SpilledResults
 
@@ -337,17 +337,78 @@ def _chunk_group(
     """Split a chunk job's pending tasks into chunks.
 
     Serial execution keeps everything as one chunk (maximum batch
-    width); a parallel executor gets about two chunks per worker so the
-    pool load-balances, but never chunks below ``min_rows`` — tiny
-    batches forfeit the columnar win to dispatch overhead.  No tasks
-    (every block a cache hit) means nothing to dispatch.
+    width); a parallel executor gets one chunk per worker.  The engine
+    queues the next shard before it collects this one, so no worker
+    waits at a shard boundary and there is no tail to balance, while
+    wider chunks step the lane kernel's rounds once for more blocks.
+    Chunks never go below ``min_rows`` — tiny batches forfeit the
+    columnar win to dispatch overhead.  No tasks (every block a cache
+    hit) means nothing to dispatch.
     """
     if not tasks:
         return []
     if workers <= 1 or len(tasks) <= min_rows:
         return [tuple(tasks)]
-    size = max(-(-len(tasks) // (workers * 2)), min_rows)
+    size = max(-(-len(tasks) // workers), min_rows)
     return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
+
+
+@dataclass
+class _Job:
+    """One submission of a shard's tasks and how to unpack its results."""
+
+    pending: Pending
+    traced: _TracedDispatch | None
+    chunked: bool
+
+    def collect(self) -> list[Any]:
+        """Per-task results in task order; adopts shipped telemetry."""
+        values = self.pending.result()
+        if self.traced is not None:
+            shipped, values = values, []
+            for s in shipped:
+                self.traced.tracer.adopt(s.spans)
+                self.traced.registry.merge(s.meters)
+                values.append(s.value)
+        if self.chunked:
+            return [result for chunk in values for result in chunk]
+        return values
+
+
+@dataclass
+class _Shard:
+    """One shard between its cache consult and its finish.
+
+    ``pending`` indexes the tasks this shard computes, ``hits`` the
+    cache hits; ``deferred`` indexes tasks whose key the previous shard
+    is still computing — they are read back from the cache once that
+    shard is stored, exactly as the sequential loop would have hit.
+    """
+
+    tasks: list[Any]
+    keys: list[str | None] | None
+    hits: dict[int, Any]
+    pending: list[int]
+    deferred: list[int]
+    index: int = 0
+    #: span tags of a sharded run (``shard``, ``shards``); empty unsharded
+    tags: dict[str, int] = field(default_factory=dict)
+    jobs: list[_Job] = field(default_factory=list)
+
+    @property
+    def misses(self) -> int:
+        return len(self.pending) if self.keys is not None else 0
+
+    def computing(self) -> set[str]:
+        """Keys this shard will store once finished."""
+        if self.keys is None:
+            return set()
+        return {k for k in (self.keys[i] for i in self.pending) if k is not None}
+
+    def cancel(self) -> None:
+        for job in self.jobs:
+            job.pending.cancel()
+        self.jobs = []
 
 
 #: The run funnel's counters, in report order.
@@ -397,8 +458,9 @@ class CampaignEngine:
         shards: int | None = None,
     ) -> None:
         """``shards`` partitions each run's task list into contiguous
-        ranges streamed one at a time with results spilled to disk
-        between shards; ``None`` defers to ``REPRO_SHARDS`` (the CLI's
+        ranges, pipelined two deep through the executor with each
+        finished shard's results spilled to disk; ``None`` defers to
+        ``REPRO_SHARDS`` (the CLI's
         ``--shards``), defaulting to unsharded.  Results are identical
         either way — sharding only changes how the work is executed."""
         self.executor: Executor = executor or SerialExecutor()
@@ -437,11 +499,14 @@ class CampaignEngine:
         other result types are simply counted and timed.
 
         When the engine is sharded (``shards > 1``), the same body loops
-        over contiguous task ranges (:class:`ShardPlan`); each completed
-        shard's results spill to a memory-mapped on-disk layout and are
-        dropped before the next shard starts, so coordinator RSS is
-        bounded by one shard's working set, not the world.  ``results``
-        then comes back as a lazy
+        over contiguous task ranges (:class:`ShardPlan`) as a two-stage
+        pipeline: it consults the cache for shard i and submits its
+        pending tasks, then finishes shard i-1 — collects, merges,
+        tallies, stores and spills it — while the executor already runs
+        shard i.  Each finished shard's results spill to a memory-mapped
+        on-disk layout and are dropped, so coordinator RSS is bounded by
+        two shards' working set (the one finishing and the one in
+        flight), not the world.  ``results`` then comes back as a lazy
         :class:`~repro.runtime.spill.SpilledResults` — contiguity makes
         the slot order, and therefore every downstream output, byte-
         identical to an unsharded run.
@@ -451,24 +516,30 @@ class CampaignEngine:
         dispatch and its result stored after; hits bypass the executor
         entirely (their :class:`BlockResult` carries no stage records,
         because no stage ran) but land in the same result slot, so
-        cached runs stay byte-identical to computed ones.  Jobs without
-        ``cache_key`` run uncached, as do tasks whose key comes back
-        ``None`` (uncacheable inputs).
+        cached runs stay byte-identical to computed ones.  A key the
+        in-flight shard is still computing is not dispatched again: it
+        is read back once that shard is stored, so hit, miss and store
+        counts are those of running the shards one after another.
+        Jobs without ``cache_key`` run uncached, as do tasks whose key
+        comes back ``None`` (uncacheable inputs).
 
         Every run opens a ``campaign`` span on the ambient (or given)
         tracer.  When that tracer is enabled, each task runs through
         :class:`TracedCall` so per-block spans and worker metric
-        snapshots ship back, and the snapshots merge into
+        snapshots ship back; they are adopted when their shard is
+        collected, under that shard's tags, and the snapshots merge into
         :attr:`RunMetrics.meters` and the process-wide registry.
         Tracing never touches task results: serial and pooled runs stay
-        byte-identical with it on or off.
+        byte-identical with it on or off.  Progress heartbeats keep
+        shard order: a shard's ticks come as it is collected, and its
+        ``next_shard`` record follows the previous shard's finish.
 
         When ``fn`` exposes ``map_chunk(tasks)``, each shard's pending
         tasks split into chunks (:func:`_chunk_group`: one chunk when
-        serial, about two per worker otherwise) and one executor map
+        serial, one per worker otherwise) and one executor submission
         runs ``fn.map_chunk`` over them; cache keys, results, and stage
         records are those of calling ``fn`` per block, byte for byte.
-        Other jobs are mapped per task directly.
+        Other jobs are submitted per task directly.
         """
         tasks = list(tasks)
         plan = ShardPlan.plan(self.shards, len(tasks))
@@ -482,6 +553,7 @@ class CampaignEngine:
         spill = SpillDir.create() if n_shards > 1 else None
         results: list[Any] = []
         readers = []
+        live: list[_Shard] = []
         progress = get_progress()
         try:
             with tracer.span(
@@ -499,52 +571,32 @@ class CampaignEngine:
                         tracer=tracer, registry=registry, parent_id=parent_id
                     )
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    shard_tasks = tasks[lo:hi]
-                    keys, hits, pending = self._consult_cache(fn, shard_tasks)
-                    misses = len(pending) if keys is not None else 0
+                    shard = self._consult(fn, tasks[lo:hi], live[-1] if live else None)
+                    shard.index = i
+                    if spill is not None:
+                        shard.tags = {"shard": i, "shards": n_shards}
                     if i == 0:
                         progress.begin(
                             label,
                             len(tasks),
-                            done=len(hits),
-                            cache_hits=len(hits),
-                            cache_misses=misses,
+                            done=len(shard.hits),
+                            cache_hits=len(shard.hits),
+                            cache_misses=shard.misses,
                             shards=n_shards if spill is not None else None,
                         )
-                    else:
-                        progress.next_shard(cache_hits=len(hits), cache_misses=misses)
-                    tags = {"shard": i, "shards": n_shards} if spill is not None else {}
-                    pending_tasks = [shard_tasks[j] for j in pending]
-                    with tracer.tagged(**tags):
-                        if hasattr(fn, "map_chunk"):
-                            chunks = _chunk_group(
-                                pending_tasks, getattr(self.executor, "workers", 1)
-                            )
-                            computed = [
-                                result
-                                for chunk in self._map_tasks(
-                                    fn.map_chunk, chunks, traced, None, blocks_done=len
-                                )
-                                for result in chunk
-                            ]
-                        else:
-                            computed = self._map_tasks(fn, pending_tasks, traced, "block")
-                    shard_results = self._merge_results(
-                        len(shard_tasks), hits, pending, computed
-                    )
-                    self._tally(metrics, shard_results)
-                    if keys is not None:
-                        stores = self._store_results(keys, pending, computed)
-                        metrics.cache = _add_counts(
-                            metrics.cache,
-                            {"hits": len(hits), "misses": len(pending), "stores": stores},
+                    live.append(shard)
+                    self._submit(fn, shard, shard.pending, traced)
+                    if i > 0:
+                        # the executor runs shard i while shard i-1 finishes
+                        self._finish(live[0], metrics, tracer, spill, readers)
+                        del live[0]
+                        self._read_back(fn, shard, traced)
+                        progress.next_shard(
+                            cache_hits=len(shard.hits), cache_misses=shard.misses
                         )
-                    if spill is None:
-                        results = shard_results
-                    else:
-                        readers.append(spill.write_shard(i, shard_results))
-                        # the RSS bound: a spilled shard leaves no live result
-                        del shard_results, hits, computed
+                results = self._finish(shard, metrics, tracer, spill, readers)
+                live.clear()
+                del shard  # a spilled shard leaves no live result
                 # worker meters have merged by now: summarise them into
                 # the resources section, then emit the coordinator's own
                 # meters so the final snapshot has the full picture
@@ -554,7 +606,6 @@ class CampaignEngine:
                     meters=registry.snapshot() if traced is not None else None,
                 )
                 metrics.wall_s = metrics.resources["wall_s"]
-                metrics.fallback = getattr(self.executor, "fallback_reason", None)
                 if spill is not None:
                     metrics.shards = {
                         "shards": n_shards,
@@ -578,6 +629,9 @@ class CampaignEngine:
                 if metrics.cache is not None:
                     span.set(cache_hits=metrics.cache["hits"])
         except BaseException:
+            # a queued shard must not keep the pool busy after a failure
+            for shard in live:
+                shard.cancel()
             if spill is not None:
                 spill.cleanup()
             raise
@@ -588,25 +642,127 @@ class CampaignEngine:
             return EngineRun(results=SpilledResults(spill, readers), metrics=metrics)
         return EngineRun(results=results, metrics=metrics)
 
+    # -- the shard pipeline ------------------------------------------------
+    def _submit(
+        self,
+        fn: Callable[[Any], Any],
+        shard: _Shard,
+        indices: list[int],
+        traced: _TracedDispatch | None,
+    ) -> None:
+        """Hand ``shard``'s tasks at ``indices`` to the executor.
+
+        Every collected result ticks the ambient progress emitter by the
+        blocks it completes: 1 per task, or the chunk's length for
+        ``map_chunk``, so ``done`` converges to the task total exactly
+        once per block.
+        """
+        todo = [shard.tasks[j] for j in indices]
+        map_chunk = getattr(fn, "map_chunk", None)
+        chunked = map_chunk is not None
+        work: list[Any] = todo
+        target: Callable[[Any], Any] = fn
+        span_name: str | None = "block"
+        if chunked:
+            work = _chunk_group(todo, getattr(self.executor, "workers", 1))
+            target, span_name = map_chunk, None
+        progress = get_progress()
+
+        def on_result(result: Any) -> None:
+            if isinstance(result, ShippedResult):
+                result = result.value
+            progress.tick(len(result) if chunked else 1)
+
+        if traced is not None:
+            target = TracedCall(
+                fn=target,
+                trace_id=traced.tracer.trace_id,
+                parent_id=traced.parent_id,
+                span_name=span_name,
+            )
+        pending = self.executor.submit(target, work, on_result)
+        shard.jobs.append(_Job(pending, traced, chunked))
+
+    def _finish(
+        self,
+        shard: _Shard,
+        metrics: RunMetrics,
+        tracer: Tracer | NoopTracer,
+        spill: SpillDir | None,
+        readers: list[Any],
+    ) -> list[Any]:
+        """Collect, merge, tally, store and (when sharded) spill a shard.
+
+        Returns the shard's results when unsharded; a spilled shard
+        returns ``[]`` and leaves no live result (the RSS bound).
+        """
+        with tracer.tagged(**shard.tags):
+            computed = [result for job in shard.jobs for result in job.collect()]
+        for job in shard.jobs:
+            metrics.fallback = metrics.fallback or job.pending.fallback_reason
+        shard.jobs = []
+        results = self._merge_results(len(shard.tasks), shard.hits, shard.pending, computed)
+        self._tally(metrics, results)
+        if shard.keys is not None:
+            stores = self._store_results(shard.keys, shard.pending, computed)
+            metrics.cache = _add_counts(
+                metrics.cache,
+                {"hits": len(shard.hits), "misses": len(shard.pending), "stores": stores},
+            )
+        if spill is None:
+            return results
+        readers.append(spill.write_shard(shard.index, results))
+        return []
+
     # -- caching -----------------------------------------------------------
-    def _consult_cache(
-        self, fn: Callable[[Any], Any], tasks: list[Any]
-    ) -> tuple[list[str | None] | None, dict[int, Any], list[int]]:
-        """Split tasks into cache hits and indices still to compute."""
+    def _consult(
+        self, fn: Callable[[Any], Any], tasks: list[Any], inflight: _Shard | None
+    ) -> _Shard:
+        """Split a shard's tasks into cache hits, deferred and pending.
+
+        A key ``inflight`` is still computing is deferred rather than
+        looked up: the lookup happens in :meth:`_read_back`, once that
+        shard is stored.
+        """
         keyfn = getattr(fn, "cache_key", None)
         if self.cache is None or keyfn is None:
-            return None, {}, list(range(len(tasks)))
+            return _Shard(tasks, None, {}, list(range(len(tasks))), [])
         keys: list[str | None] = [keyfn(task) for task in tasks]
-        hits: dict[int, Any] = {}
-        pending: list[int] = []
+        busy = inflight.computing() if inflight is not None else set()
+        shard = _Shard(tasks, keys, {}, [], [])
         for i, key in enumerate(keys):
             if key is not None:
+                if key in busy:
+                    shard.deferred.append(i)
+                    continue
                 found, value = self.cache.get(key)
                 if found:
-                    hits[i] = value
+                    shard.hits[i] = value
                     continue
-            pending.append(i)
-        return keys, hits, pending
+            shard.pending.append(i)
+        return shard
+
+    def _read_back(
+        self, fn: Callable[[Any], Any], shard: _Shard, traced: _TracedDispatch | None
+    ) -> None:
+        """Look up ``shard``'s deferred keys now that the previous shard
+        is stored; any that still miss are computed after all."""
+        if not shard.deferred:
+            return
+        assert self.cache is not None and shard.keys is not None
+        missed = []
+        for i in shard.deferred:
+            key = shard.keys[i]
+            assert key is not None  # only keyed tasks are deferred
+            found, value = self.cache.get(key)
+            if found:
+                shard.hits[i] = value
+            else:
+                missed.append(i)
+        shard.deferred = []
+        if missed:
+            shard.pending += missed
+            self._submit(fn, shard, missed, traced)
 
     def _store_results(
         self, keys: list[str | None] | None, pending: list[int], computed: list[Any]
@@ -691,45 +847,6 @@ class CampaignEngine:
     def _emit_resource_meters(registry: MetricsRegistry, res: dict[str, Any]) -> None:
         registry.histogram("resources.cpu_s").observe(res.get("cpu_s", 0.0))
         registry.max_gauge("resources.rss_peak_bytes").set(res.get("rss_peak_bytes", 0))
-
-    # -- dispatch -----------------------------------------------------------
-    def _map_tasks(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        traced: "_TracedDispatch | None",
-        span_name: str | None,
-        blocks_done: Callable[[Any], int] = lambda _result: 1,
-    ) -> list[Any]:
-        """One executor fan-out, through :class:`TracedCall` when traced.
-
-        Every completed result ticks the ambient progress emitter by
-        ``blocks_done(result)``: 1 for fan-outs that complete one block
-        per result and the chunk's length for ``map_chunk``, so ``done``
-        converges to the task total exactly once per block.
-        """
-        progress = get_progress()
-
-        def on_result(result: Any) -> None:
-            if isinstance(result, ShippedResult):
-                result = result.value
-            progress.tick(blocks_done(result))
-
-        if traced is None:
-            return self.executor.map(fn, tasks, on_result)
-        call = TracedCall(
-            fn=fn,
-            trace_id=traced.tracer.trace_id,
-            parent_id=traced.parent_id,
-            span_name=span_name,
-        )
-        shipped = self.executor.map(call, tasks, on_result)
-        values = []
-        for s in shipped:
-            traced.tracer.adopt(s.spans)
-            traced.registry.merge(s.meters)
-            values.append(s.value)
-        return values
 
     # -- aggregation -------------------------------------------------------
     @staticmethod

@@ -1,8 +1,16 @@
 """Pluggable task executors for the campaign engine.
 
-The executor contract is a single method::
+The executor contract is two methods::
 
-    map(fn, tasks, on_result=None) -> list   # results in task order
+    submit(fn, tasks, on_result=None) -> Pending   # Pending.result() -> list
+    map(fn, tasks, on_result=None) -> list         # submit(...).result()
+
+``submit`` hands the tasks over and returns at once; ``result()``
+collects them in task order.  Between the two the caller is free to do
+other work — the engine queues a shard's chunks on the pool before it
+collects the previous shard, so the workers never wait for the
+coordinator's cache and spill work.  ``map`` is ``submit`` collected on
+the spot, so dispatch logic exists once.
 
 ``fn`` must be picklable for the pool executor (the repo's jobs are
 frozen dataclasses with ``__call__`` — see :mod:`repro.runtime.jobs`),
@@ -10,14 +18,15 @@ and every executor must return *identical* results for a deterministic
 ``fn``: the pool only changes wall-clock, never values.
 
 ``on_result`` is an optional observation hook invoked once per completed
-result, in task order, as results stream in — the engine uses it to
-drive the live progress heartbeat.  Hooks must not mutate results.
+result, in task order, as :meth:`Pending.result` collects them — the
+engine uses it to drive the live progress heartbeat.  Hooks must not
+mutate results.
 
 Two executors ship:
 
 * :class:`SerialExecutor` — in-process reference semantics;
 * :class:`PoolExecutor` — the process pool: one **persistent**
-  ``ProcessPoolExecutor`` reused across ``map()`` calls, fed plain
+  ``ProcessPoolExecutor`` reused across submissions, fed plain
   pickles.
 
 Payload accounting: the pool's job and task bytes (what crossed the
@@ -33,7 +42,7 @@ import hashlib
 import os
 import pickle
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
@@ -42,6 +51,7 @@ from ..obs.metrics import get_registry
 
 __all__ = [
     "Executor",
+    "Pending",
     "PoolExecutor",
     "SerialExecutor",
 ]
@@ -52,9 +62,16 @@ OnResult = Callable[[Any], None]
 
 @runtime_checkable
 class Executor(Protocol):
-    """Maps a picklable callable over tasks, preserving order."""
+    """Runs a picklable callable over tasks, preserving order."""
 
     name: str
+
+    def submit(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        on_result: OnResult | None = None,
+    ) -> "Pending": ...
 
     def map(
         self,
@@ -64,22 +81,99 @@ class Executor(Protocol):
     ) -> list[Any]: ...
 
 
-def _run_serial(
-    fn: Callable[[Any], Any], tasks: Iterable[Any], on_result: OnResult | None
-) -> list[Any]:
-    results = []
-    for task in tasks:
-        result = fn(task)
-        if on_result is not None:
-            on_result(result)
-        results.append(result)
-    return results
+@dataclass
+class _Queued:
+    """The pool side of a submission: its futures, one per chunk."""
+
+    executor: "PoolExecutor"
+    pool: ProcessPoolExecutor
+    futures: list["Future[list[Any]]"]
+    fn_bytes: int
+    task_bytes: int
+
+
+class Pending:
+    """One submission's results, collected in task order by :meth:`result`.
+
+    Work the pool took is already queued on it.  Anything else — serial
+    execution, a submission the pool could not take, and whatever a
+    pool that broke mid-run left uncollected — runs in-process inside
+    :meth:`result`, so no task is lost and ``fallback_reason`` says why
+    the pool did not run it.  A task's own exception propagates from
+    :meth:`result` after the submission's queued chunks are cancelled.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: list[Any],
+        on_result: OnResult | None = None,
+        *,
+        fallback_reason: str | None = None,
+        queued: _Queued | None = None,
+    ) -> None:
+        self.fn = fn
+        self.tasks = tasks
+        self.on_result = on_result
+        self.fallback_reason = fallback_reason
+        self._queued = queued
+
+    def result(self) -> list[Any]:
+        """Every task's result, in task order (call once)."""
+        results: list[Any] = []
+        queued, self._queued = self._queued, None
+        if queued is not None:
+            try:
+                for future in queued.futures:
+                    for value in future.result():
+                        self._emit(value, results)
+            except (BrokenProcessPool, pickle.PicklingError, CancelledError) as exc:
+                self.fallback_reason = queued.executor._fall_back(exc, queued.pool)
+            except BaseException:
+                _cancel(queued.futures)
+                raise
+            else:
+                queued.executor._account(queued)
+        # completed chunks are whole, so the rest starts at len(results)
+        for task in self.tasks[len(results) :]:
+            self._emit(self.fn(task), results)
+        return results
+
+    def cancel(self) -> None:
+        """Drop the submission: queued chunks that have not started never run."""
+        if self._queued is not None:
+            _cancel(self._queued.futures)
+            self._queued = None
+        self.tasks = []
+
+    def _emit(self, value: Any, results: list[Any]) -> None:
+        if self.on_result is not None:
+            self.on_result(value)
+        results.append(value)
+
+
+def _cancel(futures: list["Future[list[Any]]"]) -> None:
+    for future in futures:
+        future.cancel()
 
 
 class SerialExecutor:
-    """In-process, single-threaded execution (the reference semantics)."""
+    """In-process, single-threaded execution (the reference semantics).
+
+    ``submit`` defers the work to :meth:`Pending.result`: with no
+    second process there is nothing to overlap, and running at collect
+    time keeps one submission's results live at a time.
+    """
 
     name = "serial"
+
+    def submit(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        on_result: OnResult | None = None,
+    ) -> Pending:
+        return Pending(fn, list(tasks), on_result)
 
     def map(
         self,
@@ -87,7 +181,7 @@ class SerialExecutor:
         tasks: Iterable[Any],
         on_result: OnResult | None = None,
     ) -> list[Any]:
-        return _run_serial(fn, tasks, on_result)
+        return self.submit(fn, tasks, on_result).result()
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -119,15 +213,16 @@ class _PickledCall:
     """Chunk envelope of the pool: the job's pickle plus its digest.
 
     Every chunk carries the pickled job as bytes; each worker unpickles
-    it once per digest (:data:`_FN_CACHE`).  Tasks arrive pre-pickled.
+    it once per digest (:data:`_FN_CACHE`).  Tasks arrive pre-pickled,
+    a chunk's worth per call, and come back as one list.
     """
 
     fn_payload: bytes
     fn_digest: str
 
-    def __call__(self, payload: bytes) -> Any:
+    def __call__(self, payloads: tuple[bytes, ...]) -> list[Any]:
         fn = _load_fn(self.fn_payload, self.fn_digest)
-        return fn(pickle.loads(payload))
+        return [fn(pickle.loads(payload)) for payload in payloads]
 
 
 def _shutdown_pool(pool_box: list[ProcessPoolExecutor]) -> None:
@@ -148,26 +243,33 @@ class PoolExecutor:
     How it dispatches:
 
     * the process pool is spawned **once**, lazily, and reused by every
-      subsequent ``map()`` until :meth:`close` (an engine run's
-      per-shard maps — and any number of runs — share one spawn);
-    * the callable is pickled once per map; every chunk carries those
-      bytes, and workers unpickle and cache the job by digest instead
-      of once per chunk;
+      subsequent submission until :meth:`close` (an engine run's
+      per-shard submissions — and any number of runs — share one spawn);
+    * :meth:`submit` queues every chunk on the pool before it returns,
+      so a caller can queue the next submission while this one runs;
+    * the callable is pickled once per submission; every chunk carries
+      those bytes, and workers unpickle and cache the job by digest
+      instead of once per chunk;
     * each task is pickled once up front, so the payload accounting is
       exact;
-    * each map dispatches ``ceil(n / (workers * 4))`` tasks per chunk,
-      so every worker gets several chunks and the pool load-balances.
+    * a submission of ``n`` tasks goes out in chunks of
+      ``ceil(n / (workers * 4))`` tasks, so every worker gets several
+      chunks and the pool load-balances.  A chunk job's submission is
+      already one task per worker (the engine's ``_chunk_group``), so
+      each of its chunks carries one task.
 
     Results come back in task order and are byte-identical to
     :class:`SerialExecutor`.  If the pool cannot be spawned, cannot
-    accept the map's tasks, or breaks mid-run (e.g. a worker is
-    OOM-killed), the executor falls back to in-process execution so no
-    block is lost; ``fallback_reason`` records why.  Exceptions raised
-    by ``fn`` itself are *not* swallowed — they propagate to the caller
-    exactly as they would serially, and the pool stays up.
+    accept the submission's tasks, or breaks mid-run (e.g. a worker is
+    OOM-killed), the uncollected tasks run in-process (:class:`Pending`)
+    so no block is lost; ``fallback_reason`` records why the latest
+    submission fell back.  Exceptions raised by ``fn`` itself are *not*
+    swallowed — they propagate to the caller exactly as they would
+    serially, and the pool stays up.
 
-    Lifecycle: :meth:`close` (also the context-manager exit and a GC
-    finalizer) shuts the pool down.
+    Lifecycle: :meth:`close` (also the context-manager exit) shuts the
+    pool down and joins its workers; a GC finalizer shuts down a pool
+    that was never closed.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -216,7 +318,13 @@ class PoolExecutor:
             self._pool_box.clear()
 
     def close(self) -> None:
-        """Shut down the persistent pool (idempotent)."""
+        """Shut down the persistent pool and join its workers (idempotent).
+
+        Chunks still queued are cancelled; a chunk a worker already
+        runs finishes first, so no worker outlives this call.
+        """
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
         self._teardown_pool()
 
     def __enter__(self) -> "PoolExecutor":
@@ -226,64 +334,74 @@ class PoolExecutor:
         self.close()
 
     # -- dispatch ----------------------------------------------------------
+    def submit(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Iterable[Any],
+        on_result: OnResult | None = None,
+    ) -> Pending:
+        tasks = list(tasks)
+        self.fallback_reason = None
+        if self.workers <= 1 or len(tasks) <= 1:
+            return Pending(fn, tasks, on_result)
+        pool = self._ensure_pool()
+        if pool is None:
+            return Pending(fn, tasks, on_result, fallback_reason=self.fallback_reason)
+
+        n_active = min(self.workers, len(tasks))
+        chunk = max(1, -(-len(tasks) // (n_active * 4)))
+        get_registry().gauge("executor.chunk_size").set(chunk)
+        proto = pickle.HIGHEST_PROTOCOL
+        futures: list[Future[list[Any]]] = []
+        try:
+            fn_payload = pickle.dumps(fn, protocol=proto)
+            call = _PickledCall(fn_payload, hashlib.sha256(fn_payload).hexdigest())
+            packed = [pickle.dumps(t, protocol=proto) for t in tasks]
+            for lo in range(0, len(packed), chunk):
+                # an OSError here is the pool's (its call queue), not a task's
+                futures.append(pool.submit(call, tuple(packed[lo : lo + chunk])))
+        except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
+            _cancel(futures)
+            reason = self._fall_back(exc, pool)
+            return Pending(fn, tasks, on_result, fallback_reason=reason)
+        queued = _Queued(
+            executor=self,
+            pool=pool,
+            futures=futures,
+            fn_bytes=len(fn_payload) * len(futures),
+            task_bytes=sum(len(p) for p in packed),
+        )
+        return Pending(fn, tasks, on_result, queued=queued)
+
     def map(
         self,
         fn: Callable[[Any], Any],
         tasks: Iterable[Any],
         on_result: OnResult | None = None,
     ) -> list[Any]:
-        tasks = list(tasks)
-        self.fallback_reason = None
-        if self.workers <= 1 or len(tasks) <= 1:
-            return _run_serial(fn, tasks, on_result)
-        pool = self._ensure_pool()
-        if pool is None:
-            return _run_serial(fn, tasks, on_result)
+        return self.submit(fn, tasks, on_result).result()
 
-        n_active = min(self.workers, len(tasks))
-        chunk = max(1, -(-len(tasks) // (n_active * 4)))
-        registry = get_registry()
-        registry.gauge("executor.chunk_size").set(chunk)
-        proto = pickle.HIGHEST_PROTOCOL
-        try:
-            fn_payload = pickle.dumps(fn, protocol=proto)
-            call = _PickledCall(fn_payload, hashlib.sha256(fn_payload).hexdigest())
-            packed = [pickle.dumps(t, protocol=proto) for t in tasks]
-            # submits every chunk eagerly: an OSError here is the pool's
-            stream = pool.map(call, packed, chunksize=chunk)
-        except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-            return self._fall_back(exc, fn, tasks, on_result)
-        results = []
-        try:
-            for result in stream:
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-        except (BrokenProcessPool, pickle.PicklingError) as exc:
-            return self._fall_back(exc, fn, tasks, on_result)
-        n_chunks = -(-len(tasks) // chunk)
-        fn_bytes = len(fn_payload) * n_chunks
-        task_bytes = sum(len(p) for p in packed)
-        self.payload["fn_bytes"] += fn_bytes
-        self.payload["task_bytes"] += task_bytes
+    def _account(self, queued: _Queued) -> None:
+        """Book a fully collected submission's payload."""
+        self.payload["fn_bytes"] += queued.fn_bytes
+        self.payload["task_bytes"] += queued.task_bytes
         self.payload["maps"] += 1
-        registry.counter("executor.payload.task_bytes").inc(fn_bytes + task_bytes)
-        return results
+        get_registry().counter("executor.payload.task_bytes").inc(
+            queued.fn_bytes + queued.task_bytes
+        )
 
-    def _fall_back(
-        self,
-        exc: BaseException,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        on_result: OnResult | None,
-    ) -> list[Any]:
-        """Pool infrastructure failure: the persistent pool is no longer
-        trustworthy — tear it down (a later map may respawn) and rerun
-        everything in-process so no block is lost."""
+    def _fall_back(self, exc: BaseException, pool: ProcessPoolExecutor) -> str:
+        """Pool infrastructure failure: ``pool`` is no longer trustworthy.
+
+        Tear it down unless a sibling submission already did (a later
+        submission may respawn), and return the reason; the caller runs
+        its uncollected tasks in-process so no block is lost.
+        """
         self.fallback_reason = f"pool failed: {type(exc).__name__}: {exc}"
         get_registry().counter("executor.fallbacks").inc()
-        self._teardown_pool()
-        return _run_serial(fn, tasks, on_result)
+        if pool is self._pool:
+            self._teardown_pool()
+        return self.fallback_reason
 
     def __repr__(self) -> str:
         return f"PoolExecutor(workers={self.workers})"

@@ -4,9 +4,9 @@ The paper's campaign is 5.2M /24 blocks; holding every per-block result
 in one coordinator process makes scale RSS-bound rather than CPU-bound.
 Sharding partitions one engine run's task list into contiguous index
 ranges that stream through the :class:`~repro.runtime.engine.CampaignEngine`
-one shard at a time, with each completed shard's results spilled to a
-memory-mappable on-disk layout (:mod:`repro.runtime.spill`) before the
-next shard starts.
+as a two-stage pipeline: shard i is queued on the executor before shard
+i-1 is collected, stored and spilled to a memory-mappable on-disk
+layout (:mod:`repro.runtime.spill`), so at most two shards are live.
 
 Contiguity is the identity-preserving property: concatenating per-shard
 result lists in shard order reproduces exactly the slot order of an

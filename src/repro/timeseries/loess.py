@@ -21,8 +21,10 @@ import numpy as np
 
 __all__ = ["loess_smooth", "loess_smooth_batch", "tricube"]
 
-# cap the (rows, nout, q) sliding-window temporaries at ~32 MB per array
-_CHUNK_ELEMS = 4_000_000
+# cap the (rows, nout, q) sliding-window temporaries at ~2 MB per array:
+# small enough to stay in cache between the window's products and sums
+# (every reduction is per row, so the chunking never moves a bit)
+_CHUNK_ELEMS = 250_000
 
 
 def tricube(u: np.ndarray) -> np.ndarray:

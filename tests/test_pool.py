@@ -55,13 +55,13 @@ def _tasks(n: int = 6) -> list[dict]:
 
 
 def _failing_pool(exc: BaseException) -> type:
-    """A ``ProcessPoolExecutor`` stand-in whose ``map`` raises ``exc``."""
+    """A ``ProcessPoolExecutor`` stand-in whose ``submit`` raises ``exc``."""
 
     class FailingPool:
         def __init__(self, *args, **kwargs):
             pass
 
-        def map(self, *args, **kwargs):
+        def submit(self, *args, **kwargs):
             raise exc
 
         def shutdown(self, *args, **kwargs):

@@ -5,24 +5,38 @@ sharded run (``--shards N``) is an execution detail.  Plans partition
 tasks contiguously, spilled results rehydrate byte-identically, caches
 stay warm across re-sharding, and every experiment output matches the
 unsharded run under ``pickle.dumps`` — for serial and pool dispatch
-alike.
+alike.  The shard pipeline (shard i queued before shard i-1 finishes)
+keeps the sequential loop's cache counts and progress order, and a
+failure with a shard in flight leaves no queued work, spill dir or
+worker behind.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import multiprocessing
+import os
 import pickle
+import time
 import tracemalloc
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from repro.core.pipeline import BlockPipeline
 from repro.datasets.builder import DatasetBuilder, SpilledAnalyses
+from repro.datasets.catalog import dataset
 from repro.net.world import WorldModel, scenario_covid2020
+from repro.obs.metrics import scoped_registry
 from repro.obs.progress import ProgressEmitter, use_progress
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import (
     AnalysisCache,
+    BlockAnalysisJob,
     CampaignEngine,
     SerialExecutor,
     ShardPlan,
@@ -31,6 +45,7 @@ from repro.runtime import (
     SpilledResults,
     resolve_shards,
 )
+from repro.runtime import executors as executors_mod
 
 DATASET = "2020it89-match-ejnw"  # two weeks, four observers: cheap but real
 
@@ -43,6 +58,41 @@ def _boom_on_seven(x):
     if x == 7:
         raise RuntimeError("task 7 exploded")
     return x
+
+
+def _slow_boom_on_one(x):
+    # task 1 fails at once; the others take long enough that the next
+    # shard is still queued on the pool when the failure is collected
+    if x == 1:
+        raise RuntimeError("task 1 exploded")
+    time.sleep(0.3)
+    return x
+
+
+@dataclass(frozen=True)
+class _DieInWorkerOn:
+    """Kills the pool worker that runs task ``victim``; runs it in the
+    coordinator (pid ``home``) like any other task."""
+
+    victim: int
+    home: int
+
+    def __call__(self, x):
+        if x == self.victim and os.getpid() != self.home:
+            os._exit(1)
+        time.sleep(0.05)
+        return x * x
+
+
+@dataclass(frozen=True)
+class _KeyedSquare:
+    """A cacheable job: the key is the task itself."""
+
+    def cache_key(self, x):
+        return f"square-{x}"
+
+    def __call__(self, x):
+        return x * x
 
 
 def _alloc_block(n):
@@ -473,3 +523,218 @@ class TestShardedProgress:
         assert records
         for record in records:
             assert "shard" not in record and "shards" not in record
+
+
+# ---------------------------------------------------------------------------
+# the shard pipeline: shard i is queued before shard i-1 is collected
+# ---------------------------------------------------------------------------
+def _spy_submissions(monkeypatch, executor):
+    """Record every Pending ``executor.submit`` returns, with the pool
+    futures it queued (none when it runs in-process)."""
+    submitted = []
+    submit = executor.submit
+
+    def spy(*args, **kwargs):
+        pending = submit(*args, **kwargs)
+        queued = pending._queued
+        submitted.append((pending, list(queued.futures) if queued else []))
+        return pending
+
+    monkeypatch.setattr(executor, "submit", spy)
+    return submitted
+
+
+class TestPipelineFailures:
+    def test_task_exception_with_a_shard_in_flight(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        executor = PoolExecutor(workers=2)
+        submitted = _spy_submissions(monkeypatch, executor)
+        engine = CampaignEngine(executor, shards=3)
+        try:
+            with pytest.raises(RuntimeError, match="task 1 exploded"):
+                engine.run(_slow_boom_on_one, list(range(24)), label="boom")
+            # shard 1 was queued before shard 0 was collected, and the
+            # chunks of it that no worker had started never run
+            assert len(submitted) == 2
+            queued = submitted[1][1]
+            assert queued and any(f.cancelled() for f in queued)
+            workers = set(executor._pool._processes)
+        finally:
+            engine.close()
+        assert all(f.done() for _, futures in submitted for f in futures)
+        gc.collect()
+        assert list(tmp_path.iterdir()) == []  # the spill dir is gone
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert workers and not workers & alive  # close joined every worker
+
+    def test_broken_pool_with_a_shard_queued_falls_back_for_both(self, monkeypatch):
+        """The pool breaks while shard 1 is collected and shard 2 is
+        queued: both shards rerun in-process, with no task lost."""
+
+        class BreaksAfterShardZero:
+            def __init__(self, *args, **kwargs):
+                self.calls = 0
+
+            def submit(self, fn, *args):
+                self.calls += 1
+                future = Future()
+                if self.calls <= 3:  # shard 0's three chunks
+                    future.set_result(fn(*args))
+                else:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", BreaksAfterShardZero)
+        tasks = list(range(9))
+        serial = CampaignEngine(SerialExecutor()).run(_square, tasks)
+        with scoped_registry() as registry:
+            with CampaignEngine(PoolExecutor(workers=2), shards=3) as engine:
+                run = engine.run(_square, tasks, label="broken")
+                executor = engine.executor
+                assert executor.fallback_reason == (
+                    "pool failed: BrokenProcessPool: worker died"
+                )
+                assert executor._pool is None
+            assert registry.counter("executor.fallbacks").value == 2
+        assert pickle.dumps(list(run.results)) == pickle.dumps(serial.results)
+        assert run.metrics.fallback == "pool failed: BrokenProcessPool: worker died"
+        assert executor.payload["maps"] == 1  # shard 0 alone came back pooled
+
+    def test_killed_worker_with_a_shard_queued_loses_nothing(self, monkeypatch):
+        tasks = list(range(9))
+        job = _DieInWorkerOn(victim=4, home=os.getpid())  # task 4: shard 1
+        serial = CampaignEngine(SerialExecutor()).run(job, tasks)
+        executor = PoolExecutor(workers=2)
+        submitted = _spy_submissions(monkeypatch, executor)
+        with CampaignEngine(executor, shards=3) as engine:
+            run = engine.run(job, tasks, label="killed")
+            assert run.metrics.fallback.startswith("pool failed: BrokenProcessPool")
+        assert len(submitted) == 3
+        assert submitted[1][0].fallback_reason is not None
+        assert pickle.dumps(list(run.results)) == pickle.dumps(serial.results)
+
+
+# the perfbench ``pool-sharded`` shape: 2 workers, 3 shards, cold on-disk cache
+POOL_SHARDED = {"workers": 2, "shards": 3}
+
+
+def _cache_files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.pkl"))
+    }
+
+
+def _forced_records(directory):
+    return [
+        (r["event"], r["shard"], r["done"], r["total"], r["cache_hit_rate"])
+        for r in map(json.loads, (directory / "progress.jsonl").read_text().splitlines())
+    ]
+
+
+class TestPipelinedIdentity:
+    def test_pool_sharded_cold_cache_matches_serial(self, small_world, tmp_path):
+        serial_dir, pool_dir = tmp_path / "serial", tmp_path / "pool"
+        serial = DatasetBuilder(small_world).analyze(
+            DATASET, engine=CampaignEngine(SerialExecutor(), cache=AnalysisCache(serial_dir))
+        )
+        progress_dir = tmp_path / "progress"
+        # only the records a shard boundary forces: start, one per shard, finish
+        with use_progress(ProgressEmitter(progress_dir, interval_s=1e9)):
+            with CampaignEngine(
+                PoolExecutor(workers=POOL_SHARDED["workers"]),
+                cache=AnalysisCache(pool_dir),
+                shards=POOL_SHARDED["shards"],
+            ) as engine:
+                pooled = DatasetBuilder(small_world).analyze(DATASET, engine=engine)
+                assert engine.executor.fallback_reason is None
+                assert engine.executor.payload["maps"] == 3  # one per shard
+        n = serial.metrics.n_tasks
+        for cidr in serial.analyses:
+            assert pickle.dumps(pooled.analyses[cidr]) == pickle.dumps(
+                serial.analyses[cidr]
+            ), cidr
+        assert pooled.metrics.funnel == serial.metrics.funnel
+        assert pooled.metrics.cache == serial.metrics.cache == {
+            "hits": 0, "misses": n, "stores": n,
+        }
+        assert _cache_files(pool_dir) == _cache_files(serial_dir)
+        assert _forced_records(progress_dir) == [
+            ("start", 0, 0, n, 0.0),
+            ("tick", 1, 20, n, 0.0),
+            ("tick", 2, 40, n, 0.0),
+            ("finish", 2, n, n, 0.0),
+        ]
+
+        # a warm rerun of the same shape is all hits
+        with CampaignEngine(
+            PoolExecutor(workers=2), cache=AnalysisCache(pool_dir), shards=3
+        ) as engine:
+            warm = DatasetBuilder(small_world).analyze(DATASET, engine=engine)
+            assert engine.executor.payload["maps"] == 0  # nothing dispatched
+        assert warm.metrics.cache == {"hits": n, "misses": 0, "stores": 0}
+
+    def test_every_tick_is_booked_in_its_own_shard(self, small_world, tmp_path):
+        with use_progress(ProgressEmitter(tmp_path, interval_s=0.0)):
+            with CampaignEngine(PoolExecutor(workers=2), shards=3) as engine:
+                DatasetBuilder(small_world).analyze(DATASET, engine=engine)
+        ranges = ShardPlan.plan(3, len(small_world.blocks)).ranges
+        records = list(map(json.loads, (tmp_path / "progress.jsonl").read_text().splitlines()))
+        assert [r["shard"] for r in records] == sorted(r["shard"] for r in records)
+        for record in records:
+            lo, hi = ranges[record["shard"]]
+            assert lo <= record["done"] <= hi, record
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_in_two_adjacent_shards_counts_like_the_sequential_loop(
+        self, small_world, tmp_path, workers
+    ):
+        job = BlockAnalysisJob(
+            world=small_world, ds=dataset(DATASET), pipeline=BlockPipeline()
+        )
+        blocks = list(small_world.blocks[:47])
+        blocks.insert(16, blocks[15])  # one block ends shard 0 and starts shard 1
+        lo, hi = ShardPlan.plan(3, len(blocks)).ranges[1]
+        assert blocks[lo - 1] is blocks[lo]
+
+        # the reference: the shards one after another on one cache
+        cache = AnalysisCache(tmp_path / "sequential")
+        expected = {"hits": 0, "misses": 0, "stores": 0}
+        for a, b in ShardPlan.plan(3, len(blocks)).ranges:
+            part = CampaignEngine(SerialExecutor(), cache=cache).run(job, blocks[a:b])
+            for key, n in part.metrics.cache.items():
+                expected[key] += n
+        assert expected["hits"] == 1
+
+        serial = CampaignEngine(SerialExecutor()).run(job, blocks)
+        executor = PoolExecutor(workers=2) if workers > 1 else SerialExecutor()
+        with CampaignEngine(
+            executor, cache=AnalysisCache(tmp_path / "pipelined"), shards=3
+        ) as engine:
+            pipelined = engine.run(job, blocks)
+        assert pipelined.metrics.cache == expected
+        assert [pickle.dumps(r.analysis) for r in pipelined.results] == [
+            pickle.dumps(r.analysis) for r in serial.results
+        ]
+
+    def test_a_read_back_that_misses_is_computed(self, tmp_path):
+        """A memory-only cache too small to hold a shard evicts the
+        in-flight key before it is read back: the sequential loop
+        misses it too, so the pipeline computes it after all."""
+        tasks = [3, 0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]  # task 3 opens shards 0 and 1
+        expected = {"hits": 0, "misses": 0, "stores": 0}
+        cache = AnalysisCache(max_items=1)
+        for a, b in ShardPlan.plan(3, len(tasks)).ranges:
+            part = CampaignEngine(SerialExecutor(), cache=cache).run(_KeyedSquare(), tasks[a:b])
+            for key, n in part.metrics.cache.items():
+                expected[key] += n
+        assert expected["misses"] == 12
+        with CampaignEngine(
+            PoolExecutor(workers=2), cache=AnalysisCache(max_items=1), shards=3
+        ) as engine:
+            run = engine.run(_KeyedSquare(), tasks)
+        assert run.metrics.cache == expected
+        assert list(run.results) == [t * t for t in tasks]
