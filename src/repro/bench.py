@@ -69,7 +69,9 @@ FRONT_HALF_DATASET = "2020h1-ejnw"  # 26 weeks, four observers
 FRONT_HALF_BLOCKS = 16  # responsive blocks: 64 lanes, one lane-kernel chunk
 TRUTH_BLOCKS = 48  # responsive blocks per truth window
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
-PROBER_LANE_COUNTS = (4, 16, 64, 256, 1024)
+PROBER_LANE_COUNTS = (4, 8, 16, 32, 64, 256, 1024)
+#: campaign-h1's detection chunk: 28 blocks x 4 observers over 26 weeks
+LONG_WINDOW_LANES = 112
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +254,29 @@ def measure_prober_lanes(
     responsive blocks over ``LANES_DATASET`` (the benchmark's
     ``funnel-2w`` window), with the runtime's own loss models, cursors
     and generator seeds; the first ``L`` lanes are timed both ways for
-    each ``L``.  Both sides include building every probe log (the batch
-    assembles them on access), and every log is asserted equal before
-    anything is recorded.  Keyed by ``L``.
+    each ``L``, keyed by ``L``.  One more row times
+    :data:`LONG_WINDOW_LANES` lanes over the 26-week ``FRONT_HALF_DATASET`` window (the shape of
+    ``campaign-h1``'s detection chunk, where the kernel's per-round cost
+    rather than its per-probe cost sets the time), keyed
+    ``"<dataset>:<L>"``.  Both sides include building every probe log
+    (the batch assembles them on access), and every log is asserted
+    equal before anything is recorded.
     """
+    out = {str(n): row for n, row in _time_lanes(LANES_DATASET, lane_counts).items()}
+    for n, row in _time_lanes(FRONT_HALF_DATASET, (LONG_WINDOW_LANES,)).items():
+        out[f"{FRONT_HALF_DATASET}:{n}"] = row
+    return out
+
+
+def _time_lanes(ds_name: str, lane_counts: Sequence[int]) -> dict[int, dict[str, float]]:
+    """``observe_batch`` against per-lane ``observe`` over dataset
+    ``ds_name``'s window, for the first ``L`` lanes of a covid world, per ``L``."""
     from .datasets.builder import setup_lane
     from .datasets.catalog import dataset
     from .net.prober import ProbeTarget, observe_batch, probe_order
     from .net.world import WorldModel, scenario_covid2020
 
-    ds = dataset(LANES_DATASET)
+    ds = dataset(ds_name)
     n_lanes = max(lane_counts)
     n_blocks = 3 * n_lanes // len(ds.observers)  # ~47% of blocks respond
     world = WorldModel(scenario_covid2020(), n_blocks=n_blocks, seed=11)
@@ -298,7 +313,7 @@ def measure_prober_lanes(
         )
         return list(logs)
 
-    out: dict[str, dict[str, float]] = {}
+    out: dict[int, dict[str, float]] = {}
     for n in lane_counts:
         chosen = lanes[:n]
         lane_s, lane_logs = _best_of(per_lane, chosen, repeats=2)
@@ -307,7 +322,7 @@ def measure_prober_lanes(
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.addresses, b.addresses)
             assert np.array_equal(a.results, b.results)
-        out[str(n)] = {
+        out[n] = {
             "lanes": float(n),
             "probes": float(sum(len(log) for log in lane_logs)),
             "per_lane_s": lane_s,

@@ -68,8 +68,8 @@ __all__ = [
 
 #: Below this many lanes in a chunk, per-lane ``observe`` beats the lane
 #: kernel's fixed per-round cost (``repro bench``'s ``prober_lanes``
-#: section puts the crossover at 16-32 lanes).
-MIN_BATCH_LANES = 32
+#: section puts the crossover between 4 and 8 lanes).
+MIN_BATCH_LANES = 8
 
 #: Anything that probes one lane: a Trinocular site (adaptive or
 #: bayesian), the survey, or the §2.8 additional prober.

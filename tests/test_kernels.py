@@ -47,6 +47,7 @@ from repro.net.prober import (
 )
 from repro.obs.metrics import scoped_registry
 from repro.net.usage import (
+    BlockTruth,
     NatGatewayUsage,
     ServerFarmUsage,
     SparseUsage,
@@ -360,6 +361,91 @@ class TestObserveBatchEquivalence:
             start_s=start, duration_s=end - start, start_cursor=3,
         )
         assert_same_series(observe_batch([lane])[0], want)
+
+    def test_long_windows(self):
+        """Lanes over three weeks: many column runs, a window start off the
+        column grid, steady lanes beside lanes that straddle every round
+        or start on a column edge, congestion loss whose draw buffer
+        refills mid-window, a last round cut short by the window end, and
+        a block of 256 targets."""
+        start = 86_400.0 + 317.0  # 317 s into a column
+        duration = 660.0 * 2900 + 20.0  # phase 0's last round keeps 20 s of probes
+        days = (start + duration) / 86_400.0 + 0.5
+        blocks = [
+            make_truth(WorkplaceUsage(n_desktops=240, n_servers=12), days=days, seed=21),
+            make_truth(SparseUsage(n_addresses=60), days=days, seed=22),
+            make_truth(ServerFarmUsage(n_servers=40), days=days, seed=23),
+        ]
+        assert blocks[0].n_addresses == 256
+        lo, hi = blocks[0].column_of(start), blocks[0].column_of(start + duration)
+        busy = blocks[0].active[:, lo:hi]
+        assert np.count_nonzero((busy[:, 1:] != busy[:, :-1]).any(axis=0)) > 500  # runs
+        # column offsets 317, 454, 647 (straddles: 647 + 42 > 660) and 0
+        phases = (0.0, 137.0, 330.0, 343.0)
+        losses = (
+            BernoulliLoss(p=0.05),
+            DiurnalCongestionLoss(base=0.3, peak=0.9),
+            BernoulliLoss(p=0.2),
+            NoLoss(),
+        )
+        specs = []
+        for b, truth in enumerate(blocks):
+            order = probe_order(truth.n_addresses, 21 + b)
+            for o, (phase, loss) in enumerate(zip(phases, losses)):
+                obs = TrinocularObserver("ejnw"[o], phase_offset_s=phase)
+                kwargs = {"start_s": start, "duration_s": duration, "start_cursor": 7 * o}
+                specs.append((obs, truth, order, loss, 100 * b + o, kwargs))
+        last = TrinocularObserver("e").round_starts(start, start + duration)[-1]
+        assert last + 3.0 * 14 >= start + duration  # the last round's budget is cut
+        logs = check_lanes(specs)
+        # the always-active farm's congested lane draws on every probe
+        assert len(logs[9]) > DRAW_BLOCK
+
+    def test_many_lanes_near_a_loss(self):
+        """Always-active blocks under light loss: a reply every round, and
+        more lanes near a possibly lost draw than are followed one by
+        one, so the countdowns' full counts fall between watched rounds."""
+        specs = []
+        for b in range(12):
+            truth = make_truth(ServerFarmUsage(n_servers=20 + b), days=3.0, seed=40 + b)
+            order = probe_order(truth.n_addresses, 40 + b)
+            for o, name in enumerate("ejnw"):
+                obs = TrinocularObserver(name, phase_offset_s=137.0 + 101.0 * o)
+                specs.append((obs, truth, order, BernoulliLoss(p=0.06), 10 * b + o, {}))
+        check_lanes(specs)
+
+    def test_reply_on_the_last_target(self):
+        """Replies from probe positions 9 and 14 of 15, with a budget of 10:
+        every other round ends on the last target, so its next cursor
+        wraps to exactly 0, and the round after it replies on its
+        budget's last probe, the farthest a table row looks ahead."""
+        m, n_cols = 15, 300
+        active = np.zeros((m, n_cols), dtype=bool)
+        active[[9, 14]] = True
+        truth = BlockTruth(np.arange(m, dtype=np.int16), active, np.arange(n_cols) * 660.0)
+        order = np.arange(m)
+        specs = [
+            (TrinocularObserver(name, phase_offset_s=100.0 * (i + 1), max_probes_per_round=10),
+             truth, order, loss, i, {})
+            for i, (name, loss) in enumerate([("e", NoLoss()), ("j", BernoulliLoss(p=0.3))])
+        ]
+        logs = check_lanes(specs)
+        rounds = logs.rounds(0)
+        assert rounds.hit.all() and (rounds.k[::2] == 10).all() and (rounds.k[1::2] == 5).all()
+
+    def test_wide_tables(self):
+        """A budget of 130 probes (K >= 128) takes 16-bit tables; a second
+        lane of the same block with K = 15 resolves every round on the
+        general path."""
+        truth = make_truth(WorkplaceUsage(n_desktops=240, n_servers=12), days=2.0, seed=24)
+        order = probe_order(truth.n_addresses, 24)
+        specs = [
+            (TrinocularObserver("e", phase_offset_s=137.0, max_probes_per_round=130),
+             truth, order, BernoulliLoss(p=0.3), 31, {"start_cursor": 200}),
+            (TrinocularObserver("j", phase_offset_s=500.0), truth, order,
+             DiurnalCongestionLoss(base=0.05, peak=0.8), 32, {"start_cursor": 255}),
+        ]
+        check_lanes(specs)
 
     def test_shared_generator_is_rejected(self):
         truth = make_truth(ServerFarmUsage(n_servers=8), days=0.5, seed=15)

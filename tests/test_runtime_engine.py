@@ -264,7 +264,7 @@ class TestBlockAnalysisJob:
         from repro.datasets.builder import MIN_BATCH_LANES
 
         job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
-        chunk = tuple(world200.blocks[:4])
+        chunk = tuple(world200.blocks[:1])
         lanes = sum(spec.responsive_by_design for spec in chunk) * len(job.ds.observers)
         assert 0 < lanes < MIN_BATCH_LANES
         oracle = [pickle.dumps(job(spec).analysis) for spec in chunk]
