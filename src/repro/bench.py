@@ -67,6 +67,9 @@ BATCH_BLOCKS = 256
 LANES_DATASET = "2020it89-match-ejnw"  # two weeks, four observers
 FRONT_HALF_DATASET = "2020h1-ejnw"  # 26 weeks, four observers
 FRONT_HALF_BLOCKS = 16  # responsive blocks: 64 lanes, one lane-kernel chunk
+#: the front half's chunks: funnel-2w's two-week window at its width, and
+#: the 26-week window
+FRONT_HALF_ROWS = ((LANES_DATASET, 128), (FRONT_HALF_DATASET, FRONT_HALF_BLOCKS))
 TRUTH_BLOCKS = 48  # responsive blocks per truth window
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 PROBER_LANE_COUNTS = (4, 8, 16, 32, 64, 256, 1024)
@@ -332,62 +335,87 @@ def _time_lanes(ds_name: str, lane_counts: Sequence[int]) -> dict[int, dict[str,
     return out
 
 
-def measure_front_half(n_blocks: int = FRONT_HALF_BLOCKS) -> dict[str, dict[str, float]]:
+def measure_front_half(
+    rows: Sequence[tuple[str, int]] = FRONT_HALF_ROWS,
+) -> dict[str, dict[str, float]]:
     """The columnar front half against the per-block log route.
 
-    One ``FRONT_HALF_DATASET`` chunk of ``n_blocks`` responsive blocks of
-    a covid world is simulated once (untimed) through ``simulate_chunk``.
-    Then each block's repair/combine/reconstruct front half is timed both
-    ways: :class:`~repro.core.front_half.LaneBlock` straight from the lane
+    For each ``(dataset, n_blocks)`` row, one chunk of ``n_blocks``
+    responsive blocks of a covid world is simulated once (untimed)
+    through ``simulate_chunk``.  Then each block's repair/combine/
+    reconstruct front half is timed both ways:
+    :class:`~repro.core.front_half.LaneBlock` straight from the lane
     rounds, and the oracle, which assembles every lane's log and runs
     ``reconstruct_logs`` on it.  Every reconstruction is asserted
-    byte-identical before anything is recorded.
+    byte-identical before anything is recorded.  Each row also splits
+    the columnar route's best run into resolving the lanes
+    (``LaneBlock.of``) and its ``repair``, ``combine`` and
+    ``reconstruct`` stage records.  Keyed ``dataset:blocks``.
     """
-    from .core.front_half import LaneBlock
+    from .core.front_half import LaneBlock, SampleGrid
     from .core.pipeline import BlockPipeline
     from .core.stages import StageContext
     from .datasets.builder import reconstruct_logs, sample_grid, simulate_chunk
     from .datasets.catalog import dataset
     from .net.world import WorldModel, scenario_covid2020
 
-    ds = dataset(FRONT_HALF_DATASET)
-    world = WorldModel(scenario_covid2020(), n_blocks=3 * n_blocks, seed=11)
-    specs = [spec for spec in world.blocks if spec.responsive_by_design][:n_blocks]
-    if len(specs) < n_blocks:
-        raise RuntimeError(f"front_half: world has only {len(specs)} responsive blocks")
-    sim = simulate_chunk(world, specs, ds)
-    grid = sample_grid(sim.start_s, ds)
     pipeline = BlockPipeline()
+    out: dict[str, dict[str, float]] = {}
+    for name, n_blocks in rows:
+        ds = dataset(name)
+        world = WorldModel(scenario_covid2020(), n_blocks=3 * n_blocks, seed=11)
+        specs = [spec for spec in world.blocks if spec.responsive_by_design][:n_blocks]
+        if len(specs) < n_blocks:
+            raise RuntimeError(f"front_half: world has only {len(specs)} responsive blocks")
+        sim = simulate_chunk(world, specs, ds)
+        grid = SampleGrid.of(sample_grid(sim.start_s, ds))
+        assert grid is not None
+        split: dict[str, float] = {}
 
-    def columnar() -> list[Any]:
-        out = []
-        for j in range(len(specs)):
-            block = LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
-            assert block is not None
-            out.append(block.reconstruct(StageContext()))
-        return out
+        def columnar() -> list[Any]:
+            split.clear()
+            t0 = time.perf_counter()
+            blocks = [
+                LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
+                for j in range(len(specs))
+            ]
+            split["of_s"] = time.perf_counter() - t0
+            recons = []
+            for block in blocks:
+                assert block is not None
+                ctx = StageContext()
+                recons.append(block.reconstruct(ctx))
+                for record in ctx.records:
+                    key = f"{record.name}_s"
+                    split[key] = split.get(key, 0.0) + record.wall_s
+            return recons
 
-    def oracle() -> list[Any]:
-        return [
-            reconstruct_logs(
-                pipeline, sim.logs(j), sim.addresses[j], sim.start_s, ds, StageContext()
-            )
-            for j in range(len(specs))
-        ]
+        def oracle() -> list[Any]:
+            return [
+                reconstruct_logs(
+                    pipeline, sim.logs(j), sim.addresses[j], sim.start_s, ds, StageContext()
+                )
+                for j in range(len(specs))
+            ]
 
-    columnar_s, got = _best_of(columnar, repeats=2)
-    oracle_s, want = _best_of(oracle, repeats=2)
-    for a, b in zip(got, want):
-        assert pickle.dumps(a) == pickle.dumps(b)
-    return {
-        "chunk": {
+        runs = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            got = columnar()
+            runs.append((time.perf_counter() - t0, dict(split)))
+        columnar_s, stages = min(runs, key=lambda run: run[0])
+        oracle_s, want = _best_of(oracle, repeats=2)
+        for a, b in zip(got, want):
+            assert pickle.dumps(a) == pickle.dumps(b)
+        out[f"{name}:{n_blocks}"] = {
             "blocks": float(len(specs)),
             "probes": float(sum(sim.n_probes)),
             "columnar_s": columnar_s,
+            **stages,
             "oracle_s": oracle_s,
             "speedup": oracle_s / columnar_s,
         }
-    }
+    return out
 
 
 def measure_truth(n_blocks: int = TRUTH_BLOCKS) -> dict[str, dict[str, float]]:

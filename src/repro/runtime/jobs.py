@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.front_half import LaneBlock
+from ..core.front_half import LaneBlock, SampleGrid
 from ..core.pipeline import BlockPipeline
 from ..core.reconstruction import Reconstruction
 from ..core.stages import PIPELINE_STAGES, StageContext, StageMeter
@@ -122,7 +122,7 @@ class BlockAnalysisJob:
         one ``batch`` span; per-row bit-identical to the scalar stages),
         and each block's tail records follow its front-half records.
         """
-        from ..datasets.builder import batches_lanes, simulate_chunk
+        from ..datasets.builder import batches_lanes, sample_grid, simulate_chunk
 
         tracer = get_tracer()
         out: dict[int, BlockResult] = {}
@@ -140,6 +140,8 @@ class BlockAnalysisJob:
             step = max(len(responsive), 1)
         recons: list[Reconstruction] = []
         ctxs: list[StageContext] = []
+        # the chunk's one window: every block is sampled on the same grid
+        grid = SampleGrid.of(sample_grid(self.ds.start_s(self.world.epoch), self.ds))
         for lo in range(0, len(responsive), step):
             group = responsive[lo : lo + step]
             with tracer.span("chunk", attrs={"n_blocks": len(group)}):
@@ -149,7 +151,7 @@ class BlockAnalysisJob:
                     annotate(block=spec.block.cidr, dataset=self.ds.name)
                     get_registry().counter("blocks.analyzed").inc()
                     ctx = StageContext()
-                    recon = self._reconstruct(sim, j, ctx)
+                    recon = self._reconstruct(sim, j, ctx, grid)
                 recons.append(_canonical_reconstruction(recon))
                 ctxs.append(ctx)
             del sim  # the probe outputs must not stay live through the tail
@@ -162,20 +164,20 @@ class BlockAnalysisJob:
         return tuple(out[i] for i in range(len(specs)))
 
     def _reconstruct(
-        self, sim: ChunkSimulation, j: int, ctx: StageContext
+        self, sim: ChunkSimulation, j: int, ctx: StageContext, grid: SampleGrid | None
     ) -> Reconstruction:
         """Block ``j`` of a simulated chunk, recorded like the per-block path.
 
         Lanes the kernel resolved go straight from their rounds to the
-        reconstruction (:class:`~repro.core.front_half.LaneBlock`); a
-        block whose lanes hold plain logs, or whose probe times are not
-        whole seconds, takes the per-block log route.
+        reconstruction on the chunk's sample ``grid``
+        (:class:`~repro.core.front_half.LaneBlock`); a block whose lanes
+        hold plain logs, or whose probe or grid times are not whole
+        seconds (``grid`` None), takes the per-block log route.
         """
-        from ..datasets.builder import reconstruct_logs, sample_grid
+        from ..datasets.builder import reconstruct_logs
 
         # resolving the lanes (or assembling their logs) is probing work too
         meter = StageMeter()
-        grid = sample_grid(sim.start_s, self.ds)
         block = LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
         logs = sim.logs(j) if block is None else []
         assembly = meter.shares(1)

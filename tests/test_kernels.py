@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.front_half import LaneBlock
+from repro.core.front_half import LaneBlock, SampleGrid, _Lane, _sent_before, _shift
 from repro.core.pipeline import BlockPipeline
 from repro.core.reconstruction import (
     full_scan_durations,
@@ -26,7 +26,7 @@ from repro.core.reconstruction import (
 )
 from repro.core.stages import StageContext
 from repro.datasets.builder import reconstruct_logs, sample_grid
-from repro.datasets.catalog import DatasetSpec
+from repro.datasets.catalog import TRINOCULAR_SITES, DatasetSpec, dataset
 from repro.net.events import (
     Calendar,
     Holiday,
@@ -539,7 +539,7 @@ class TestFrontHalfEquivalence:
         start, ds, lanes, blocks = chunk
         logs = observe_batch(lanes)
         pipeline = BlockPipeline(apply_repair=repair)
-        grid = sample_grid(start, ds)
+        grid = SampleGrid.of(sample_grid(start, ds))
         n = len(ds.observers)
         for j, (truth, fractional) in enumerate(blocks):
             ids = range(j * n, (j + 1) * n)
@@ -580,10 +580,155 @@ class TestFrontHalfEquivalence:
             BlockPipeline(), [logs[i] for i in range(4)], truth.addresses, 0.0, ds, want_ctx
         )
         ctx = StageContext()
-        got = LaneBlock.of(logs, range(4), truth.addresses, sample_grid(0.0, ds)).reconstruct(ctx)
+        grid = SampleGrid.of(sample_grid(0.0, ds))
+        got = LaneBlock.of(logs, range(4), truth.addresses, grid).reconstruct(ctx)
         assert pickle.dumps(got) == pickle.dumps(want)
         assert stage_sizes(ctx) == stage_sizes(want_ctx)
         assert got.is_complete and np.nanmax(got.counts.values) > 0
+
+
+# ---------------------------------------------------------------------------
+# the front half's round-unit tables against explicit probe times
+# ---------------------------------------------------------------------------
+def explicit_times(lane):
+    """Every probe's send time, round by round."""
+    return np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [lane.base + r * lane.step + np.arange(k) * lane.spacing for r, k in enumerate(lane.k)]
+    )
+
+
+@st.composite
+def lane_pairs(draw):
+    """Two lanes on one round step and a sample grid on that step.
+
+    Phases, spacings, budgets up to a round's length and round counts
+    (the window cut) are random.  The second lane's phase is often within
+    a round of the first's, so their rounds interleave, and the grid
+    often starts inside a round of the first lane, so its rounds
+    straddle a grid time.
+    """
+    step = draw(st.sampled_from([660, 97, 30]))
+    lanes = []
+    for i in range(2):
+        spacing = draw(st.integers(1, 5))
+        budget = draw(st.integers(1, (step - 1) // spacing + 1))
+        n_rounds = draw(st.integers(1, 12))
+        if i and draw(st.booleans()):
+            reach = budget * spacing
+            base = lanes[0].base + draw(st.integers(-reach, reach))
+        else:
+            base = draw(st.integers(0, 3 * step))
+        k = draw(st.lists(st.integers(1, budget), min_size=n_rounds, max_size=n_rounds))
+        lanes.append(
+            _Lane.of_counts(
+                base, step if n_rounds > 1 else 0, spacing, 0, np.array(k),
+                np.zeros(n_rounds, dtype=bool),
+            )
+        )
+    a = lanes[0]
+    first = a.base + draw(st.integers(0, a.kmax * a.spacing)) - step * draw(st.integers(-2, 3))
+    n_grid = draw(st.integers(0, 15))
+    grid = SampleGrid(first + np.arange(n_grid, dtype=np.float64) * step, first, step)
+    return lanes, step, grid
+
+
+class TestFrontHalfTables:
+    """The round-unit counts of another lane's earlier probes and the
+    per-lane grid index tables against a binary search over every
+    probe's explicit send time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=lane_pairs(), tie=st.integers(0, 1))
+    def test_sent_before_matches_search(self, pair, tie):
+        (a, b), step, _ = pair
+        pos = np.arange(a.n)
+        r = np.repeat(np.arange(a.k.size), a.k)
+        want = np.searchsorted(explicit_times(b), explicit_times(a) + tie)
+        assert np.array_equal(_sent_before(a, b, tie, step, pos, r), want)
+        assert np.array_equal(_sent_before(a, b, tie, 0, pos, r), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=lane_pairs(), m=st.integers(1, 6))
+    def test_cells_match_grid_index(self, pair, m):
+        lanes, step, grid = pair
+        for lane in lanes:
+            want = np.searchsorted(grid.times, explicit_times(lane))
+            got = lane.cells(grid, m, step)
+            assert np.array_equal(got[: lane.n], want)
+            assert np.all(got[lane.n :] == grid.times.size) and got.size == lane.n + m
+            assert np.array_equal(lane.cells(grid, m, 0), got)
+
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_catalog_phases(self, repair):
+        """The four ``2020h1-ejnw`` sites, lossy, over its 26-week window,
+        whose last round is cut short."""
+        ds = dataset("2020h1-ejnw")
+        assert ds.duration_s % 660.0
+        days = ds.duration_s / 86_400.0 + 0.05
+        truth = make_truth(WorkplaceUsage(n_desktops=40, n_servers=2), days=days, seed=5)
+        target = ProbeTarget.of(truth, probe_order(truth.n_addresses, 5))
+        lanes = [
+            ProbeLane(
+                TrinocularObserver(name, phase_offset_s=TRINOCULAR_SITES[name]), target,
+                BernoulliLoss(p=0.15), np.random.default_rng(i),
+                duration_s=ds.duration_s, start_cursor=11 * i,
+            )
+            for i, name in enumerate(ds.observers)
+        ]
+        logs = observe_batch(lanes)
+        pipeline = BlockPipeline(apply_repair=repair)
+        want_ctx = StageContext()
+        want = reconstruct_logs(
+            pipeline, [logs[i] for i in range(4)], truth.addresses, 0.0, ds, want_ctx
+        )
+        grid = SampleGrid.of(sample_grid(0.0, ds))
+        block = LaneBlock.of(logs, range(4), truth.addresses, grid)
+        assert block.step == 660
+        # every pair of sites counts with one gather per positive probe
+        for i, a in enumerate(block.lanes):
+            for j, b in enumerate(block.lanes):
+                assert i == j or _shift(a, b, int(j < i), block.step) in (-1, 0)
+        ctx = StageContext()
+        got = block.reconstruct(ctx, repair=repair)
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert stage_sizes(ctx) == stage_sizes(want_ctx)
+        assert got.is_complete and np.nanmax(got.counts.values) > 0
+
+    def test_fractional_step_takes_log_route(self):
+        """A round step just off 660 s whose float round starts all land
+        on the whole seconds of a 660 s step: ``LaneBlock.of`` declines
+        it, and the log route gives the bytes the columnar route gives
+        for the whole-second step."""
+        start = 13 * 86_400.0
+        ds = DatasetSpec("front-half", date(2020, 1, 1), 2 / 7, tuple("ej"))
+        truth = make_truth(WorkplaceUsage(n_desktops=20, n_servers=2), days=15.05, seed=9)
+        order = probe_order(truth.n_addresses, 9)
+        target = ProbeTarget.of(truth, order, start, start + ds.duration_s)
+
+        def probe(round_s):
+            return observe_batch([
+                ProbeLane(
+                    TrinocularObserver(
+                        name, phase_offset_s=TRINOCULAR_SITES[name], round_seconds=round_s
+                    ),
+                    target, BernoulliLoss(p=0.2), np.random.default_rng(i),
+                    start_s=start, duration_s=ds.duration_s, start_cursor=5 * i,
+                )
+                for i, name in enumerate(ds.observers)
+            ])
+
+        odd, whole = probe(660.0000000000001), probe(660.0)
+        for i in range(2):
+            assert_same_series(odd[i], whole[i])
+        grid = SampleGrid.of(sample_grid(start, ds))
+        assert LaneBlock.of(odd, range(2), truth.addresses, grid) is None
+        want = reconstruct_logs(
+            BlockPipeline(), [odd[i] for i in range(2)], truth.addresses, start, ds, StageContext()
+        )
+        got = LaneBlock.of(whole, range(2), truth.addresses, grid).reconstruct(StageContext())
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert got.is_complete
 
 
 def kind_usage(kind, seed):
