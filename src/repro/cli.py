@@ -14,7 +14,7 @@
     repro --trace out/ fig3    # also write spans.jsonl/metrics.jsonl/run.json
     repro --progress out/ fig3 # append live heartbeats to out/progress.jsonl
     repro report out/          # re-render a saved run from disk (no rerun)
-    repro lint                 # statically check repo invariants (REP001-REP008)
+    repro lint                 # statically check repo invariants (seven REPnnn rules)
     repro lint --format json   # machine-diffable report (CI artifact)
     repro profile fig3         # run one experiment under cProfile
     repro bench                # time kernels vs their oracles into BENCH_kernels.json
@@ -247,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         from .obs.progress import default_progress, set_progress
 
         set_progress(default_progress())
+    from .lint.sanitizer import install_if_enabled
+
+    install_if_enabled()  # REPRO_SANITIZE=1: a leaked pool or spill dir fails the run
 
     if name == "list":
         print("available experiments:")

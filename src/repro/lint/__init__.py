@@ -4,9 +4,9 @@ The runtime test suite proves the pipeline's invariants *today*; this
 package proves they cannot silently rot *tomorrow*.  The analyzer runs
 in two passes: pass 1 builds a :class:`~repro.lint.project.ProjectContext`
 (module import graph + exported-symbol table over all of ``src/repro``),
-pass 2 runs eight AST-based rules — the newer ones reasoning across
-files and along control flow — checking the properties the
-reproduction's credibility rests on:
+pass 2 runs seven AST-based rules — the newer ones reasoning across
+files — checking the properties the reproduction's credibility rests
+on:
 
 ==========  ====================  =============================================
 rule ID     name                  invariant
@@ -24,10 +24,6 @@ rule ID     name                  invariant
 ``REP005``  metrics-hygiene       instrument names are literals registered in
                                   ``repro.obs.names`` (or built via
                                   ``metric_name`` from a registered family)
-``REP006``  resource-lifecycle    every process pool, spill/temp dir, and mmap
-                                  acquisition is released on all paths
-                                  (``with`` / ``try-finally`` /
-                                  ``weakref.finalize``), flow-sensitively
 ``REP007``  import-layering       module-level imports follow the declarative
                                   layer map, form no cycles, and name symbols
                                   that exist (``rules/layering.LAYER_MAP``)
@@ -36,10 +32,10 @@ rule ID     name                  invariant
                                   knob is registered and typed
 ==========  ====================  =============================================
 
-The static tier has a dynamic oracle: :mod:`repro.lint.sanitizer`
-(``REPRO_SANITIZE=1``) tracks live pools and spill dirs at runtime
-and fails on leaks at engine close and process exit — what REP006
-approximates statically, the sanitizer proves on real runs.
+Resource leaks are not a static rule: :mod:`repro.lint.sanitizer`
+tracks every process pool and spill dir from its acquisition to its
+release and fails on leaks at engine close and process exit.  Every
+tier-1 run is armed with it; ``REPRO_SANITIZE=1`` arms a CLI run.
 
 Entry points: the ``repro lint`` CLI subcommand (:mod:`repro.lint.cli`),
 or :func:`run_lint` for tests and tooling.

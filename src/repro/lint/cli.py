@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Statically check the repository's correctness invariants "
             "(oracle pairing, determinism, picklability, cache-key "
-            "completeness, metrics hygiene, resource lifecycle, import "
-            "layering, env boundary)."
+            "completeness, metrics hygiene, import layering, env "
+            "boundary)."
         ),
         epilog=_rule_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -1,12 +1,12 @@
 """Pass 1 of the two-pass analyzer: the whole-program ``ProjectContext``.
 
-Rules that reason across files (REP006's class-lifecycle lookups,
-REP007's layering and cycle checks) need a view of the project that no
-single ``ast.Module`` provides: which dotted module each file is, what
-each module imports **at module level** (the imports that form the
-architecture graph — function-level lazy imports are deliberately
-excluded, they exist precisely to break import-time edges), and which
-names each module defines.  :class:`ProjectContext` is that view,
+Rules that reason across files (REP007's layering and cycle checks)
+need a view of the project that no single ``ast.Module`` provides:
+which dotted module each file is, what each module imports **at
+module level** (the imports that form the architecture graph —
+function-level lazy imports are deliberately excluded, they exist
+precisely to break import-time edges), and which names each module
+defines.  :class:`ProjectContext` is that view,
 built once per lint run and handed to every rule through
 ``LintContext.project``.
 """

@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     determinism,
     envboundary,
     layering,
-    lifecycle,
     metrics,
     oracle,
     picklability,
@@ -23,7 +22,6 @@ __all__ = [
     "determinism",
     "envboundary",
     "layering",
-    "lifecycle",
     "metrics",
     "oracle",
     "picklability",

@@ -1,16 +1,18 @@
-"""Opt-in runtime ResourceSanitizer: the dynamic oracle behind REP006.
+"""The runtime ResourceSanitizer: no pool or spill dir outlives its owner.
 
-REP006 proves statically that every acquisition *site* is dominated by
-a release; this module proves dynamically that no acquisition
-*instance* outlives its owner.  When enabled (``REPRO_SANITIZE=1``, or
-an explicit :func:`install`), it patches the runtime's acquisition and
-release choke points with a tracking registry:
+When installed it wraps the runtime's two acquisitions where they are
+made, with a tracking registry:
 
-* persistent process pools — ``PoolExecutor._ensure_pool``
-  registers, ``_teardown_pool`` unregisters;
-* spill directories — ``SpillDir.__init__`` registers, the module's
-  ``_remove_tree`` (shared by ``cleanup()`` and the finalizer)
-  unregisters.
+* process pools — the ``ProcessPoolExecutor`` that
+  :mod:`repro.runtime.executors` constructs registers once it is built
+  and unregisters on its ``shutdown`` (idempotently: ``close()`` shuts
+  a pool down twice);
+* spill directories — the ``mkdtemp`` in :mod:`repro.runtime.spill`
+  registers the new directory, the module's ``_remove_tree`` (shared by
+  ``cleanup()`` and the finalizer) unregisters it.
+
+So a resource is live from the moment it exists, not from the moment
+its owner stores it: an exception between the two is a leak it sees.
 
 Enforcement happens at two boundaries:
 
@@ -21,8 +23,11 @@ Enforcement happens at two boundaries:
   ``sessionfinish`` hook in ``tests/conftest.py``) collects garbage,
   then fails the process if *anything* is still live.
 
-The patches are reversible (:func:`ResourceSanitizer.uninstall`) and
-all runtime imports are lazy: ``lint`` must stay loadable — and
+``tests/conftest.py`` installs it for every tier-1 run; the CLI
+installs it when ``REPRO_SANITIZE=1``.  The patches are reversible
+(:func:`ResourceSanitizer.uninstall`) and stack: a second sanitizer
+installed on top tracks the same acquisitions and unwinds LIFO.  All
+runtime imports are lazy: ``lint`` must stay loadable — and
 layer-clean (REP007) — without importing ``runtime`` at module level.
 """
 
@@ -70,7 +75,7 @@ class TrackedResource:
 def _acquisition_site() -> str:
     """``file:line`` of the acquiring frame outside this module."""
     for frame in reversed(traceback.extract_stack(limit=12)[:-2]):
-        if not frame.filename.endswith("sanitizer.py"):
+        if frame.filename != __file__:
             return f"{frame.filename}:{frame.lineno}"
     return "<unknown>"
 
@@ -133,7 +138,7 @@ class ResourceSanitizer:
         setattr(owner, attr, wrapper)
 
     def install(self) -> None:
-        """Patch the runtime acquisition/release choke points (idempotent)."""
+        """Wrap the runtime's acquisitions and releases (idempotent)."""
         if self._installed:
             return
         # lazy: lint stays import-light and layer-clean (REP007)
@@ -143,39 +148,38 @@ class ResourceSanitizer:
 
         sanitizer = self
 
-        # persistent pools ---------------------------------------------
-        orig_ensure_pool = executors_mod.PoolExecutor._ensure_pool
-        orig_teardown_pool = executors_mod.PoolExecutor._teardown_pool
+        # process pools: from construction to shutdown ------------------
+        pool_cls = executors_mod.ProcessPoolExecutor
 
-        def ensure_pool(self: Any) -> Any:
-            before = self._pool
-            pool = orig_ensure_pool(self)
-            if pool is not None and pool is not before:
-                sanitizer.register("process-pool", _pool_name(pool))
-            return pool
+        def pool_init(pool: Any, *args: Any, **kwargs: Any) -> None:
+            pool_cls.__init__(pool, *args, **kwargs)
+            sanitizer.register("process-pool", _pool_name(pool))
 
-        def teardown_pool(self: Any) -> None:
-            pool = self._pool
-            orig_teardown_pool(self)
-            if pool is not None:
-                sanitizer.unregister("process-pool", _pool_name(pool))
+        def pool_shutdown(pool: Any, *args: Any, **kwargs: Any) -> None:
+            pool_cls.shutdown(pool, *args, **kwargs)
+            sanitizer.unregister("process-pool", _pool_name(pool))
 
-        self._patch(executors_mod.PoolExecutor, "_ensure_pool", ensure_pool)
-        self._patch(executors_mod.PoolExecutor, "_teardown_pool", teardown_pool)
+        tracked_pool = type(
+            pool_cls.__name__,
+            (pool_cls,),
+            {"__init__": pool_init, "shutdown": pool_shutdown},
+        )
+        self._patch(executors_mod, "ProcessPoolExecutor", tracked_pool)
 
-        # spill directories --------------------------------------------
-        orig_spill_init = spill_mod.SpillDir.__init__
+        # spill directories: from mkdtemp to removal --------------------
+        orig_mkdtemp = spill_mod.mkdtemp
         orig_remove_tree = spill_mod._remove_tree
 
-        def spill_init(self: Any, directory: Any) -> None:
-            orig_spill_init(self, directory)
-            sanitizer.register("spill-dir", str(self.directory))
+        def mkdtemp(*args: Any, **kwargs: Any) -> str:
+            path: str = orig_mkdtemp(*args, **kwargs)
+            sanitizer.register("spill-dir", path)
+            return path
 
         def remove_tree(path: str) -> None:
             orig_remove_tree(path)
             sanitizer.unregister("spill-dir", path)
 
-        self._patch(spill_mod.SpillDir, "__init__", spill_init)
+        self._patch(spill_mod, "mkdtemp", mkdtemp)
         self._patch(spill_mod, "_remove_tree", remove_tree)
 
         # engine-close boundary ----------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import deque
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -331,9 +330,12 @@ class _TracedDispatch:
     parent_id: str
 
 
-def _chunk_group(
-    tasks: list[Any], workers: int, min_rows: int = 8
-) -> list[tuple[Any, ...]]:
+#: Smallest chunk :func:`_chunk_group` makes: tiny batches forfeit the
+#: columnar win to dispatch overhead.
+_MIN_CHUNK_ROWS = 8
+
+
+def _chunk_group(tasks: list[Any], workers: int) -> list[tuple[Any, ...]]:
     """Split a chunk job's pending tasks into chunks.
 
     Serial execution keeps everything as one chunk (maximum batch
@@ -341,15 +343,14 @@ def _chunk_group(
     queues the next shard before it collects this one, so no worker
     waits at a shard boundary and there is no tail to balance, while
     wider chunks step the lane kernel's rounds once for more blocks.
-    Chunks never go below ``min_rows`` — tiny batches forfeit the
-    columnar win to dispatch overhead.  No tasks (every block a cache
-    hit) means nothing to dispatch.
+    Chunks never go below :data:`_MIN_CHUNK_ROWS`.  No tasks (every
+    block a cache hit) means nothing to dispatch.
     """
     if not tasks:
         return []
-    if workers <= 1 or len(tasks) <= min_rows:
+    if workers <= 1 or len(tasks) <= _MIN_CHUNK_ROWS:
         return [tuple(tasks)]
-    size = max(-(-len(tasks) // workers), min_rows)
+    size = max(-(-len(tasks) // workers), _MIN_CHUNK_ROWS)
     return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
 
@@ -877,8 +878,8 @@ def default_engine() -> CampaignEngine:
     size, which stays up until the engine is closed — callers that own
     the engine should use it as a context manager (see
     :func:`engine_scope`).  A value that is not an integer, or is
-    negative, also runs serial — but loudly, via ``warnings.warn``,
-    instead of silently ignoring the setting.  The CLI's
+    negative, also runs serial — but loudly (``envconfig.get_int``
+    warns), instead of silently ignoring the setting.  The CLI's
     ``--workers N`` flag sets this variable for the whole run.
 
     ``REPRO_CACHE=DIR`` (the CLI's ``--cache DIR``) additionally attaches
@@ -888,25 +889,7 @@ def default_engine() -> CampaignEngine:
     engine itself: each run streams through N contiguous shards with
     results spilled to disk between them, bounding coordinator RSS.
     """
-    raw = envconfig.raw("REPRO_WORKERS")
-    workers = 1
-    if raw:
-        try:
-            workers = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"REPRO_WORKERS={raw!r} is not an integer; running serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            workers = 1
-        if workers < 0:
-            warnings.warn(
-                f"REPRO_WORKERS={raw!r} is negative; clamping to serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            workers = 1
+    workers = envconfig.get_int("REPRO_WORKERS", 1, minimum=0)
     cache = default_cache()
     if workers <= 1:
         return CampaignEngine(SerialExecutor(), cache)

@@ -142,7 +142,11 @@ def _warn_garbage(name: str, value: str, expected: str, fallback: str) -> None:
 
 
 def get_int(name: str, default: int, *, minimum: int | None = None) -> int:
-    """Integer knob; garbage warns and falls back to ``default``."""
+    """Integer knob; garbage warns and falls back to ``default``.
+
+    A value below ``minimum`` warns too ("is negative" when the minimum
+    is 0) and is clamped to ``minimum``.
+    """
     value = raw(name)
     if not value:
         return default
@@ -152,6 +156,12 @@ def get_int(name: str, default: int, *, minimum: int | None = None) -> int:
         _warn_garbage(name, value, "an integer", str(default))
         return default
     if minimum is not None and parsed < minimum:
+        below = "is negative" if minimum == 0 else f"is below {minimum}"
+        warnings.warn(
+            f"{name}={value!r} {below}; using {minimum}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return minimum
     return parsed
 

@@ -22,7 +22,6 @@ of silently changing execution.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from . import envconfig
@@ -83,28 +82,8 @@ def resolve_shards(value: int | None) -> int:
     Unset or empty means ``1`` — sharding is opt-in because the spill
     round-trip costs disk I/O that tiny worlds do not need.  A value
     that is not an integer, or is negative, also means ``1`` — but
-    loudly, via ``warnings.warn``, matching the ``REPRO_WORKERS``
-    resolution style.
+    loudly (``envconfig.get_int`` warns), as ``REPRO_WORKERS`` does.
     """
     if value is not None:
         return max(int(value), 1)
-    raw = envconfig.raw("REPRO_SHARDS")
-    if not raw:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_SHARDS={raw!r} is not an integer; running unsharded",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 1
-    if shards < 0:
-        warnings.warn(
-            f"REPRO_SHARDS={raw!r} is negative; clamping to unsharded",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 1
-    return max(shards, 1)
+    return max(envconfig.get_int("REPRO_SHARDS", 1, minimum=0), 1)

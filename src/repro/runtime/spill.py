@@ -36,9 +36,9 @@ import io
 import os
 import pickle
 import shutil
-import tempfile
 import weakref
 from pathlib import Path
+from tempfile import mkdtemp
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -141,7 +141,7 @@ class SpillDir:
         parent = resolve_spill_parent()
         if parent is not None:
             Path(parent).mkdir(parents=True, exist_ok=True)
-        return cls(tempfile.mkdtemp(prefix="repro-spill-", dir=parent))
+        return cls(mkdtemp(prefix="repro-spill-", dir=parent))
 
     def write_shard(self, shard_id: int, results: Sequence[Any]) -> _ShardReader:
         """Spill one shard's ordered results; returns its lazy reader."""

@@ -1,10 +1,9 @@
 """Shared fixtures: small deterministic worlds and canonical series.
 
-Also wires the opt-in runtime ResourceSanitizer into the suite: run
-``REPRO_SANITIZE=1 pytest`` and every process pool and spill
-directory acquired during the session is tracked, with the
-session failing if anything is still live at the end (the CI
-sanitize-smoke job runs tier-1 exactly this way).
+Also arms the runtime ResourceSanitizer for the whole session: every
+process pool and spill directory the runtime acquires is tracked from
+the moment it exists, and the session fails (exit 3) if anything is
+still live at the end.
 """
 
 from __future__ import annotations
@@ -29,21 +28,31 @@ SANITIZER_EXIT = 3
 def pytest_configure(config: pytest.Config) -> None:
     from repro.lint import sanitizer
 
-    sanitizer.install_if_enabled()
+    sanitizer.get_sanitizer().install()
 
 
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
     from repro.lint import sanitizer
 
     san = sanitizer.get_sanitizer()
-    if not san.installed:
-        return
     gc.collect()  # let finalizer safety nets fire before judging
     leaks = san.live()
     if leaks:
         print(f"\n{san.report()}", file=sys.stderr, flush=True)
         session.exitstatus = SANITIZER_EXIT
     # the registry is clean (or reported); keep atexit from re-firing
+    san.uninstall()
+
+
+@pytest.fixture()
+def sanitizer():
+    """A second sanitizer stacked on the session's for one test: its live
+    set holds only what the test itself acquired and did not release."""
+    from repro.lint.sanitizer import ResourceSanitizer
+
+    san = ResourceSanitizer()
+    san.install()
+    yield san
     san.uninstall()
 
 

@@ -60,13 +60,12 @@ RULE_IDS = [
     "REP003",
     "REP004",
     "REP005",
-    "REP006",
     "REP007",
     "REP008",
 ]
 
 
-def test_registry_ships_the_eight_documented_rules():
+def test_registry_ships_the_documented_rules():
     rules = all_rules()
     assert [r.id for r in rules] == RULE_IDS
     assert all(r.summary for r in rules)
@@ -283,30 +282,6 @@ def test_rep005_flags_fstring_typo_and_bad_family(tmp_path):
 def test_rep005_clean_registered_names_pass(tmp_path):
     root = _rep005_tree(tmp_path, "rep005_clean.py")
     assert lint_rule(root, "REP005") == []
-
-
-# ---------------------------------------------------------------------------
-# REP006 resource lifecycle
-
-
-def test_rep006_flags_leaks_on_every_path_shape(tmp_path):
-    root = make_tree(
-        tmp_path, {"src/repro/runtime/leaky.py": fixture("rep006_bad.py")}
-    )
-    violations = lint_rule(root, "REP006")
-    messages = " | ".join(v.message for v in violations)
-    assert len(violations) == 4
-    assert "acquired and dropped without a handle" in messages
-    assert "may leak on an exception edge" in messages
-    assert "never released on this path" in messages
-    assert "Holder has no lifecycle method" in messages
-
-
-def test_rep006_protected_acquisitions_pass(tmp_path):
-    root = make_tree(
-        tmp_path, {"src/repro/runtime/managed.py": fixture("rep006_clean.py")}
-    )
-    assert lint_rule(root, "REP006") == []
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,21 @@ class TestSatelliteFixes:
             engine = default_engine()
         assert isinstance(engine.executor, SerialExecutor)
 
+    def test_get_int_warns_below_its_minimum(self, monkeypatch):
+        import warnings as warnings_mod
+
+        from repro.runtime import envconfig
+
+        monkeypatch.setenv("REPRO_SHARDS", "-2")
+        with pytest.warns(RuntimeWarning, match="'-2' is negative; using 0"):
+            assert envconfig.get_int("REPRO_SHARDS", 1, minimum=0) == 0
+        with pytest.warns(RuntimeWarning, match="'-2' is below 1; using 1"):
+            assert envconfig.get_int("REPRO_SHARDS", 1, minimum=1) == 1
+        monkeypatch.setenv("REPRO_SCALE", "-2")  # no minimum: taken as is
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("error")
+            assert envconfig.get_int("REPRO_SCALE", 400) == -2
+
     def test_default_engine_valid_values_stay_silent(self, monkeypatch):
         import warnings as warnings_mod
 

@@ -1,12 +1,13 @@
-"""ResourceSanitizer: the dynamic oracle behind REP006.
+"""ResourceSanitizer: every runtime pool and spill dir is tracked where
+it is acquired.
 
 Leak-injection suite: acquire real pools / spill dirs,
 deliberately withhold the release, and assert the sanitizer sees them;
 then release and assert the registry drains.  Every resource acquired
-here IS released before the test returns, so the suite stays clean
-under its own instrumentation (``REPRO_SANITIZE=1`` runs these tests
-with the session-wide sanitizer installed as well — the local one
-stacks on top and unwinds LIFO).
+here is released (or, for a pool that is dropped on purpose,
+unregistered) before the test returns, so the suite stays clean under
+the session-wide sanitizer ``tests/conftest.py`` arms — the local one
+stacks on top of it and unwinds LIFO.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import gc
 
 import pytest
 
+from repro.lint import sanitizer as sanitizer_mod
 from repro.lint.sanitizer import (
     ResourceLeakError,
     ResourceSanitizer,
@@ -22,17 +24,23 @@ from repro.lint.sanitizer import (
     get_sanitizer,
     install_if_enabled,
 )
+from repro.runtime import engine as engine_mod
+from repro.runtime import executors as executors_mod
 from repro.runtime import spill as spill_mod
 from repro.runtime.executors import PoolExecutor
 from repro.runtime.spill import SpillDir
 
+#: Every attribute the sanitizer patches, as (owner, name).
+PATCH_POINTS = (
+    (executors_mod, "ProcessPoolExecutor"),
+    (spill_mod, "mkdtemp"),
+    (spill_mod, "_remove_tree"),
+    (engine_mod.CampaignEngine, "close"),
+)
 
-@pytest.fixture()
-def sanitizer():
-    san = ResourceSanitizer()
-    san.install()
-    yield san
-    san.uninstall()
+
+def _patched():
+    return [owner.__dict__[name] for owner, name in PATCH_POINTS]
 
 
 def test_finalizer_safety_net_also_unregisters(sanitizer):
@@ -103,36 +111,80 @@ def test_analyze_closes_the_default_pool_it_creates(sanitizer, monkeypatch, smal
     assert sanitizer.live("process-pool") == []
 
 
+def test_pool_dropped_without_shutdown_is_live(sanitizer):
+    """A pool is tracked from its constructor, not from the moment its
+    owner stores it: one lost before anyone could shut it down stays
+    live (nothing was submitted, so it has no worker processes)."""
+
+    def build_and_drop() -> str:
+        pool = executors_mod.ProcessPoolExecutor(max_workers=1)
+        return _pool_name(pool)
+
+    name = build_and_drop()
+    gc.collect()
+    live = sanitizer.live("process-pool")
+    assert [r.name for r in live] == [name]
+    assert "test_sanitizer.py:" in live[0].created_at
+    with pytest.raises(ResourceLeakError, match="process-pool"):
+        sanitizer.assert_clean("the test boundary")
+    # the pool object is gone: drain both registries by hand
+    for san in (sanitizer, get_sanitizer()):
+        san.unregister("process-pool", name)
+
+
+def test_spill_dir_tracked_from_mkdtemp(sanitizer, tmp_path):
+    """A directory ``SpillDir.create`` made but never wrapped is live."""
+    path = spill_mod.mkdtemp(prefix="repro-spill-", dir=tmp_path)
+    assert [r.name for r in sanitizer.live("spill-dir")] == [path]
+    spill_mod._remove_tree(path)
+    assert sanitizer.live("spill-dir") == []
+    assert get_sanitizer().live("spill-dir") == []
+
+
+def test_pool_shutdown_twice_unregisters_once(sanitizer):
+    pool = executors_mod.ProcessPoolExecutor(max_workers=1)
+    assert len(sanitizer.live("process-pool")) == 1
+    pool.shutdown(wait=True)
+    pool.shutdown(wait=True)  # close() does this; must not raise
+    assert sanitizer.live("process-pool") == []
+
+
 def test_uninstall_restores_the_original_methods():
-    before_pool = PoolExecutor.__dict__["_ensure_pool"]
-    before_spill = SpillDir.__dict__["__init__"]
+    before = _patched()
     san = ResourceSanitizer()
     san.install()
-    assert PoolExecutor.__dict__["_ensure_pool"] is not before_pool
-    assert SpillDir.__dict__["__init__"] is not before_spill
+    assert all(a is not b for a, b in zip(_patched(), before))
+    assert isinstance(executors_mod.ProcessPoolExecutor, type)
+    assert issubclass(executors_mod.ProcessPoolExecutor, before[0])
     san.uninstall()
-    assert PoolExecutor.__dict__["_ensure_pool"] is before_pool
-    assert SpillDir.__dict__["__init__"] is before_spill
-    assert spill_mod.SpillDir.__init__ is before_spill
+    assert all(a is b for a, b in zip(_patched(), before))
 
 
 def test_install_is_idempotent():
     san = ResourceSanitizer()
     san.install()
-    patched_pool = PoolExecutor.__dict__["_ensure_pool"]
-    patched_spill = SpillDir.__dict__["__init__"]
+    patched = _patched()
     san.install()  # second install must not stack another wrapper
-    assert PoolExecutor.__dict__["_ensure_pool"] is patched_pool
-    assert SpillDir.__dict__["__init__"] is patched_spill
+    assert all(a is b for a, b in zip(_patched(), patched))
     san.uninstall()
 
 
 def test_install_if_enabled_respects_the_knob(monkeypatch):
+    """The CLI's switch, checked on a fresh process-wide instance so the
+    session's armed sanitizer is left alone."""
     from repro.runtime import envconfig
 
     session_wide = get_sanitizer()
-    if session_wide.installed:
-        pytest.skip("session-wide sanitizer active (REPRO_SANITIZE=1 run)")
-    with envconfig.overriding("REPRO_SANITIZE", "0"):
-        assert install_if_enabled() is False
-    assert not session_wide.installed
+    assert session_wide.installed  # tier-1 always runs armed
+    fresh = ResourceSanitizer()
+    monkeypatch.setattr(sanitizer_mod, "_SANITIZER", fresh)
+    try:
+        with envconfig.overriding("REPRO_SANITIZE", "0"):
+            assert install_if_enabled() is False
+        assert not fresh.installed
+        with envconfig.overriding("REPRO_SANITIZE", "1"):
+            assert install_if_enabled() is True
+        assert fresh.installed
+    finally:
+        fresh.uninstall()
+    assert session_wide.installed

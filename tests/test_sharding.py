@@ -7,12 +7,13 @@ stay warm across re-sharding, and every experiment output matches the
 unsharded run under ``pickle.dumps`` — for serial and pool dispatch
 alike.  The shard pipeline (shard i queued before shard i-1 finishes)
 keeps the sequential loop's cache counts and progress order, and a
-failure with a shard in flight leaves no queued work, spill dir or
-worker behind.
+failure with a shard in flight (a task exception, a full disk, an
+interrupt) leaves no queued work, spill dir or worker behind.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import multiprocessing
@@ -58,6 +59,13 @@ def _boom_on_seven(x):
     if x == 7:
         raise RuntimeError("task 7 exploded")
     return x
+
+
+def _slow_square(x):
+    # slow enough that the next shard is still queued on the pool when
+    # the coordinator finishes this one
+    time.sleep(0.1)
+    return x * x
 
 
 def _slow_boom_on_one(x):
@@ -615,6 +623,59 @@ class TestPipelineFailures:
         assert len(submitted) == 3
         assert submitted[1][0].fallback_reason is not None
         assert pickle.dumps(list(run.results)) == pickle.dumps(serial.results)
+
+    def test_full_disk_mid_spill_with_a_shard_in_flight(
+        self, tmp_path, monkeypatch, sanitizer
+    ):
+        """``ENOSPC`` while shard 0 spills and shard 1 is queued: the
+        error surfaces as itself, shard 1's unstarted chunks never run,
+        and the pool and the spill dir are gone once the engine closes."""
+
+        def full_disk(self, shard_id, results):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        monkeypatch.setattr(SpillDir, "write_shard", full_disk)
+        executor = PoolExecutor(workers=2)
+        submitted = _spy_submissions(monkeypatch, executor)
+        engine = CampaignEngine(executor, shards=3)
+        try:
+            with pytest.raises(OSError) as raised:
+                engine.run(_slow_square, list(range(24)), label="enospc")
+            assert raised.value.errno == errno.ENOSPC
+            assert len(submitted) == 2
+            assert any(f.cancelled() for f in submitted[1][1])
+        finally:
+            engine.close()
+        assert raised.traceback and list(tmp_path.iterdir()) == []
+        assert sanitizer.live() == []
+
+    def test_interrupt_between_shards(self, tmp_path, monkeypatch, sanitizer):
+        """Ctrl-C as shard 1 starts (shard 0 spilled, shard 1 queued):
+        ``KeyboardInterrupt`` propagates, shard 1's unstarted chunks are
+        cancelled, and the spill dir holding shard 0 is removed."""
+        emitter = ProgressEmitter(tmp_path / "progress", interval_s=0.0)
+
+        def interrupt(**counts):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(emitter, "next_shard", interrupt)
+        spill_parent = tmp_path / "spill"
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill_parent))
+        executor = PoolExecutor(workers=2)
+        submitted = _spy_submissions(monkeypatch, executor)
+        engine = CampaignEngine(executor, shards=3)
+        try:
+            with use_progress(emitter), pytest.raises(KeyboardInterrupt) as raised:
+                engine.run(_slow_square, list(range(24)), label="interrupted")
+            assert len(submitted) == 2
+            assert any(f.cancelled() for f in submitted[1][1])
+        finally:
+            engine.close()
+        # removed eagerly: the traceback still holds the run's frame, so
+        # the spill dir's GC finalizer has not fired
+        assert raised.traceback and list(spill_parent.iterdir()) == []
+        assert sanitizer.live() == []
 
 
 # the perfbench ``pool-sharded`` shape: 2 workers, 3 shards, cold on-disk cache
