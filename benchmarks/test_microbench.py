@@ -265,10 +265,10 @@ def test_engine_parallel_world(benchmark, engine_world, serial_reference):
 
 
 def test_engine_traced_world(benchmark, engine_world, serial_reference):
-    """Whole-world analysis with full telemetry on: spans + metric shipping.
+    """Whole-world analysis with full telemetry on: spans + worker accounting.
 
     The delta against ``test_engine_serial_world`` is the tracing
-    overhead (span records, per-task registry swaps, snapshot merging);
+    overhead (span records shipped home with each task's CPU and RSS);
     it should stay in the low single-digit percent of run wall time.
     """
     from repro.obs.trace import Tracer, use_tracer
@@ -280,8 +280,7 @@ def test_engine_traced_world(benchmark, engine_world, serial_reference):
         return result
 
     result = benchmark.pedantic(traced, rounds=1, iterations=1)
-    assert result.metrics.meters is not None
-    assert result.metrics.meters["engine.tasks"]["value"] == engine_world.n_blocks
+    assert result.metrics.resources["workers"]["tasks"] == engine_world.n_blocks
     for cidr, analysis in result.analyses.items():
         assert pickle.dumps(analysis) == pickle.dumps(
             serial_reference.analyses[cidr]

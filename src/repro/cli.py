@@ -172,7 +172,6 @@ def _report(directory: str) -> int:
 
 def _write_trace(directory: str, tracer, experiment: str) -> None:
     """Persist the run's spans, per-run metrics, and manifest."""
-    from .obs.metrics import get_registry
     from .obs.sinks import write_run
     from .runtime import peek_run_log
 
@@ -181,7 +180,6 @@ def _write_trace(directory: str, tracer, experiment: str) -> None:
         tracer=tracer,
         runs=peek_run_log(),
         label=experiment,
-        meters=get_registry().snapshot(),
     )
     print(f"trace written to {out}/", file=sys.stderr)
 

@@ -18,8 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from ..obs.metrics import get_registry
-from ..obs.names import metric_name
 from ..obs.resources import thread_cpu_seconds
 from ..obs.trace import get_tracer
 
@@ -114,10 +112,8 @@ class StageContext:
     def stage(self, name: str, *, n_in: int = 0) -> Iterator[_ActiveStage]:
         """Time a stage body; set ``.n_out`` on the yielded handle.
 
-        Besides the :class:`StageRecord`, every invocation feeds the
-        stage's latency histogram in the ambient metrics registry and —
-        when tracing is enabled — closes a ``stage:<name>`` span under
-        the enclosing block span.
+        When tracing is enabled, every invocation also closes a
+        ``stage:<name>`` span under the enclosing block span.
         """
         active = _ActiveStage()
         tracer = get_tracer()
@@ -139,7 +135,6 @@ class StageContext:
                     cpu_s=cpu_s,
                 )
             )
-            get_registry().histogram(metric_name("stage", name, "wall_s")).observe(wall_s)
             if span_cm is not None:
                 span.set(n_in=n_in, n_out=active.n_out)
                 span_cm.__exit__(None, None, None)
@@ -147,7 +142,6 @@ class StageContext:
     def skip(self, name: str, reason: str, *, n_in: int = 0) -> None:
         """Record that a stage was not run and why."""
         self.records.append(StageRecord(name=name, n_in=n_in, skipped=reason))
-        get_registry().counter(metric_name("stage", name, "skips", reason)).inc()
 
     def record_batched(
         self,
@@ -164,9 +158,9 @@ class StageContext:
         ``wall_s`` is the block's slice of the batch wall time (the batched
         pipeline attributes ``batch_wall / n_batch`` to each member), and
         ``cpu_s`` the analogous CPU share, while ``n_in``/``n_out`` are
-        the block's true sizes.  The record feeds the same latency histogram as :meth:`stage`, and —
-        when tracing — emits a synthetic ``stage:<name>`` span under the
-        enclosing span so per-block span accounting stays intact.
+        the block's true sizes.  When tracing, the record also emits a
+        synthetic ``stage:<name>`` span under the enclosing span so
+        per-block span accounting stays intact.
         """
         self.records.append(
             StageRecord(
@@ -177,7 +171,6 @@ class StageContext:
                 cpu_s=cpu_s,
             )
         )
-        get_registry().histogram(metric_name("stage", name, "wall_s")).observe(wall_s)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.emit(

@@ -4,7 +4,7 @@ The runtime test suite proves the pipeline's invariants *today*; this
 package proves they cannot silently rot *tomorrow*.  The analyzer runs
 in two passes: pass 1 builds a :class:`~repro.lint.project.ProjectContext`
 (module import graph + exported-symbol table over all of ``src/repro``),
-pass 2 runs seven AST-based rules — the newer ones reasoning across
+pass 2 runs six AST-based rules — the newer ones reasoning across
 files — checking the properties the reproduction's credibility rests
 on:
 
@@ -21,9 +21,6 @@ rule ID     name                  invariant
 ``REP004``  cache-key-            ``cache_key``/``cache_token`` cover every
             completeness          public field; token-shaping code edits
                                   require a ``CACHE_SCHEMA`` bump
-``REP005``  metrics-hygiene       instrument names are literals registered in
-                                  ``repro.obs.names`` (or built via
-                                  ``metric_name`` from a registered family)
 ``REP007``  import-layering       module-level imports follow the declarative
                                   layer map, form no cycles, and name symbols
                                   that exist (``rules/layering.LAYER_MAP``)
@@ -34,7 +31,7 @@ rule ID     name                  invariant
 
 Resource leaks are not a static rule: :mod:`repro.lint.sanitizer`
 tracks every process pool and spill dir from its acquisition to its
-release and fails on leaks at engine close and process exit.  Every
+release and fails on leaks at process exit.  Every
 tier-1 run is armed with it; ``REPRO_SANITIZE=1`` arms a CLI run.
 
 Entry points: the ``repro lint`` CLI subcommand (:mod:`repro.lint.cli`),
@@ -43,19 +40,16 @@ or :func:`run_lint` for tests and tooling.
 
 from __future__ import annotations
 
-from .baseline import Baseline, default_baseline_path
 from .driver import LintContext, LintResult, build_context, find_root, run_lint
 from .registry import Rule, Violation, all_rules, get_rule
 
 __all__ = [
-    "Baseline",
     "LintContext",
     "LintResult",
     "Rule",
     "Violation",
     "all_rules",
     "build_context",
-    "default_baseline_path",
     "find_root",
     "get_rule",
     "run_lint",

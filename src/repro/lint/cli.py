@@ -14,7 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baseline import Baseline, default_baseline_path
 from .driver import build_context, find_root, run_lint
 from .registry import all_rules
 from .report import render_json, render_text
@@ -30,10 +29,8 @@ def _rule_epilog() -> str:
     return (
         "rules:\n"
         f"{lines}\n\n"
-        "suppress one finding with a trailing comment on the flagged line\n"
-        "(`# repro-lint: disable=REP002`) or the line above it\n"
-        "(`# repro-lint: disable-next-line=REP002`); see docs/dev.md for\n"
-        "when a suppression is acceptable."
+        "every finding fails the run: there are no suppression comments\n"
+        "and no baseline file; fix the code or the rule (docs/dev.md)."
     )
 
 
@@ -43,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Statically check the repository's correctness invariants "
             "(oracle pairing, determinism, picklability, cache-key "
-            "completeness, metrics hygiene, import layering, env "
-            "boundary)."
+            "completeness, import layering, env boundary)."
         ),
         epilog=_rule_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -72,22 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="repository root (default: discovered from cwd / install path)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of accepted findings (default: <root>/lint_baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--update-fingerprint",
@@ -130,33 +110,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cache fingerprint recorded at {path}")
         return 0
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path(root)
-    )
-    try:
-        baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    except (ValueError, OSError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-
     rule_ids = (
         [part.strip() for part in args.rules.split(",") if part.strip()]
         if args.rules
         else None
     )
     try:
-        result = run_lint(root, rule_ids=rule_ids, baseline=baseline, context=context)
+        result = run_lint(root, rule_ids=rule_ids, context=context)
     except KeyError as exc:
         print(f"repro lint: {exc.args[0]}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        Baseline.from_violations(result.violations).save(baseline_path)
-        print(
-            f"baseline of {len(result.violations)} finding(s) written to "
-            f"{baseline_path}"
-        )
-        return 0
 
     report = (
         render_json(result)

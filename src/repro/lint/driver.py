@@ -1,31 +1,19 @@
-"""The lint driver: collect sources, run rules, apply suppressions/baseline.
+"""The lint driver: collect sources, run rules, sort the findings.
 
 The driver parses every Python file under ``src/repro`` (plus the
 kernel-equivalence test module, which the oracle-pairing rule inspects)
-into one :class:`LintContext`, hands the context to each registered
-rule, and post-processes the raw findings:
-
-1. **per-line suppressions** — a violation whose flagged line (or the
-   line above) carries ``# repro-lint: disable=REP002`` (or
-   ``disable-next-line=...``, or ``disable=all``) is dropped and counted
-   as suppressed;
-2. **baseline** — findings matching an entry in the checked-in baseline
-   file are dropped and counted as baselined (the shipped baseline is
-   empty; the mechanism exists so a future rule can land before its
-   legacy findings are burned down).
-
-Everything that survives is a hard failure (exit code 1).
+into one :class:`LintContext` and hands the context to each registered
+rule.  Every finding is a hard failure (exit code 1): there is no
+suppression comment and no baseline file.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .baseline import Baseline
 from .project import ProjectContext
 from .registry import Rule, Violation, all_rules
 
@@ -34,8 +22,6 @@ __all__ = ["LintContext", "LintResult", "build_context", "find_root", "run_lint"
 #: Files given to the rules besides the ``src/repro`` tree.
 EXTRA_FILES = ("tests/test_kernels.py",)
 
-_SUPPRESS = re.compile(r"#\s*repro-lint:\s*disable(?P<next>-next-line)?=(?P<ids>[A-Za-z0-9_,\s]+)")
-
 
 @dataclass
 class LintContext:
@@ -43,7 +29,6 @@ class LintContext:
 
     root: Path
     files: dict[str, ast.Module] = field(default_factory=dict)
-    sources: dict[str, list[str]] = field(default_factory=dict)
     #: paths that failed to parse: path -> SyntaxError message
     broken: dict[str, str] = field(default_factory=dict)
     _project: ProjectContext | None = field(default=None, repr=False)
@@ -74,8 +59,6 @@ class LintResult:
     """Outcome of one lint run."""
 
     violations: list[Violation]
-    suppressed: int
-    baselined: int
     rules: list[Rule]
     n_files: int
 
@@ -120,43 +103,16 @@ def build_context(root: Path) -> LintContext:
             ctx.files[rel] = ast.parse(text, filename=rel)
         except SyntaxError as exc:
             ctx.broken[rel] = f"syntax error: {exc.msg} (line {exc.lineno})"
-            continue
-        ctx.sources[rel] = text.splitlines()
     return ctx
-
-
-def _suppressed_ids(line: str) -> tuple[set[str], bool]:
-    """(rule IDs disabled on this line, applies-to-next-line)."""
-    m = _SUPPRESS.search(line)
-    if not m:
-        return set(), False
-    ids = {part.strip() for part in m.group("ids").split(",") if part.strip()}
-    return ids, bool(m.group("next"))
-
-
-def _is_suppressed(violation: Violation, ctx: LintContext) -> bool:
-    lines = ctx.sources.get(violation.path)
-    if not lines or violation.line <= 0:
-        return False  # cross-file findings have no line to annotate
-    if violation.line <= len(lines):
-        ids, is_next = _suppressed_ids(lines[violation.line - 1])
-        if not is_next and ids and (violation.rule in ids or "all" in ids):
-            return True
-    if violation.line >= 2:
-        ids, is_next = _suppressed_ids(lines[violation.line - 2])
-        if is_next and ids and (violation.rule in ids or "all" in ids):
-            return True
-    return False
 
 
 def run_lint(
     root: Path | None = None,
     *,
     rule_ids: list[str] | None = None,
-    baseline: Baseline | None = None,
     context: LintContext | None = None,
 ) -> LintResult:
-    """Run the registered rules and return the post-processed result."""
+    """Run the registered rules and return their sorted findings."""
     root = find_root() if root is None else root
     ctx = context if context is not None else build_context(root)
     rules = all_rules()
@@ -174,20 +130,8 @@ def run_lint(
     for rule in rules:
         raw.extend(rule.check(ctx))
 
-    suppressed = 0
-    baselined = 0
-    kept: list[Violation] = []
-    for violation in sorted(raw, key=Violation.sort_key):
-        if _is_suppressed(violation, ctx):
-            suppressed += 1
-        elif baseline is not None and baseline.covers(violation):
-            baselined += 1
-        else:
-            kept.append(violation)
     return LintResult(
-        violations=kept,
-        suppressed=suppressed,
-        baselined=baselined,
+        violations=sorted(raw, key=Violation.sort_key),
         rules=rules,
         n_files=len(ctx.files),
     )

@@ -17,7 +17,8 @@ from .driver import LintResult
 
 __all__ = ["render_json", "render_text", "rule_table"]
 
-REPORT_VERSION = 1
+#: 2: the ``suppressed`` and ``baselined`` counts are gone.
+REPORT_VERSION = 2
 
 
 def rule_table(result: LintResult) -> str:
@@ -45,13 +46,6 @@ def render_text(result: LintResult, *, verbose: bool = False) -> str:
         )
     else:
         summary = f"repro lint: OK ({result.n_files} files, {len(result.rules)} rules)"
-    tail: list[str] = []
-    if result.suppressed:
-        tail.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        tail.append(f"{result.baselined} baselined")
-    if tail:
-        summary += f" [{', '.join(tail)}]"
     if verbose:
         lines.append("rules:")
         lines.append(rule_table(result))
@@ -70,8 +64,6 @@ def render_json(result: LintResult) -> str:
             {"rule": v.rule, "path": v.path, "line": v.line, "message": v.message}
             for v in result.violations
         ],
-        "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "n_files": result.n_files,
         "exit_code": result.exit_code,
     }

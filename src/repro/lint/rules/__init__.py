@@ -12,7 +12,6 @@ from . import (  # noqa: F401
     determinism,
     envboundary,
     layering,
-    metrics,
     oracle,
     picklability,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "determinism",
     "envboundary",
     "layering",
-    "metrics",
     "oracle",
     "picklability",
 ]

@@ -14,7 +14,7 @@ package may import which.  The intended stack, bottom to top::
                  experiments        (paper figures and tables)
 
 ``obs`` is deliberately a cross-cutting telemetry layer: deterministic
-packages may *emit* telemetry (metrics names, spans), so ``core``/
+packages may *emit* telemetry (spans, stage timings), so ``core``/
 ``net`` importing ``obs`` is allowed, while ``obs`` itself may import
 nothing — telemetry must never feed back into results.  ``timeseries``
 imports nothing at all.  ``lint`` imports nothing from the rest of the
@@ -22,9 +22,8 @@ tree (in particular not ``runtime``): the analyzer must be loadable
 even while the code it checks is broken, so its only runtime coupling
 is the sanitizer's function-level lazy imports.
 
-Two modules are **shared leaves**, importable from any layer because
-they import nothing themselves and exist to be universal vocabulary:
-``repro.obs.names`` (the metric-name registry) and
+One module is a **shared leaf**, importable from any layer because it
+imports nothing itself and exists to be universal vocabulary:
 ``repro.runtime.envconfig`` (the REP008 environment resolver).
 
 Root modules (``repro.cli``, ``repro.bench``, ``repro.export``,
@@ -77,9 +76,7 @@ LAYER_MAP: dict[str, frozenset[str]] = {
 
 #: Modules importable from *any* layer: they import nothing from repro
 #: (enforced below) and exist to be shared vocabulary.
-SHARED_LEAVES: frozenset[str] = frozenset(
-    {"repro.obs.names", "repro.runtime.envconfig"}
-)
+SHARED_LEAVES: frozenset[str] = frozenset({"repro.runtime.envconfig"})
 
 
 def _pkg_label(pkg: str) -> str:

@@ -14,14 +14,9 @@ made, with a tracking registry:
 So a resource is live from the moment it exists, not from the moment
 its owner stores it: an exception between the two is a leak it sees.
 
-Enforcement happens at two boundaries:
-
-* **engine close** — ``CampaignEngine.close`` additionally asserts
-  that the closed executor holds no live pool, raising
-  :class:`ResourceLeakError` otherwise;
-* **process exit** — an ``atexit`` hook (and the pytest
-  ``sessionfinish`` hook in ``tests/conftest.py``) collects garbage,
-  then fails the process if *anything* is still live.
+Enforcement happens at process exit: an ``atexit`` hook (and the
+pytest ``sessionfinish`` hook in ``tests/conftest.py``) collects
+garbage, then fails the process if *anything* is still live.
 
 ``tests/conftest.py`` installs it for every tier-1 run; the CLI
 installs it when ``REPRO_SANITIZE=1``.  The patches are reversible
@@ -111,10 +106,6 @@ class ResourceSanitizer:
             resources = [r for r in resources if r.kind == kind]
         return sorted(resources, key=lambda r: (r.kind, r.name))
 
-    def is_live(self, kind: str, name: str) -> bool:
-        with self._lock:
-            return (kind, name) in self._live
-
     def report(self) -> str:
         resources = self.live()
         if not resources:
@@ -142,7 +133,6 @@ class ResourceSanitizer:
         if self._installed:
             return
         # lazy: lint stays import-light and layer-clean (REP007)
-        from ..runtime import engine as engine_mod
         from ..runtime import executors as executors_mod
         from ..runtime import spill as spill_mod
 
@@ -182,16 +172,6 @@ class ResourceSanitizer:
         self._patch(spill_mod, "mkdtemp", mkdtemp)
         self._patch(spill_mod, "_remove_tree", remove_tree)
 
-        # engine-close boundary ----------------------------------------
-        orig_engine_close = engine_mod.CampaignEngine.close
-
-        def engine_close(self: Any) -> None:
-            executor = self.executor
-            orig_engine_close(self)
-            sanitizer.check_engine_close(executor)
-
-        self._patch(engine_mod.CampaignEngine, "close", engine_close)
-
         self._installed = True
         if not self._atexit_registered:
             self._atexit_registered = True
@@ -205,27 +185,6 @@ class ResourceSanitizer:
         with self._lock:
             self._live.clear()
         self._installed = False
-
-    # -- boundaries ---------------------------------------------------
-    def check_engine_close(self, executor: Any) -> None:
-        """Scoped post-close assertion for one engine's executor.
-
-        The executor must hold no live pool.  Scoped (rather than
-        "nothing live anywhere") so closing one engine cannot trip over
-        a neighbour's in-flight resources.
-        """
-        leaks: list[TrackedResource] = []
-        pool = getattr(executor, "_pool", None)
-        if pool is not None and self.is_live("process-pool", _pool_name(pool)):
-            leaks.extend(
-                r for r in self.live("process-pool") if r.name == _pool_name(pool)
-            )
-        if leaks:
-            raise ResourceLeakError(
-                f"{len(leaks)} resource(s) leaked past engine close "
-                f"({executor!r}):\n"
-                + "\n".join(f"  - {resource}" for resource in leaks)
-            )
 
 
 def _pool_name(pool: Any) -> str:

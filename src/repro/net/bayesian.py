@@ -32,7 +32,6 @@ import numpy as np
 
 from .loss import LossModel, NoLoss
 from .observations import ObservationSeries
-from .prober import count_probe_volume
 from .usage import BlockTruth
 
 __all__ = ["BayesianTrinocularObserver"]
@@ -163,12 +162,9 @@ class BayesianTrinocularObserver:
             # between rounds the belief decays slightly toward uncertainty
             # (state can change while we are not looking)
             belief = 0.5 + (belief - 0.5) * 0.9
-        return count_probe_volume(
-            "bayesian",
-            ObservationSeries(
-                times=np.asarray(times, dtype=np.float64),
-                addresses=np.asarray(addrs, dtype=np.int16),
-                results=np.asarray(results, dtype=bool),
-                observer=self.name,
-            ),
+        return ObservationSeries(
+            times=np.asarray(times, dtype=np.float64),
+            addresses=np.asarray(addrs, dtype=np.int16),
+            results=np.asarray(results, dtype=bool),
+            observer=self.name,
         )

@@ -20,8 +20,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..obs.metrics import get_registry
-from ..obs.names import metric_name
 from .loss import LossModel, NoLoss
 from .observations import ObservationSeries
 from .usage import BlockTruth
@@ -33,24 +31,9 @@ __all__ = [
     "ProbeLane",
     "ProbeLogs",
     "ProbeTarget",
-    "count_probe_volume",
     "observe_batch",
     "probe_order",
 ]
-
-
-def count_probe_volume(kind: str, series: ObservationSeries) -> ObservationSeries:
-    """Feed the probe-volume counters and return ``series`` unchanged.
-
-    ``probes.sent.<kind>`` counts every probe an observer simulator
-    emitted; ``probes.positive.<kind>`` the replies.  The paper sizes
-    real probing budgets from exactly these volumes (§2.7–§2.8), so the
-    telemetry layer tracks them per observer family.
-    """
-    registry = get_registry()
-    registry.counter(metric_name("probes.sent", kind)).inc(len(series))
-    registry.counter(metric_name("probes.positive", kind)).inc(int(np.sum(series.results)))
-    return series
 
 
 def _empty_series(name: str) -> ObservationSeries:
@@ -189,7 +172,7 @@ class TrinocularObserver:
             # noticing the window was empty; consume the same uniforms so
             # callers sharing the generator stay bit-compatible
             rng.random(4096)
-            return count_probe_volume("trinocular", _empty_series(self.name))
+            return _empty_series(self.name)
         loss_p = loss.loss_probability(round_starts) if loss.max_probability() > 0 else None
 
         n_cols = truth.n_cols
@@ -329,7 +312,7 @@ class TrinocularObserver:
             cur += j
             if cur >= m:
                 cur -= m
-        series = _assemble_log(
+        return _assemble_log(
             self.name,
             T,
             np.asarray(k_out, dtype=np.int64),
@@ -338,7 +321,6 @@ class TrinocularObserver:
             truth.addresses,
             start_cursor,
         )
-        return count_probe_volume("trinocular", series)
 
     def round_starts(self, start_s: float, end_s: float) -> np.ndarray:
         """Start times of the rounds that begin inside ``[start_s, end_s)``."""
@@ -632,9 +614,9 @@ class ProbeLogs:
 def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
     """Run :meth:`TrinocularObserver.observe` on many lanes at once.
 
-    Lane ``i``'s log, the ``probes.*.trinocular`` counters and every
-    lane generator's end state are bit-identical to calling
-    ``lane.observer.observe_reference`` once per lane.  Rounds are
+    Lane ``i``'s log and every lane generator's end state are
+    bit-identical to calling ``lane.observer.observe_reference`` once
+    per lane.  Rounds are
     stepped in Python; a *steady* round (the full probe budget, one
     truth column, the block's budget) costs three numpy calls for all
     lanes together:
@@ -665,7 +647,6 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
 
     out: "list[LaneRounds | ObservationSeries]" = []
     live: list[_LiveLane] = []
-    counted = False
     # lanes of one observer and window share their round starts, and lanes
     # that also share a loss model share its probabilities
     starts_of: dict[tuple[float, float, float, float], np.ndarray] = {}
@@ -685,7 +666,6 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
         round_starts = starts_of.get(window)
         if round_starts is None:
             round_starts = starts_of[window] = obs.round_starts(lane.start_s, end_s)
-        counted = True
         if round_starts.size == 0:
             rng.random(DRAW_BLOCK)  # the scalar loop prefills before its first round
             out.append(_empty_series(obs.name))
@@ -704,7 +684,6 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
         live.append(_LiveLane(len(out), lane, rng, end_s, round_starts.size, loss_p))
         out.append(_empty_series(obs.name))  # placeholder, replaced below
 
-    sent = positive = 0
     if live:
         kernel = _LaneKernel(live)
         kernel.run()
@@ -713,12 +692,6 @@ def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
             out[item.slot] = LaneRounds(
                 item.lane, item.end_s, kernel.k_out[:n, j], kernel.hit_out[:n, j]
             )
-        sent = int(kernel.k_out.sum(dtype=np.int64))
-        positive = int(np.count_nonzero(kernel.hit_out))
-    if counted:
-        registry = get_registry()
-        registry.counter(metric_name("probes.sent", "trinocular")).inc(sent)
-        registry.counter(metric_name("probes.positive", "trinocular")).inc(positive)
     return ProbeLogs(out)
 
 
@@ -1473,12 +1446,9 @@ class AdditionalProber:
         if loss.max_probability() > 0:
             lost = rng.random(t.size) < loss.loss_probability(t)
             states = states & ~lost
-        return count_probe_volume(
-            "additional",
-            ObservationSeries(
-                times=t,
-                addresses=truth.addresses[order_idx],
-                results=states,
-                observer=self.name,
-            ),
+        return ObservationSeries(
+            times=t,
+            addresses=truth.addresses[order_idx],
+            results=states,
+            observer=self.name,
         )

@@ -14,7 +14,6 @@ import numpy as np
 
 from .loss import LossModel, NoLoss
 from .observations import ObservationSeries
-from .prober import count_probe_volume
 from .usage import BlockTruth
 
 __all__ = ["SurveyObserver"]
@@ -75,12 +74,9 @@ class SurveyObserver:
         if loss.max_probability() > 0:
             lost = rng.random(t.size) < loss.loss_probability(t)
             states = states & ~lost
-        return count_probe_volume(
-            "survey",
-            ObservationSeries(
-                times=t,
-                addresses=truth.addresses[order_idx],
-                results=states,
-                observer=self.name,
-            ),
+        return ObservationSeries(
+            times=t,
+            addresses=truth.addresses[order_idx],
+            results=states,
+            observer=self.name,
         )

@@ -1,31 +1,23 @@
-"""Telemetry for the campaign engine: tracing, metrics, durable sinks.
+"""Telemetry for the campaign engine: spans, progress, durable sinks.
 
 Three pillars (see docs/algorithms.md, "Observability"):
 
+* the run record — one :class:`~repro.runtime.engine.RunMetrics` per
+  engine run (stage table, funnel, cache, shards, resources), built
+  from the :class:`~repro.core.stages.StageRecord` entries every block
+  carries; :mod:`repro.obs.resources` measures its CPU and RSS;
 * :mod:`repro.obs.trace` — hierarchical spans
   (run -> campaign -> block -> stage) recorded by an ambient
   :class:`~repro.obs.trace.Tracer`; the default is a zero-cost no-op,
   and worker-process span fragments ship home with task results;
-* :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counters, gauges, and fixed-bucket histograms with
-  snapshot / reset / merge semantics (worker snapshots fold into the
-  parent's registry);
-* :mod:`repro.obs.sinks` — JSONL span/metrics writers plus a ``run.json``
-  manifest so any experiment run is reconstructable after the fact
-  (``repro --trace DIR`` to write, ``repro report DIR`` to re-render).
+* :mod:`repro.obs.progress` — ``progress.jsonl`` heartbeats while a
+  run is in flight.
+
+:mod:`repro.obs.sinks` writes spans, run records and a ``run.json``
+manifest so any experiment run is reconstructable after the fact
+(``repro --trace DIR`` to write, ``repro report DIR`` to re-render).
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MaxGauge,
-    MetricsRegistry,
-    get_registry,
-    scoped_registry,
-    set_registry,
-)
 from .progress import (
     NoopProgress,
     ProgressEmitter,
@@ -56,12 +48,6 @@ from .trace import (
 from .sinks import SavedRun, git_describe, load_run, render_report, write_run
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MaxGauge",
-    "MetricsRegistry",
     "NOOP",
     "NoopProgress",
     "NoopTracer",
@@ -76,16 +62,13 @@ __all__ = [
     "default_progress",
     "format_bytes",
     "get_progress",
-    "get_registry",
     "get_tracer",
     "git_describe",
     "load_run",
     "peak_rss_bytes",
     "render_report",
     "rss_bytes",
-    "scoped_registry",
     "set_progress",
-    "set_registry",
     "set_tracer",
     "thread_cpu_seconds",
     "use_progress",

@@ -109,7 +109,6 @@ def write_run(
     tracer: Tracer,
     runs: list["RunMetrics"],
     label: str,
-    meters: dict[str, Any] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> Path:
     """Write spans, per-run metrics, and the manifest; returns the dir.
@@ -171,7 +170,6 @@ def write_run(
             }
             for m in runs
         ],
-        "meters": meters or {},
     }
     if extra:
         manifest.update(extra)

@@ -57,7 +57,6 @@ from typing import Any
 
 import numpy as np
 
-from ..obs.metrics import get_registry
 from . import envconfig
 
 __all__ = [
@@ -149,7 +148,6 @@ class AnalysisCache:
         self.directory = Path(directory) if directory is not None else None
         self.max_items = max(int(max_items), 1)
         self._memory: OrderedDict[str, Any] = OrderedDict()
-        self._bytes_written = 0  # cumulative durable-tier bytes, this instance
 
     # -- lookup ----------------------------------------------------------
     def get(self, key: str) -> tuple[bool, Any]:
@@ -174,7 +172,6 @@ class AnalysisCache:
             # a missing entry, or an intact one that no longer loads
             # (a module or class that no longer exists)
             return False, None
-        get_registry().counter("cache.bytes.hit").inc(len(blob))
         self._remember(key, value)
         return True, value
 
@@ -202,12 +199,6 @@ class AnalysisCache:
                 raise
         except OSError:
             return False
-        # byte accounting covers the durable tier only: the memory tier
-        # never serialises, so it has no meaningful byte size to report
-        registry = get_registry()
-        registry.counter("cache.bytes.store").inc(len(blob))
-        self._bytes_written += len(blob)
-        registry.max_gauge("cache.bytes.at_rest").set(self._bytes_written)
         return True
 
     def __len__(self) -> int:

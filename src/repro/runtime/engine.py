@@ -14,7 +14,6 @@ still print what happened.
 from __future__ import annotations
 
 import os
-import time
 from collections import deque
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -22,8 +21,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..core.pipeline import BlockAnalysis
 from ..core.stages import PIPELINE_STAGES, StageRecord
-from ..obs.metrics import MetricsRegistry, get_registry, scoped_registry
-from ..obs.names import metric_name
 from ..obs.progress import get_progress
 from ..obs.resources import ResourceTracker, cpu_seconds, format_bytes, peak_rss_bytes
 from ..obs.trace import NoopTracer, SpanRecord, Tracer, get_tracer, use_tracer
@@ -61,27 +58,30 @@ class BlockResult:
 class ShippedResult:
     """A task result plus the telemetry recorded while producing it.
 
-    Worker processes cannot write into the parent's tracer or metrics
-    registry, so a traced run wraps every task in :class:`TracedCall`,
-    which records into process-local fragments and ships them home
-    inside this envelope.  The engine unwraps ``value`` before
-    aggregation, so task functions and their callers never see it.
+    Worker processes cannot write into the parent's tracer, so a traced
+    run wraps every task in :class:`TracedCall`, which records spans
+    into a process-local tracer and ships them home inside this
+    envelope, with the task's CPU seconds and its process's peak RSS.
+    The engine unwraps ``value`` before aggregation, so task functions
+    and their callers never see it.
     """
 
     value: Any
     spans: tuple[SpanRecord, ...] = ()
-    meters: dict[str, Any] = field(default_factory=dict)
+    cpu_s: float = 0.0
+    rss_peak_bytes: int = 0
 
 
 @dataclass(frozen=True)
 class TracedCall:
-    """Picklable wrapper that records one task's spans and metrics.
+    """Picklable wrapper that records one task's spans and resources.
 
     Opens a ``block`` span parented under the campaign span (so worker
-    fragments re-attach into one rooted tree), swaps in a fresh metrics
-    registry for the task body, and ships both back with the result.
-    The serial executor runs the exact same wrapper in-process, keeping
-    serial and parallel telemetry — and results — identical.
+    fragments re-attach into one rooted tree), measures the task's CPU
+    seconds, and ships both back with the result and the process's
+    peak RSS.  The serial executor runs the exact same wrapper
+    in-process, keeping serial and parallel telemetry — and results —
+    identical.
     """
 
     fn: Callable[[Any], Any]
@@ -94,7 +94,7 @@ class TracedCall:
 
     def __call__(self, task: Any) -> ShippedResult:
         tracer = Tracer(trace_id=self.trace_id, root_parent_id=self.parent_id)
-        with scoped_registry() as registry, use_tracer(tracer):
+        with use_tracer(tracer):
             cpu_start = cpu_seconds()
             if self.span_name is None:
                 with tracer.tagged(pid=os.getpid()):
@@ -102,19 +102,12 @@ class TracedCall:
             else:
                 with tracer.span(self.span_name, attrs={"pid": os.getpid()}):
                     value = self.fn(task)
-            # per-worker accounting rides home in the meter snapshot:
-            # the histogram's sum/count aggregate CPU across tasks and
-            # the max-gauge keeps each worker process's RSS high-water.
-            # A job reporting per block counts once per block it
-            # carried, each with an even share of the task's CPU.
             cpu_s = cpu_seconds() - cpu_start
-            n_blocks = 1 if self.span_name is not None else max(len(value), 1)
-            histogram = registry.histogram("resources.worker.cpu_s")
-            for _ in range(n_blocks):
-                histogram.observe(cpu_s / n_blocks)
-            registry.max_gauge("resources.worker.rss_peak_bytes").set(peak_rss_bytes())
         return ShippedResult(
-            value=value, spans=tuple(tracer.finished), meters=registry.snapshot()
+            value=value,
+            spans=tuple(tracer.finished),
+            cpu_s=cpu_s,
+            rss_peak_bytes=peak_rss_bytes(),
         )
 
 
@@ -177,7 +170,6 @@ class RunMetrics:
     stages: dict[str, StageTotals] = field(default_factory=dict)
     funnel: dict[str, int] = field(default_factory=dict)
     fallback: str | None = None
-    meters: dict[str, Any] | None = None  # merged registry snapshot (traced runs)
     cache: dict[str, int] | None = None  # hits/misses/stores (cached runs only)
     resources: dict[str, Any] | None = None  # cpu/rss/pool-payload accounting
     shards: dict[str, int] | None = None  # shard count + spill totals (sharded runs)
@@ -201,7 +193,6 @@ class RunMetrics:
             "stages": {name: t.as_dict() for name, t in self.stages.items()},
             "funnel": dict(self.funnel),
             "fallback": self.fallback,
-            "meters": self.meters,
             "cache": self.cache,
             "resources": self.resources,
             "shards": self.shards,
@@ -221,7 +212,6 @@ class RunMetrics:
             },
             funnel=dict(d.get("funnel") or {}),
             fallback=d.get("fallback"),
-            meters=d.get("meters"),
             cache=d.get("cache"),  # absent in pre-cache saved traces
             resources=d.get("resources"),  # absent in pre-resource saved traces
             shards=d.get("shards"),  # absent in pre-sharding saved traces
@@ -321,13 +311,27 @@ class EngineRun:
     metrics: RunMetrics
 
 
-@dataclass(frozen=True)
+@dataclass
 class _TracedDispatch:
-    """Where a traced run's shipped telemetry fragments accumulate."""
+    """Where a traced run's shipped telemetry accumulates.
+
+    ``tasks`` counts blocks, not submissions: a chunk job's result
+    counts once per block it carried.  ``cpu_s`` sums the tasks' CPU
+    seconds and ``rss_peak_bytes`` is the largest peak RSS any task's
+    process reached.
+    """
 
     tracer: Tracer
-    registry: MetricsRegistry
     parent_id: str
+    cpu_s: float = 0.0
+    tasks: int = 0
+    rss_peak_bytes: int = 0
+
+    def adopt(self, shipped: ShippedResult, n_blocks: int) -> None:
+        self.tracer.adopt(shipped.spans)
+        self.cpu_s += shipped.cpu_s
+        self.tasks += n_blocks
+        self.rss_peak_bytes = max(self.rss_peak_bytes, shipped.rss_peak_bytes)
 
 
 #: Smallest chunk :func:`_chunk_group` makes: tiny batches forfeit the
@@ -368,8 +372,7 @@ class _Job:
         if self.traced is not None:
             shipped, values = values, []
             for s in shipped:
-                self.traced.tracer.adopt(s.spans)
-                self.traced.registry.merge(s.meters)
+                self.traced.adopt(s, max(len(s.value), 1) if self.chunked else 1)
                 values.append(s.value)
         if self.chunked:
             return [result for chunk in values for result in chunk]
@@ -526,10 +529,10 @@ class CampaignEngine:
 
         Every run opens a ``campaign`` span on the ambient (or given)
         tracer.  When that tracer is enabled, each task runs through
-        :class:`TracedCall` so per-block spans and worker metric
-        snapshots ship back; they are adopted when their shard is
-        collected, under that shard's tags, and the snapshots merge into
-        :attr:`RunMetrics.meters` and the process-wide registry.
+        :class:`TracedCall` so per-block spans, CPU seconds and peak RSS
+        ship back; they are adopted when their shard is collected, the
+        spans under that shard's tags and the resources into the
+        ``workers`` entry of :attr:`RunMetrics.resources`.
         Tracing never touches task results: serial and pooled runs stay
         byte-identical with it on or off.  Progress heartbeats keep
         shard order: a shard's ticks come as it is collected, and its
@@ -562,15 +565,9 @@ class CampaignEngine:
                 attrs={"label": label, "executor": self.executor.name, "n_tasks": len(tasks)},
             ) as span:
                 traced: _TracedDispatch | None = None
-                registry = get_registry()
                 parent_id = tracer.current_span_id
                 if isinstance(tracer, Tracer) and parent_id is not None:
-                    # telemetry shipped home by TracedCall merges here
-                    # first, then into the process-wide registry
-                    registry = MetricsRegistry()
-                    traced = _TracedDispatch(
-                        tracer=tracer, registry=registry, parent_id=parent_id
-                    )
+                    traced = _TracedDispatch(tracer=tracer, parent_id=parent_id)
                 for i, (lo, hi) in enumerate(plan.ranges):
                     shard = self._consult(fn, tasks[lo:hi], live[-1] if live else None)
                     shard.index = i
@@ -598,14 +595,7 @@ class CampaignEngine:
                 results = self._finish(shard, metrics, tracer, spill, readers)
                 live.clear()
                 del shard  # a spilled shard leaves no live result
-                # worker meters have merged by now: summarise them into
-                # the resources section, then emit the coordinator's own
-                # meters so the final snapshot has the full picture
-                metrics.resources = self._finish_resources(
-                    tracker,
-                    payload_before,
-                    meters=registry.snapshot() if traced is not None else None,
-                )
+                metrics.resources = self._finish_resources(tracker, payload_before, traced)
                 metrics.wall_s = metrics.resources["wall_s"]
                 if spill is not None:
                     metrics.shards = {
@@ -613,19 +603,6 @@ class CampaignEngine:
                         "spilled_items": spill.n_items,
                         "spill_bytes": spill.bytes_written,
                     }
-                    registry.counter("engine.shards").inc(n_shards)
-                if metrics.cache is not None:
-                    self._emit_cache_counters(registry, metrics.cache)
-                registry.counter("engine.tasks").inc(metrics.n_tasks)
-                registry.histogram("engine.run_wall_s").observe(metrics.wall_s)
-                for key, n in metrics.funnel.items():
-                    registry.counter(metric_name("funnel", key)).inc(n)
-                self._emit_resource_meters(registry, metrics.resources)
-                if traced is not None:
-                    metrics.meters = registry.snapshot()
-                    # the process-wide registry sees worker metrics too,
-                    # so the manifest's snapshot covers the whole run
-                    get_registry().merge(metrics.meters)
                 span.set(wall_s=round(metrics.wall_s, 6), fallback=metrics.fallback)
                 if metrics.cache is not None:
                     span.set(cache_hits=metrics.cache["hits"])
@@ -793,12 +770,6 @@ class CampaignEngine:
             results[i] = value
         return results
 
-    @staticmethod
-    def _emit_cache_counters(registry: MetricsRegistry, stats: dict[str, int]) -> None:
-        registry.counter("cache.hit").inc(stats["hits"])
-        registry.counter("cache.miss").inc(stats["misses"])
-        registry.counter("cache.store").inc(stats["stores"])
-
     # -- resource accounting ------------------------------------------------
     def _payload_snapshot(self) -> dict[str, int] | None:
         """Copy of the executor's cumulative payload counters, if it has any."""
@@ -809,15 +780,15 @@ class CampaignEngine:
         self,
         tracker: ResourceTracker,
         payload_before: dict[str, int] | None,
-        *,
-        meters: dict[str, Any] | None,
+        traced: _TracedDispatch | None,
     ) -> dict[str, Any]:
         """Close the run's resource bracket and assemble the summary.
 
         ``pool`` is the pool payload delta attributable to this run (only
-        present when a real pool dispatched); ``workers`` summarises the
-        per-worker meters shipped home by :class:`TracedCall` (traced
-        runs only — untraced parallel runs have no shipping envelope).
+        present when a real pool dispatched); ``workers`` sums the CPU
+        and peak RSS :class:`TracedCall` shipped home (traced runs that
+        computed a block only — untraced parallel runs have no shipping
+        envelope).
         """
         res = tracker.summary()
         payload_after = self._payload_snapshot()
@@ -831,23 +802,13 @@ class CampaignEngine:
                     key: delta.get(key, 0)
                     for key in ("fn_bytes", "task_bytes", "maps")
                 }
-        if meters is not None:
-            workers: dict[str, Any] = {}
-            cpu = meters.get("resources.worker.cpu_s")
-            if cpu is not None:
-                workers["cpu_s"] = cpu.get("sum", 0.0)
-                workers["tasks"] = cpu.get("count", 0)
-            rss = meters.get("resources.worker.rss_peak_bytes")
-            if rss is not None:
-                workers["rss_peak_bytes"] = int(rss.get("value", 0))
-            if workers:
-                res["workers"] = workers
+        if traced is not None and traced.tasks:
+            res["workers"] = {
+                "cpu_s": traced.cpu_s,
+                "tasks": traced.tasks,
+                "rss_peak_bytes": traced.rss_peak_bytes,
+            }
         return res
-
-    @staticmethod
-    def _emit_resource_meters(registry: MetricsRegistry, res: dict[str, Any]) -> None:
-        registry.histogram("resources.cpu_s").observe(res.get("cpu_s", 0.0))
-        registry.max_gauge("resources.rss_peak_bytes").set(res.get("rss_peak_bytes", 0))
 
     # -- aggregation -------------------------------------------------------
     @staticmethod

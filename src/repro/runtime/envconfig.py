@@ -100,8 +100,7 @@ REGISTRY: tuple[EnvVar, ...] = (
         "bool",
         "0",
         "install the runtime ResourceSanitizer: track process pools "
-        "and spill dirs; fail on leaks at engine close "
-        "and process exit",
+        "and spill dirs; fail on leaks at process exit",
     ),
 )
 

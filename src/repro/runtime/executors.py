@@ -47,8 +47,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
-from ..obs.metrics import get_registry
-
 __all__ = [
     "Executor",
     "Pending",
@@ -277,12 +275,15 @@ class PoolExecutor:
         self.fallback_reason: str | None = None
         #: Cumulative payload accounting, measured for free during
         #: dispatch: ``fn_bytes`` + ``task_bytes`` is what crossed the
-        #: pipe (the job pickle once per chunk, and the task pickles).
+        #: pipe (the job pickle once per chunk, and the task pickles);
+        #: ``fallbacks`` counts submissions that ran in-process because
+        #: the pool could not be spawned or failed.
         self.payload: dict[str, int] = {
             "fn_bytes": 0,
             "task_bytes": 0,
             "maps": 0,
             "pool_spawns": 0,
+            "fallbacks": 0,
         }
         self._pool: ProcessPoolExecutor | None = None
         self._pool_box: list[ProcessPoolExecutor] = []
@@ -297,18 +298,15 @@ class PoolExecutor:
         """The persistent pool, spawning it on first use; None on failure."""
         if self._pool is not None:
             return self._pool
-        registry = get_registry()
         try:
             pool = ProcessPoolExecutor(max_workers=self.workers)
         except (OSError, ValueError, RuntimeError) as exc:
             self.fallback_reason = f"pool spawn failed: {type(exc).__name__}: {exc}"
-            registry.counter("executor.fallbacks").inc()
+            self.payload["fallbacks"] += 1
             return None
         self._pool = pool
         self._pool_box.append(pool)
         self.payload["pool_spawns"] += 1
-        registry.gauge("executor.pool_workers").set(self.workers)
-        registry.counter("executor.pool_spawns").inc()
         return pool
 
     def _teardown_pool(self) -> None:
@@ -350,7 +348,6 @@ class PoolExecutor:
 
         n_active = min(self.workers, len(tasks))
         chunk = max(1, -(-len(tasks) // (n_active * 4)))
-        get_registry().gauge("executor.chunk_size").set(chunk)
         proto = pickle.HIGHEST_PROTOCOL
         futures: list[Future[list[Any]]] = []
         try:
@@ -386,9 +383,6 @@ class PoolExecutor:
         self.payload["fn_bytes"] += queued.fn_bytes
         self.payload["task_bytes"] += queued.task_bytes
         self.payload["maps"] += 1
-        get_registry().counter("executor.payload.task_bytes").inc(
-            queued.fn_bytes + queued.task_bytes
-        )
 
     def _fall_back(self, exc: BaseException, pool: ProcessPoolExecutor) -> str:
         """Pool infrastructure failure: ``pool`` is no longer trustworthy.
@@ -398,7 +392,7 @@ class PoolExecutor:
         its uncollected tasks in-process so no block is lost.
         """
         self.fallback_reason = f"pool failed: {type(exc).__name__}: {exc}"
-        get_registry().counter("executor.fallbacks").inc()
+        self.payload["fallbacks"] += 1
         if pool is self._pool:
             self._teardown_pool()
         return self.fallback_reason

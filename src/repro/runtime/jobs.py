@@ -38,7 +38,6 @@ from ..core.reconstruction import Reconstruction
 from ..core.stages import PIPELINE_STAGES, StageContext, StageMeter
 from ..datasets.catalog import DatasetSpec
 from ..net.world import BlockSpec, WorldModel
-from ..obs.metrics import get_registry
 from ..obs.trace import annotate, get_tracer
 from .cache import task_key
 from .engine import BlockResult
@@ -93,7 +92,6 @@ class BlockAnalysisJob:
         annotate(block=spec.block.cidr, dataset=self.ds.name)
         if not spec.responsive_by_design:
             return _unresponsive_result(spec)
-        get_registry().counter("blocks.analyzed").inc()
         ctx = StageContext()
         builder = DatasetBuilder(
             self.world, self.pipeline, observer_style=self.observer_style
@@ -149,7 +147,6 @@ class BlockAnalysisJob:
             for j, spec in enumerate(group):
                 with tracer.span("block"):
                     annotate(block=spec.block.cidr, dataset=self.ds.name)
-                    get_registry().counter("blocks.analyzed").inc()
                     ctx = StageContext()
                     recon = self._reconstruct(sim, j, ctx, grid)
                 recons.append(_canonical_reconstruction(recon))
@@ -238,7 +235,6 @@ def _unresponsive_result(spec: BlockSpec) -> BlockResult:
     """The short-circuit result of a block that never answers probes."""
     from ..datasets.builder import unresponsive_analysis
 
-    get_registry().counter("blocks.firewalled").inc()
     ctx = StageContext()
     for name in PIPELINE_STAGES:
         ctx.skip(name, "firewalled")

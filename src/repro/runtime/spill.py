@@ -43,7 +43,6 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from ..obs.metrics import get_registry
 from . import envconfig
 
 __all__ = [
@@ -161,7 +160,6 @@ class SpillDir:
             written += path.stat().st_size
         self.bytes_written += written
         self.n_items += len(results)
-        get_registry().counter("spill.bytes.written").inc(written)
         return _ShardReader(self.directory, shard_id, len(results))
 
     def cleanup(self) -> None:

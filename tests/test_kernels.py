@@ -45,7 +45,6 @@ from repro.net.prober import (
     observe_batch,
     probe_order,
 )
-from repro.obs.metrics import scoped_registry
 from repro.net.usage import (
     BlockTruth,
     NatGatewayUsage,
@@ -204,19 +203,11 @@ class TestProberEquivalence:
 # ---------------------------------------------------------------------------
 # lane-parallel prober vs the per-lane prober and its scalar oracle
 # ---------------------------------------------------------------------------
-def probe_counters(registry) -> dict:
-    return {
-        name: metric["value"]
-        for name, metric in registry.snapshot().items()
-        if name.startswith("probes.")
-    }
-
-
 def check_lanes(specs):
     """Run ``observe_batch`` over lanes built from ``specs`` and compare
     every lane with ``observe`` and ``observe_reference`` on twin
-    generators: arrays, dtypes, probe counters and each generator's
-    next draw must all match.
+    generators: arrays, dtypes and each generator's next draw must all
+    match.
 
     A spec is ``(observer, truth, order, loss, seed, kwargs)``; lanes
     with the same ``truth`` and ``order`` objects share one packed target.
@@ -231,15 +222,12 @@ def check_lanes(specs):
         lanes.append(
             ProbeLane(obs, targets[key], loss, np.random.default_rng(seed), **kwargs)
         )
-    with scoped_registry() as batch_registry:
-        logs = observe_batch(lanes)
+    logs = observe_batch(lanes)
     fast_rngs = []
-    with scoped_registry() as lane_registry:
-        fast = []
-        for obs, truth, order, loss, seed, kwargs in specs:
-            fast_rngs.append(np.random.default_rng(seed))
-            fast.append(obs.observe(truth, order, loss, fast_rngs[-1], **kwargs))
-    assert probe_counters(batch_registry) == probe_counters(lane_registry)
+    fast = []
+    for obs, truth, order, loss, seed, kwargs in specs:
+        fast_rngs.append(np.random.default_rng(seed))
+        fast.append(obs.observe(truth, order, loss, fast_rngs[-1], **kwargs))
     assert len(logs) == len(specs)
     for i, (obs, truth, order, loss, seed, kwargs) in enumerate(specs):
         slow_rng = np.random.default_rng(seed)

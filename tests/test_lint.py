@@ -3,9 +3,9 @@
 Each rule gets at least one violating and one clean fixture from
 ``tests/lint_fixtures/``, installed into a synthetic repository under
 ``tmp_path`` so the checks run against exactly the snippet under test.
-The suite also pins the meta-invariants: the real tree lints clean with
-an empty baseline and zero suppressions, and deleting an oracle's
-equivalence test (or the oracle itself) turns REP001 red.
+The suite also pins the meta-invariants: the real tree lints clean
+(there is no baseline or suppression to hide a finding), and deleting
+an oracle's equivalence test (or the oracle itself) turns REP001 red.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     Violation,
     all_rules,
     build_context,
-    default_baseline_path,
     find_root,
     run_lint,
 )
@@ -59,7 +57,6 @@ RULE_IDS = [
     "REP002",
     "REP003",
     "REP004",
-    "REP005",
     "REP007",
     "REP008",
 ]
@@ -248,43 +245,6 @@ def test_rep004_docstring_edits_do_not_change_the_fingerprint(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# REP005 metrics hygiene
-
-
-def _rep005_tree(tmp_path, module_fixture):
-    return make_tree(
-        tmp_path,
-        {
-            "src/repro/obs/names.py": fixture("rep005_names.py"),
-            "src/repro/core/instrumented.py": fixture(module_fixture),
-        },
-    )
-
-
-def test_rep005_flags_fstring_typo_and_bad_family(tmp_path):
-    root = _rep005_tree(tmp_path, "rep005_bad.py")
-    violations = lint_rule(root, "REP005")
-    site = [v for v in violations if v.path.endswith("instrumented.py")]
-    messages = " | ".join(v.message for v in site)
-    assert len(site) == 3
-    assert "must be a literal" in messages
-    assert "'engine.taks'" in messages
-    assert "family 'latency'" in messages
-    # the bad module uses none of the registered names: all flagged stale
-    stale = [v for v in violations if v.path.endswith("names.py")]
-    assert {m.split("'")[1] for m in (v.message for v in stale)} == {
-        "cache.hit",
-        "engine.tasks",
-        "funnel",
-    }
-
-
-def test_rep005_clean_registered_names_pass(tmp_path):
-    root = _rep005_tree(tmp_path, "rep005_clean.py")
-    assert lint_rule(root, "REP005") == []
-
-
-# ---------------------------------------------------------------------------
 # REP007 import layering
 
 
@@ -365,59 +325,7 @@ def test_rep008_resolver_users_pass(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# driver mechanics: suppressions, baseline, parse errors
-
-
-SUPPRESSED = """
-import time
-
-
-def stamp():
-    return time.time()  # repro-lint: disable=REP002
-
-
-def stamp_next():
-    # repro-lint: disable-next-line=REP002
-    return time.time()
-
-
-def stamp_all():
-    return time.time()  # repro-lint: disable=all
-"""
-
-
-def test_per_line_suppressions_are_honored_and_counted(tmp_path):
-    root = make_tree(tmp_path, {"src/repro/core/clock.py": SUPPRESSED})
-    result = run_lint(root, rule_ids=["REP002"])
-    assert result.violations == []
-    assert result.suppressed == 3
-    assert result.exit_code == 0
-
-
-def test_suppression_for_another_rule_does_not_apply(tmp_path):
-    text = SUPPRESSED.replace("disable=REP002", "disable=REP001")
-    root = make_tree(tmp_path, {"src/repro/core/clock.py": text})
-    result = run_lint(root, rule_ids=["REP002"])
-    assert len(result.violations) == 1
-    assert result.suppressed == 2
-
-
-def test_baseline_covers_known_findings(tmp_path):
-    root = make_tree(
-        tmp_path, {"src/repro/core/noise.py": fixture("rep002_bad.py")}
-    )
-    found = run_lint(root, rule_ids=["REP002"]).violations
-    assert found
-    baseline = Baseline.from_violations(found)
-    result = run_lint(root, rule_ids=["REP002"], baseline=baseline)
-    assert result.violations == []
-    assert result.baselined == len(found)
-
-    # round-trip through disk
-    path = default_baseline_path(root)
-    baseline.save(path)
-    reloaded = Baseline.load(path)
-    assert reloaded.entries == baseline.entries
+# driver mechanics: parse errors, rule selection
 
 
 def test_syntax_errors_surface_as_parse_findings(tmp_path):
@@ -463,7 +371,6 @@ def test_cli_lists_every_rule_in_help(capsys):
     for rule in all_rules():
         assert rule.id in out
         assert rule.summary.split()[0] in out
-    assert "disable-next-line" in out  # suppression syntax is documented
 
 
 def test_cli_json_artifact_round_trips(tmp_path, capsys):
@@ -483,17 +390,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    make_tree(tmp_path, {"src/repro/core/noise.py": fixture("rep002_bad.py")})
-    assert (
-        lint_main(["--root", str(tmp_path), "--rules", "REP002", "--update-baseline"])
-        == 0
-    )
-    assert lint_main(["--root", str(tmp_path), "--rules", "REP002"]) == 0
-    assert lint_main(["--root", str(tmp_path), "--rules", "REP002", "--no-baseline"]) == 1
-    capsys.readouterr()
-
-
 def test_repro_cli_delegates_lint(capsys):
     from repro.cli import main as repro_main
 
@@ -506,12 +402,8 @@ def test_repro_cli_delegates_lint(capsys):
 
 
 def test_real_tree_lints_clean_with_no_suppressions():
-    baseline = Baseline.load(default_baseline_path(REAL_ROOT))
-    assert len(baseline) == 0  # the shipped baseline must stay empty
-    result = run_lint(REAL_ROOT, baseline=baseline)
+    result = run_lint(REAL_ROOT)
     assert result.violations == []
-    assert result.suppressed == 0
-    assert result.baselined == 0
     assert result.exit_code == 0
 
 

@@ -3,19 +3,10 @@
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 
 from repro.core.stages import StageContext
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MaxGauge,
-    MetricsRegistry,
-    get_registry,
-    scoped_registry,
-)
 from repro.obs.sinks import git_describe, load_run, render_report, write_run
 from repro.obs.trace import NOOP, Tracer, get_tracer, use_tracer
 from repro.runtime import (
@@ -103,154 +94,6 @@ class TestTracer:
         assert tracer.current_span_id is None
 
 
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(4)
-        reg.gauge("g").set(2.5)
-        hist = reg.histogram("h", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            hist.observe(v)
-        snap = reg.snapshot()
-        assert snap["c"] == {"type": "counter", "value": 5}
-        assert snap["g"] == {"type": "gauge", "value": 2.5}
-        assert snap["h"]["counts"] == [1, 1, 1]  # <=0.1, <=1.0, overflow
-        assert snap["h"]["count"] == 3 and snap["h"]["sum"] == pytest.approx(5.55)
-
-    def test_histogram_bucket_edges_are_le(self):
-        hist = Histogram(buckets=(1.0, 2.0))
-        hist.observe(1.0)  # on the boundary: belongs to the <=1.0 bucket
-        assert hist.counts == [1, 0, 0]
-
-    def test_histogram_quantile_and_mean(self):
-        hist = Histogram(buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 1.5, 3.0):
-            hist.observe(v)
-        assert hist.mean == pytest.approx(1.625)
-        assert hist.quantile(0.5) == 2.0
-        assert Histogram().quantile(0.9) == 0.0
-
-    def test_invalid_buckets_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            Histogram(buckets=(1.0, 1.0))
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
-
-    def test_snapshot_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        snap = reg.reset()
-        assert snap["c"]["value"] == 3
-        assert len(reg) == 0
-
-    def test_merge_folds_worker_snapshots(self):
-        worker = MetricsRegistry()
-        worker.counter("c").inc(2)
-        worker.gauge("g").set(7)
-        worker.histogram("h", buckets=(1.0,)).observe(0.5)
-        parent = MetricsRegistry()
-        parent.counter("c").inc(1)
-        parent.merge(worker.snapshot())
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()
-        assert snap["c"]["value"] == 5
-        assert snap["g"]["value"] == 7.0
-        assert snap["h"]["counts"] == [2, 0] and snap["h"]["count"] == 2
-
-    def test_merge_bucket_mismatch_raises(self):
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            parent.merge(
-                {"h": {"type": "histogram", "bounds": [5.0], "counts": [0, 0], "sum": 0.0, "count": 0}}
-            )
-
-    def test_scoped_registry_isolates_and_restores(self):
-        outer = get_registry()
-        with scoped_registry() as inner:
-            assert get_registry() is inner
-            inner.counter("only-here").inc()
-        assert get_registry() is outer
-        assert "only-here" not in outer.snapshot()
-
-    def test_max_gauge_keeps_high_water(self):
-        gauge = MaxGauge()
-        gauge.set(5.0)
-        gauge.set(3.0)  # lower values never pull the high-water down
-        assert gauge.value == 5.0
-        gauge.set(9.0)
-        assert gauge.as_dict() == {"type": "max", "value": 9.0}
-
-    def test_max_gauge_merge_takes_max(self):
-        parent = MetricsRegistry()
-        parent.max_gauge("m").set(4.0)
-        worker = MetricsRegistry()
-        worker.max_gauge("m").set(7.0)
-        parent.merge(worker.snapshot())
-        assert parent.snapshot()["m"]["value"] == 7.0
-        parent.merge({"m": {"type": "max", "value": 2.0}})
-        assert parent.snapshot()["m"]["value"] == 7.0
-
-    @staticmethod
-    def _worker_snapshot(seed: int) -> dict:
-        reg = MetricsRegistry()
-        reg.counter("c").inc(seed)
-        reg.gauge("g").set(float(seed))
-        reg.max_gauge("m").set(float(seed * 3))
-        hist = reg.histogram("h", buckets=(1.0, 2.0))
-        # boundary values on purpose: 1.0 and 2.0 land in their <= bucket
-        for value in (0.5, 1.0, 2.0, float(seed)):
-            hist.observe(value)
-        return reg.snapshot()
-
-    def test_merge_of_merged_equals_merge_of_originals(self):
-        """Merging is associative: pre-folding worker pairs changes nothing.
-
-        This is the property the engine relies on when parallel workers
-        ship snapshots home in arbitrary interleavings: any grouping of
-        the same snapshots must fold to the same totals.
-        """
-        snaps = [self._worker_snapshot(s) for s in (1, 2, 3, 4)]
-
-        flat = MetricsRegistry()
-        for snap in snaps:
-            flat.merge(snap)
-
-        left = MetricsRegistry()
-        left.merge(snaps[0])
-        left.merge(snaps[1])
-        right = MetricsRegistry()
-        right.merge(snaps[2])
-        right.merge(snaps[3])
-        grouped = MetricsRegistry()
-        grouped.merge(left.snapshot())
-        grouped.merge(right.snapshot())
-
-        # order-preserving grouping (what staged merging does) is exact;
-        # counters/histograms/max-gauges are order-insensitive outright,
-        # plain gauges keep last-write-wins semantics either way
-        assert grouped.snapshot() == flat.snapshot()
-
-    def test_merge_preserves_histogram_bucket_edges(self):
-        """Boundary observations stay in their <= bucket across a merge."""
-        worker = MetricsRegistry()
-        worker.histogram("h", buckets=(1.0, 2.0)).observe(1.0)
-        worker.histogram("h").observe(2.0)
-        parent = MetricsRegistry()
-        parent.histogram("h", buckets=(1.0, 2.0)).observe(1.0)
-        parent.merge(worker.snapshot())
-        snap = parent.snapshot()["h"]
-        assert snap["counts"] == [2, 1, 0]
-        assert snap["count"] == 3
-
-
 class TestTracedEngineRun:
     def test_traced_run_adopts_block_spans_and_meters(self):
         tracer = Tracer()
@@ -263,7 +106,9 @@ class TestTracedEngineRun:
         assert campaign.attrs["label"] == "squares"
         blocks = [s for s in tracer.finished if s.name == "block"]
         assert all(b.parent_id == campaign.span_id for b in blocks)
-        assert run.metrics.meters["engine.tasks"]["value"] == 3
+        workers = run.metrics.resources["workers"]
+        assert workers["tasks"] == 3
+        assert workers["cpu_s"] >= 0.0 and workers["rss_peak_bytes"] > 0
 
     def test_traced_parallel_matches_serial_results(self):
         tracer = Tracer()
@@ -274,7 +119,8 @@ class TestTracedEngineRun:
 
     def test_untraced_run_has_no_meters(self):
         run = CampaignEngine(SerialExecutor()).run(_square, [1, 2], label="u")
-        assert run.metrics.meters is None
+        assert "workers" not in run.metrics.resources
+        assert "meters" not in run.metrics.as_dict()
 
 
 class TestSatelliteFixes:
@@ -369,20 +215,28 @@ class TestSinks:
             tracer=tracer,
             runs=[metrics],
             label="test",
-            meters={"c": {"type": "counter", "value": 1}},
         )
         saved = load_run(out)
         assert saved.manifest["label"] == "test"
         assert saved.manifest["trace_id"] == tracer.trace_id
         assert saved.manifest["n_spans"] == 2
         assert saved.manifest["funnel"] == {"routed": 3, "responsive": 2}
-        assert saved.manifest["meters"]["c"]["value"] == 1
+        assert "meters" not in saved.manifest
         assert saved.spans == tracer.finished
         assert len(saved.runs) == 1
         assert saved.runs[0].report() == metrics.report()
         children = saved.span_children()
         (root,) = children[None]
         assert root.name == "run"
+
+    def test_saved_runs_with_retired_meters_still_load(self):
+        """Traces written before the run record was the only aggregate
+        carry a ``meters`` key; loading ignores it."""
+        saved = self._run_metrics().as_dict()
+        saved["meters"] = {"engine.tasks": {"type": "counter", "value": 3}}
+        loaded = RunMetrics.from_dict(json.loads(json.dumps(saved)))
+        assert loaded.report() == self._run_metrics().report()
+        assert "meters" not in loaded.as_dict()
 
     def test_render_report_contains_tables_and_header(self, tmp_path):
         tracer = Tracer()

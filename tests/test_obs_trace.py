@@ -52,7 +52,9 @@ class TestTraceRoundTrip:
         assert manifest["wall_s"] > 0.0
         assert manifest["n_engine_runs"] == 2  # analyze + fig3:scan
         # probe volumes shipped home from the workers
-        assert manifest["meters"]["probes.sent.trinocular"]["value"] > 0
+        analyze = load_run(trace_dir).runs[0]
+        assert analyze.label.startswith("analyze")
+        assert analyze.stages["probe"].n_out > 0
 
     def test_spans_form_single_rooted_tree(self, traced_fig3):
         trace_dir, _ = traced_fig3

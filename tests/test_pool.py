@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.obs.metrics import scoped_registry
 from repro.runtime import (
     CampaignEngine,
     PoolExecutor,
@@ -137,15 +136,14 @@ class TestPoolExecutor:
         assert executor.payload["pool_spawns"] == 0  # never spawned
 
     def test_persistent_pool_spawns_once_across_maps(self):
-        with scoped_registry() as registry:
-            with PoolExecutor(workers=2) as executor:
-                tasks = _tasks()
-                for _ in range(3):
-                    executor.map(_sum_task, tasks)
-                assert executor.payload["maps"] == 3
-                assert executor.payload["pool_spawns"] == 1
-            assert registry.counter("executor.pool_spawns").value == 1
-            assert registry.gauge("executor.pool_workers").value == 2
+        with PoolExecutor(workers=2) as executor:
+            tasks = _tasks()
+            for _ in range(3):
+                executor.map(_sum_task, tasks)
+            assert executor.payload["maps"] == 3
+            assert executor.payload["pool_spawns"] == 1
+            assert executor.workers == 2
+            assert executor._pool._max_workers == 2
 
     def test_close_is_idempotent_and_map_respawns_after(self):
         executor = PoolExecutor(workers=2)

@@ -123,20 +123,16 @@ class TestEngineResourceAccounting:
     def test_payload_counts_each_byte_exactly_once(self):
         """fn_bytes is the job pickle times the chunks that carried it,
         task_bytes the summed task pickles; the run's pool section holds
-        exactly those and the map count, and the payload counter adds
-        each byte once."""
+        exactly those and the map count, and the executor's cumulative
+        payload adds each byte once."""
         import pickle
-
-        from repro.obs.metrics import scoped_registry
 
         tasks = list(range(12))
         chunks = 6  # ceil(12 / (2 workers * 4)) = 2 tasks per chunk
-        with scoped_registry() as registry:
-            with CampaignEngine(PoolExecutor(workers=2)) as engine:
-                run = engine.run(_square, tasks, label="square")
-                assert engine.executor.fallback_reason is None
-            assert registry.gauge("executor.chunk_size").value == 2
-            counted = registry.counter("executor.payload.task_bytes").value
+        with CampaignEngine(PoolExecutor(workers=2)) as engine:
+            run = engine.run(_square, tasks, label="square")
+            assert engine.executor.fallback_reason is None
+            payload = dict(engine.executor.payload)
         assert list(run.results) == [t * t for t in tasks]
         proto = pickle.HIGHEST_PROTOCOL
         fn_bytes = len(pickle.dumps(_square, protocol=proto)) * chunks
@@ -147,7 +143,10 @@ class TestEngineResourceAccounting:
             "task_bytes": task_bytes,
             "maps": 1,
         }
-        assert counted == fn_bytes + task_bytes
+        # one run on a fresh executor: its cumulative payload is the run's
+        assert {k: payload[k] for k in ("fn_bytes", "task_bytes", "maps")} == (
+            run.metrics.resources["pool"]
+        )
 
     def test_traced_run_reports_worker_resources(self, world40):
         from repro.obs.trace import Tracer, use_tracer
@@ -163,6 +162,49 @@ class TestEngineResourceAccounting:
         assert workers["tasks"] == world40.n_blocks
         assert workers["rss_peak_bytes"] > 0
         assert "workers:" in result.metrics.report()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_traced_run_record_matches_untraced(self, world40, tmp_path, workers):
+        """Tracing adds the ``workers`` entry and changes no other section.
+
+        One traced campaign (serial, or through a 2-worker pool), sharded
+        and cached, against an untraced one on the same executor: stage
+        counts, funnel, cache and shard sections agree; only timings
+        differ."""
+        from contextlib import nullcontext
+
+        from repro.obs.trace import Tracer, use_tracer
+        from repro.runtime import AnalysisCache
+
+        def run(executor, cache_dir, tracer=None):
+            engine = CampaignEngine(executor, AnalysisCache(tmp_path / cache_dir), shards=2)
+            scope = nullcontext() if tracer is None else use_tracer(tracer)
+            with engine, scope:
+                return DatasetBuilder(world40).analyze(DATASET, engine=engine).metrics
+
+        def executor():
+            return SerialExecutor() if workers == 1 else PoolExecutor(workers=workers)
+
+        untraced = run(executor(), "untraced")
+        traced = run(executor(), "traced", tracer=Tracer())
+
+        assert traced.executor == untraced.executor
+        assert traced.fallback is None
+        assert "workers" not in untraced.resources
+        res_workers = traced.resources["workers"]
+        assert res_workers["tasks"] == world40.n_blocks
+        assert res_workers["cpu_s"] > 0.0
+        assert res_workers["rss_peak_bytes"] > 0
+
+        def counts(m):
+            return {
+                name: (t.calls, t.n_in, t.n_out, t.skips) for name, t in m.stages.items()
+            }
+
+        assert counts(traced) == counts(untraced)
+        assert traced.funnel == untraced.funnel
+        assert traced.cache == untraced.cache
+        assert traced.shards == untraced.shards
 
     def test_resources_roundtrip_through_dict(self, world40):
         from repro.runtime import RunMetrics

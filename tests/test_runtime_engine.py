@@ -570,7 +570,8 @@ class TestTracedUntracedAgree:
                     DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
                 )
         untraced, traced = runs
-        assert untraced.metrics.meters is None and traced.metrics.meters is not None
+        assert "workers" not in untraced.metrics.resources
+        assert traced.metrics.resources["workers"]["tasks"] == 40
         assert list(untraced.analyses) == list(traced.analyses)
         for cidr, analysis in traced.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(untraced.analyses[cidr])

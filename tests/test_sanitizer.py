@@ -35,7 +35,6 @@ PATCH_POINTS = (
     (executors_mod, "ProcessPoolExecutor"),
     (spill_mod, "mkdtemp"),
     (spill_mod, "_remove_tree"),
-    (engine_mod.CampaignEngine, "close"),
 )
 
 
@@ -79,35 +78,30 @@ def test_persistent_pool_tracked_across_ensure_and_teardown(sanitizer):
     assert sanitizer.live("process-pool") == []
 
 
-def test_engine_close_boundary_flags_a_live_pool(sanitizer):
-    class _Executor:
-        def __init__(self) -> None:
-            self._pool = object()
-
-    executor = _Executor()
-    sanitizer.register("process-pool", _pool_name(executor._pool))
-    with pytest.raises(ResourceLeakError, match="engine close"):
-        sanitizer.check_engine_close(executor)
-    sanitizer.unregister("process-pool", _pool_name(executor._pool))
-    sanitizer.check_engine_close(executor)  # clean now
-
-
 def test_analyze_closes_the_default_pool_it_creates(sanitizer, monkeypatch, small_world):
     """``REPRO_WORKERS=2`` with no engine passed: ``analyze`` builds a
     pooled default engine and closes it before returning."""
     from repro.datasets.builder import DatasetBuilder
-    from repro.obs.metrics import scoped_registry
 
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    with scoped_registry() as registry:
-        result = DatasetBuilder(small_world).analyze(
-            "2020it89-match-ejnw", blocks=list(small_world.blocks)[:20]
-        )
+    engines = []
+    default_engine = engine_mod.default_engine
+
+    def recording_default_engine():
+        engines.append(default_engine())
+        return engines[-1]
+
+    monkeypatch.setattr(engine_mod, "default_engine", recording_default_engine)
+    result = DatasetBuilder(small_world).analyze(
+        "2020it89-match-ejnw", blocks=list(small_world.blocks)[:20]
+    )
     assert result.metrics.executor == "pool[2]"
     assert result.metrics.fallback is None
-    assert registry.counter("executor.pool_spawns").value == 1  # a pool really ran
+    (engine,) = engines
+    assert engine.executor.workers == 2
+    assert engine.executor.payload["pool_spawns"] == 1  # a pool really ran
     assert sanitizer.live("process-pool") == []
 
 
@@ -153,6 +147,7 @@ def test_uninstall_restores_the_original_methods():
     before = _patched()
     san = ResourceSanitizer()
     san.install()
+    assert len(san._saved) == len(PATCH_POINTS)  # nothing patched beyond them
     assert all(a is not b for a, b in zip(_patched(), before))
     assert isinstance(executors_mod.ProcessPoolExecutor, type)
     assert issubclass(executors_mod.ProcessPoolExecutor, before[0])

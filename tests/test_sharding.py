@@ -32,7 +32,6 @@ from repro.core.pipeline import BlockPipeline
 from repro.datasets.builder import DatasetBuilder, SpilledAnalyses
 from repro.datasets.catalog import dataset
 from repro.net.world import WorldModel, scenario_covid2020
-from repro.obs.metrics import scoped_registry
 from repro.obs.progress import ProgressEmitter, use_progress
 from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import (
@@ -598,15 +597,14 @@ class TestPipelineFailures:
         monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", BreaksAfterShardZero)
         tasks = list(range(9))
         serial = CampaignEngine(SerialExecutor()).run(_square, tasks)
-        with scoped_registry() as registry:
-            with CampaignEngine(PoolExecutor(workers=2), shards=3) as engine:
-                run = engine.run(_square, tasks, label="broken")
-                executor = engine.executor
-                assert executor.fallback_reason == (
-                    "pool failed: BrokenProcessPool: worker died"
-                )
-                assert executor._pool is None
-            assert registry.counter("executor.fallbacks").value == 2
+        with CampaignEngine(PoolExecutor(workers=2), shards=3) as engine:
+            run = engine.run(_square, tasks, label="broken")
+            executor = engine.executor
+            assert executor.fallback_reason == (
+                "pool failed: BrokenProcessPool: worker died"
+            )
+            assert executor._pool is None
+        assert executor.payload["fallbacks"] == 2
         assert pickle.dumps(list(run.results)) == pickle.dumps(serial.results)
         assert run.metrics.fallback == "pool failed: BrokenProcessPool: worker died"
         assert executor.payload["maps"] == 1  # shard 0 alone came back pooled
