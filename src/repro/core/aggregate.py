@@ -49,11 +49,6 @@ class CellStats:
             return "?"
         return self.continents.most_common(1)[0][0]
 
-    def downward_fraction(self, day: int) -> float:
-        if self.n_change_sensitive == 0:
-            return 0.0
-        return self.downward_by_day.get(day, 0) / self.n_change_sensitive
-
 
 @dataclass(frozen=True)
 class CoverageReport:

@@ -36,10 +36,6 @@ class ChangeEvent:
         return int((self.start_s + self.time_s) / 2 // SECONDS_PER_DAY)
 
     @property
-    def alarm_day(self) -> int:
-        return int(self.time_s // SECONDS_PER_DAY)
-
-    @property
     def is_downward(self) -> bool:
         return self.direction < 0
 

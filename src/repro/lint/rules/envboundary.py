@@ -13,7 +13,7 @@ with a type, a default, and a description.
 
 New knob workflow: add an ``EnvVar`` entry to ``envconfig.REGISTRY``,
 then read it via ``envconfig.raw``/``get_int``/``get_bool``/... and
-write it via ``envconfig.set_env``/``setdefault_env``/``overriding``.
+write it via ``envconfig.set_env``/``overriding``.
 """
 
 from __future__ import annotations

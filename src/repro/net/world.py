@@ -545,7 +545,3 @@ class WorldModel:
                 if obs == observer and spec.city.country == country:
                     return model
         return self.scenario.base_loss
-
-    def geolocate(self, spec: BlockSpec) -> GeoInfo:
-        """What the geolocation database reports for this block."""
-        return spec.geo

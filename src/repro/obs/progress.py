@@ -166,6 +166,7 @@ class ProgressEmitter(NoopProgress):
         rate = (completed / elapsed) if elapsed > 0 else 0.0
         remaining = max(self._total - self._done, 0)
         consulted = self._cache_hits + self._cache_misses
+        rss = rss_bytes()
         record = {
             "t_unix": time.time(),
             "event": event,
@@ -174,8 +175,8 @@ class ProgressEmitter(NoopProgress):
             "total": self._total,
             "blocks_per_sec": round(rate, 3),
             "eta_s": round(remaining / rate, 3) if rate > 0 else None,
-            "rss_bytes": rss_bytes(),
-            "rss_peak_bytes": peak_rss_bytes(),
+            "rss_bytes": rss,
+            "rss_peak_bytes": max(peak_rss_bytes(), rss),
             "cache_hit_rate": round(self._cache_hits / consulted, 4) if consulted else None,
         }
         if self._shards is not None:

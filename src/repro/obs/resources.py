@@ -10,7 +10,9 @@ heartbeat) agrees on units and sources:
 * current RSS from ``/proc/self/statm`` (falls back to the high-water
   mark on platforms without procfs);
 * RSS high-water from ``resource.getrusage`` — note ``ru_maxrss`` is
-  kilobytes on Linux and bytes on macOS, normalised here once;
+  kilobytes on Linux and bytes on macOS, normalised here once.  The two
+  probes count pages differently and can disagree, so a reported peak
+  is ``max(high-water, current)``: it never reads below the current RSS;
 * CPU seconds from ``time.process_time`` (whole process) and
   ``time.thread_time`` (calling thread, used for per-stage splits);
 * optional Python-heap deltas from :mod:`tracemalloc`, sampled only
@@ -89,11 +91,12 @@ class ResourceSnapshot:
         current, peak = (
             tracemalloc.get_traced_memory() if tracemalloc.is_tracing() else (0, 0)
         )
+        rss = rss_bytes()
         return cls(
             wall_s=time.perf_counter(),
             cpu_s=cpu_seconds(),
-            rss_bytes=rss_bytes(),
-            rss_peak_bytes=peak_rss_bytes(),
+            rss_bytes=rss,
+            rss_peak_bytes=max(peak_rss_bytes(), rss),
             tracemalloc_current=current,
             tracemalloc_peak=peak,
         )

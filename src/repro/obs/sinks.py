@@ -214,7 +214,7 @@ def load_run(directory: str | Path) -> SavedRun:
     The manifest is required; span and metrics files are optional (an
     interrupted run may have written only some of them).
     """
-    from ..runtime.engine import RunMetrics  # deferred: engine imports obs
+    from ..runtime.engine import RunMetrics  # imported here: engine imports obs
 
     out = Path(directory)
     manifest_path = out / MANIFEST_FILE

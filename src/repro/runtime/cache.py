@@ -3,9 +3,9 @@
 Every per-block job in this repo is a pure function of frozen inputs
 (world seed and scenario, block spec, analysis window, pipeline
 parameters), so its result can be keyed by a stable hash of those inputs
-and reused across engine runs — and, with a disk tier, across CLI
-invocations.  fig3/fig5/table3 and the covid/control campaigns share
-worlds; with a cache directory they stop re-simulating them.
+and reused across engine runs and CLI invocations.  fig3/fig5/table3 and
+the covid/control campaigns share worlds; with a cache directory they
+stop re-simulating them.
 
 Key schema
 ----------
@@ -21,14 +21,15 @@ results without changing any input field).  Objects the tokenizer does
 not understand make the task *uncacheable* (``task_key`` returns
 ``None``) rather than wrongly cacheable.
 
-Tiers
------
-An in-memory LRU holds the most recent ``max_items`` results; an
-optional directory tier (``--cache DIR`` / ``REPRO_CACHE``) persists
-pickles under ``DIR/<k[:2]>/<k>.pkl`` with atomic renames, so parallel
-runs and repeated invocations are safe.  Cached results are exactly the
-stored objects — the engine guarantees cached, serial, and parallel
-runs stay byte-identical.
+Storage
+-------
+The cache is its directory (``--cache DIR`` / ``REPRO_CACHE``): one
+pickle per key under ``DIR/<k[:2]>/<k>.pkl``, written with atomic
+renames, so parallel runs and repeated invocations are safe.  The cache
+object holds no result, so a sharded run's spilled shards are not
+pinned in memory behind it, and every hit is a disk read of exactly the
+stored object — the engine guarantees cached, serial, and parallel runs
+stay byte-identical.
 
 An entry file is the 32-byte ``sha256`` digest of the pickle followed
 by the pickle itself; ``get`` checks the digest before unpickling, so a
@@ -51,7 +52,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
@@ -132,35 +132,22 @@ def task_key(kind: str, inputs: dict[str, Any]) -> str | None:
 
 
 class AnalysisCache:
-    """Two-tier (memory LRU + optional directory) result store.
+    """On-disk result store rooted at one directory.
 
     The cache is dumb on purpose: it maps keys to pickled results and
     never interprets them.  Correctness rests entirely on the key —
     see the module docstring for the schema.
     """
 
-    def __init__(
-        self,
-        directory: "str | os.PathLike[str] | None" = None,
-        *,
-        max_items: int = 1024,
-    ) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self.max_items = max(int(max_items), 1)
-        self._memory: OrderedDict[str, Any] = OrderedDict()
+    def __init__(self, directory: "str | os.PathLike[str]") -> None:
+        self.directory = Path(directory)
 
-    # -- lookup ----------------------------------------------------------
     def get(self, key: str) -> tuple[bool, Any]:
-        """(hit, value); a disk hit is promoted into the memory tier.
+        """(hit, value) for the entry stored under ``key``.
 
         Any failure to read or unpickle the entry is a miss, never an
         error: the caller recomputes and :meth:`put` overwrites it.
         """
-        if key in self._memory:
-            self._memory.move_to_end(key)
-            return True, self._memory[key]
-        if self.directory is None:
-            return False, None
         try:
             with open(self._path(key), "rb") as fh:
                 blob = fh.read()
@@ -172,15 +159,10 @@ class AnalysisCache:
             # a missing entry, or an intact one that no longer loads
             # (a module or class that no longer exists)
             return False, None
-        self._remember(key, value)
         return True, value
 
     def put(self, key: str, value: Any) -> bool:
-        """Store a result in both tiers; True when it is durably stored
-        (or there is no disk tier and the memory tier took it)."""
-        self._remember(key, value)
-        if self.directory is None:
-            return True
+        """Store a result; True when it is durably on disk."""
         path = self._path(key)
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -201,18 +183,7 @@ class AnalysisCache:
             return False
         return True
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    # -- internals -------------------------------------------------------
-    def _remember(self, key: str, value: Any) -> None:
-        self._memory[key] = value
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_items:
-            self._memory.popitem(last=False)
-
     def _path(self, key: str) -> Path:
-        assert self.directory is not None
         return self.directory / key[:2] / f"{key}.pkl"
 
 
@@ -220,7 +191,7 @@ def default_cache() -> AnalysisCache | None:
     """Cache for callers that did not pick one: ``REPRO_CACHE`` decides.
 
     Unset or empty means no caching (every run recomputes, as before);
-    a directory path enables both tiers rooted there.  The CLI's
+    a directory path enables the cache rooted there.  The CLI's
     ``--cache DIR`` flag sets this variable for the whole run.
     """
     raw = envconfig.raw("REPRO_CACHE")

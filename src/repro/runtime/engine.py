@@ -384,35 +384,26 @@ class _Shard:
     """One shard between its cache consult and its finish.
 
     ``pending`` indexes the tasks this shard computes, ``hits`` the
-    cache hits; ``deferred`` indexes tasks whose key the previous shard
-    is still computing — they are read back from the cache once that
-    shard is stored, exactly as the sequential loop would have hit.
+    cache hits.
     """
 
     tasks: list[Any]
     keys: list[str | None] | None
     hits: dict[int, Any]
     pending: list[int]
-    deferred: list[int]
     index: int = 0
     #: span tags of a sharded run (``shard``, ``shards``); empty unsharded
     tags: dict[str, int] = field(default_factory=dict)
-    jobs: list[_Job] = field(default_factory=list)
+    job: _Job | None = None
 
     @property
     def misses(self) -> int:
         return len(self.pending) if self.keys is not None else 0
 
-    def computing(self) -> set[str]:
-        """Keys this shard will store once finished."""
-        if self.keys is None:
-            return set()
-        return {k for k in (self.keys[i] for i in self.pending) if k is not None}
-
     def cancel(self) -> None:
-        for job in self.jobs:
-            job.pending.cancel()
-        self.jobs = []
+        if self.job is not None:
+            self.job.pending.cancel()
+            self.job = None
 
 
 #: The run funnel's counters, in report order.
@@ -520,12 +511,12 @@ class CampaignEngine:
         dispatch and its result stored after; hits bypass the executor
         entirely (their :class:`BlockResult` carries no stage records,
         because no stage ran) but land in the same result slot, so
-        cached runs stay byte-identical to computed ones.  A key the
-        in-flight shard is still computing is not dispatched again: it
-        is read back once that shard is stored, so hit, miss and store
-        counts are those of running the shards one after another.
-        Jobs without ``cache_key`` run uncached, as do tasks whose key
-        comes back ``None`` (uncacheable inputs).
+        cached runs stay byte-identical to computed ones.  A task is a
+        hit when its entry is on disk as its shard is consulted, which
+        is before the previous shard is stored: a key that appears in
+        two adjacent shards is computed (and stored) twice, with the
+        same result.  Jobs without ``cache_key`` run uncached, as do
+        tasks whose key comes back ``None`` (uncacheable inputs).
 
         Every run opens a ``campaign`` span on the ambient (or given)
         tracer.  When that tracer is enabled, each task runs through
@@ -569,7 +560,7 @@ class CampaignEngine:
                 if isinstance(tracer, Tracer) and parent_id is not None:
                     traced = _TracedDispatch(tracer=tracer, parent_id=parent_id)
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    shard = self._consult(fn, tasks[lo:hi], live[-1] if live else None)
+                    shard = self._consult(fn, tasks[lo:hi])
                     shard.index = i
                     if spill is not None:
                         shard.tags = {"shard": i, "shards": n_shards}
@@ -583,12 +574,11 @@ class CampaignEngine:
                             shards=n_shards if spill is not None else None,
                         )
                     live.append(shard)
-                    self._submit(fn, shard, shard.pending, traced)
+                    self._submit(fn, shard, traced)
                     if i > 0:
                         # the executor runs shard i while shard i-1 finishes
                         self._finish(live[0], metrics, tracer, spill, readers)
                         del live[0]
-                        self._read_back(fn, shard, traced)
                         progress.next_shard(
                             cache_hits=len(shard.hits), cache_misses=shard.misses
                         )
@@ -625,17 +615,16 @@ class CampaignEngine:
         self,
         fn: Callable[[Any], Any],
         shard: _Shard,
-        indices: list[int],
         traced: _TracedDispatch | None,
     ) -> None:
-        """Hand ``shard``'s tasks at ``indices`` to the executor.
+        """Hand ``shard``'s pending tasks to the executor.
 
         Every collected result ticks the ambient progress emitter by the
         blocks it completes: 1 per task, or the chunk's length for
         ``map_chunk``, so ``done`` converges to the task total exactly
         once per block.
         """
-        todo = [shard.tasks[j] for j in indices]
+        todo = [shard.tasks[j] for j in shard.pending]
         map_chunk = getattr(fn, "map_chunk", None)
         chunked = map_chunk is not None
         work: list[Any] = todo
@@ -659,7 +648,7 @@ class CampaignEngine:
                 span_name=span_name,
             )
         pending = self.executor.submit(target, work, on_result)
-        shard.jobs.append(_Job(pending, traced, chunked))
+        shard.job = _Job(pending, traced, chunked)
 
     def _finish(
         self,
@@ -674,11 +663,12 @@ class CampaignEngine:
         Returns the shard's results when unsharded; a spilled shard
         returns ``[]`` and leaves no live result (the RSS bound).
         """
+        job = shard.job
+        assert job is not None
         with tracer.tagged(**shard.tags):
-            computed = [result for job in shard.jobs for result in job.collect()]
-        for job in shard.jobs:
-            metrics.fallback = metrics.fallback or job.pending.fallback_reason
-        shard.jobs = []
+            computed = job.collect()
+        metrics.fallback = metrics.fallback or job.pending.fallback_reason
+        shard.job = None
         results = self._merge_results(len(shard.tasks), shard.hits, shard.pending, computed)
         self._tally(metrics, results)
         if shard.keys is not None:
@@ -693,54 +683,21 @@ class CampaignEngine:
         return []
 
     # -- caching -----------------------------------------------------------
-    def _consult(
-        self, fn: Callable[[Any], Any], tasks: list[Any], inflight: _Shard | None
-    ) -> _Shard:
-        """Split a shard's tasks into cache hits, deferred and pending.
-
-        A key ``inflight`` is still computing is deferred rather than
-        looked up: the lookup happens in :meth:`_read_back`, once that
-        shard is stored.
-        """
+    def _consult(self, fn: Callable[[Any], Any], tasks: list[Any]) -> _Shard:
+        """Split a shard's tasks into cache hits and pending."""
         keyfn = getattr(fn, "cache_key", None)
         if self.cache is None or keyfn is None:
-            return _Shard(tasks, None, {}, list(range(len(tasks))), [])
+            return _Shard(tasks, None, {}, list(range(len(tasks))))
         keys: list[str | None] = [keyfn(task) for task in tasks]
-        busy = inflight.computing() if inflight is not None else set()
-        shard = _Shard(tasks, keys, {}, [], [])
+        shard = _Shard(tasks, keys, {}, [])
         for i, key in enumerate(keys):
             if key is not None:
-                if key in busy:
-                    shard.deferred.append(i)
-                    continue
                 found, value = self.cache.get(key)
                 if found:
                     shard.hits[i] = value
                     continue
             shard.pending.append(i)
         return shard
-
-    def _read_back(
-        self, fn: Callable[[Any], Any], shard: _Shard, traced: _TracedDispatch | None
-    ) -> None:
-        """Look up ``shard``'s deferred keys now that the previous shard
-        is stored; any that still miss are computed after all."""
-        if not shard.deferred:
-            return
-        assert self.cache is not None and shard.keys is not None
-        missed = []
-        for i in shard.deferred:
-            key = shard.keys[i]
-            assert key is not None  # only keyed tasks are deferred
-            found, value = self.cache.get(key)
-            if found:
-                shard.hits[i] = value
-            else:
-                missed.append(i)
-        shard.deferred = []
-        if missed:
-            shard.pending += missed
-            self._submit(fn, shard, missed, traced)
 
     def _store_results(
         self, keys: list[str | None] | None, pending: list[int], computed: list[Any]

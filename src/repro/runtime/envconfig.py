@@ -4,8 +4,8 @@ Every environment variable the codebase reads or writes is declared
 here, once, with its type and a one-line description.  The rest of the
 tree never touches ``os.environ`` directly (REP008 enforces this): it
 calls :func:`raw` / :func:`peek` / the typed ``get_*`` helpers to read,
-and :func:`set_env` / :func:`setdefault_env` / :func:`overriding` to
-write.  Routing everything through one module buys three things:
+and :func:`set_env` / :func:`overriding` to write.  Routing
+everything through one module buys three things:
 
 * **Registration** — a typo'd variable name is a ``KeyError`` at the
   call site instead of a silently-ignored knob.
@@ -38,7 +38,6 @@ __all__ = [
     "peek",
     "raw",
     "set_env",
-    "setdefault_env",
 ]
 
 
@@ -182,12 +181,6 @@ def set_env(name: str, value: str) -> None:
     """Set a registered knob for the rest of this process (and children)."""
     _require(name)
     os.environ[name] = value
-
-
-def setdefault_env(name: str, value: str) -> None:
-    """Set a registered knob only when the environment did not already."""
-    _require(name)
-    os.environ.setdefault(name, value)
 
 
 @contextmanager

@@ -135,10 +135,6 @@ class TimeSeries:
         centers = t0 + (np.arange(n_bins) + 0.5) * bin_seconds
         return TimeSeries(centers, means)
 
-    def resample_hourly(self) -> "TimeSeries":
-        """Resample to the hourly grid used by trend extraction."""
-        return self.resample_mean(SECONDS_PER_HOUR)
-
     def interpolate_nan(self) -> "TimeSeries":
         """Linearly interpolate interior NaN runs; edge NaNs are held flat."""
         values = self.values.copy()

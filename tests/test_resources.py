@@ -83,6 +83,28 @@ class TestResourceHelpers:
         assert summary["wall_s"] > 0
         assert 0.0 <= summary["cpu_utilization"]
 
+    def test_peak_never_reads_below_current_rss(self, monkeypatch, tmp_path):
+        """``ru_maxrss`` can lag ``/proc/self/statm`` by a few pages; a
+        reported peak is the larger of the two."""
+        from repro.obs import progress as progress_mod
+        from repro.obs import resources as resources_mod
+
+        current, high_water = 100 << 20, 99 << 20
+        for mod in (resources_mod, progress_mod):
+            monkeypatch.setattr(mod, "rss_bytes", lambda: current)
+            monkeypatch.setattr(mod, "peak_rss_bytes", lambda: high_water)
+        summary = ResourceTracker().summary()
+        assert summary["rss_bytes"] == current
+        assert summary["rss_peak_bytes"] == current
+        assert summary["rss_peak_delta_bytes"] == 0
+        emitter = ProgressEmitter(tmp_path, interval_s=0.0)
+        emitter.begin("probes", 1)
+        emitter.finish()
+        for line in emitter.path.read_text().splitlines():
+            record = json.loads(line)
+            assert record["rss_bytes"] == current
+            assert record["rss_peak_bytes"] == current
+
     def test_format_bytes(self):
         assert format_bytes(0) == "0 B"
         assert format_bytes(512) == "512 B"

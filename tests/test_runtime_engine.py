@@ -306,7 +306,7 @@ class TestAnalysisCache:
             DATASET, blocks=blocks, engine=cold_engine
         )
         assert cold.metrics.cache == {"hits": 0, "misses": self.N, "stores": self.N}
-        # a fresh engine + fresh in-memory tier: every hit comes from disk
+        # a fresh engine + fresh cache object: every hit comes from disk
         warm_engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         warm = DatasetBuilder(world200).analyze(
             DATASET, blocks=blocks, engine=warm_engine
@@ -330,15 +330,6 @@ class TestAnalysisCache:
             assert executor.fallback_reason is None
             warm = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         assert cold.metrics.cache == {"hits": 0, "misses": self.N, "stores": self.N}
-        assert warm.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
-        for cidr, analysis in warm.analyses.items():
-            assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
-
-    def test_memory_only_tier(self, world200, serial_result):
-        blocks = self._blocks(world200)
-        engine = CampaignEngine(SerialExecutor(), AnalysisCache())  # no disk
-        DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
-        warm = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
         assert warm.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
         for cidr, analysis in warm.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
@@ -397,19 +388,12 @@ class TestAnalysisCache:
                 hit, _ = AnalysisCache(tmp_path).get("ab" * 32)
                 assert hit is False
 
-    def test_plain_tasks_bypass_cache(self):
-        engine = CampaignEngine(SerialExecutor(), AnalysisCache())
+    def test_plain_tasks_bypass_cache(self, tmp_path):
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         run = engine.run(_square, [1, 2, 3], label="squares")
         assert run.results == [1, 4, 9]
         assert run.metrics.cache is None  # fn has no cache_key: never consulted
-
-    def test_memory_lru_eviction(self):
-        cache = AnalysisCache(max_items=2)
-        for i in range(3):
-            cache.put(f"k{i}", i)
-        assert len(cache) == 2
-        assert cache.get("k0") == (False, None)  # oldest evicted
-        assert cache.get("k2") == (True, 2)
+        assert not any(tmp_path.iterdir())  # and nothing was stored
 
     def test_cached_hits_drop_stage_records(self, world200, tmp_path):
         blocks = self._blocks(world200)

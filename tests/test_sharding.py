@@ -6,9 +6,10 @@ tasks contiguously, spilled results rehydrate byte-identically, caches
 stay warm across re-sharding, and every experiment output matches the
 unsharded run under ``pickle.dumps`` — for serial and pool dispatch
 alike.  The shard pipeline (shard i queued before shard i-1 finishes)
-keeps the sequential loop's cache counts and progress order, and a
-failure with a shard in flight (a task exception, a full disk, an
-interrupt) leaves no queued work, spill dir or worker behind.
+keeps the sequential loop's progress order, a cached sharded run leaves
+no result behind in the cache object, and a failure with a shard in
+flight (a task exception, a full disk, an interrupt) leaves no queued
+work, spill dir or worker behind.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import pickle
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -91,15 +93,20 @@ class _DieInWorkerOn:
         return x * x
 
 
-@dataclass(frozen=True)
-class _KeyedSquare:
-    """A cacheable job: the key is the task itself."""
+class _Watched:
+    """A block job that keeps a weakref to every analysis it computes."""
 
-    def cache_key(self, x):
-        return f"square-{x}"
+    def __init__(self, job):
+        self.job = job
+        self.refs = []
 
-    def __call__(self, x):
-        return x * x
+    def cache_key(self, spec):
+        return self.job.cache_key(spec)
+
+    def map_chunk(self, specs):
+        results = self.job.map_chunk(specs)
+        self.refs += [weakref.ref(r.analysis) for r in results]
+        return results
 
 
 def _alloc_block(n):
@@ -482,6 +489,24 @@ class TestCacheResharding:
         assert result.metrics.cache["hits"] == result.metrics.n_tasks
         assert not list(tmp_path.glob("shard-*"))
 
+    def test_cache_holds_no_result_after_a_sharded_run(self, small_world, tmp_path):
+        """The cache is its directory: once a sharded run's shards are
+        spilled and the run is dropped, no computed analysis stays alive
+        behind the engine or its cache."""
+        job = _Watched(
+            BlockAnalysisJob(world=small_world, ds=dataset(DATASET), pipeline=BlockPipeline())
+        )
+        cache = AnalysisCache(tmp_path)
+        engine = CampaignEngine(SerialExecutor(), cache=cache, shards=4)
+        run = engine.run(job, small_world.blocks)
+        n = len(small_world.blocks)
+        assert run.metrics.cache == {"hits": 0, "misses": n, "stores": n}
+        assert len(job.refs) == n
+        del run
+        gc.collect()
+        assert [r for r in job.refs if r() is not None] == []
+        assert engine.cache is cache  # both stayed alive throughout
+
 
 # ---------------------------------------------------------------------------
 # the progress plane under sharding
@@ -751,22 +776,16 @@ class TestPipelinedIdentity:
     def test_block_in_two_adjacent_shards_counts_like_the_sequential_loop(
         self, small_world, tmp_path, workers
     ):
+        """A block that ends shard 0 and starts shard 1 is consulted in
+        shard 1 before shard 0 is stored, so both copies miss and are
+        stored, as in an unsharded cold run; results stay byte-identical."""
         job = BlockAnalysisJob(
             world=small_world, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
         blocks = list(small_world.blocks[:47])
-        blocks.insert(16, blocks[15])  # one block ends shard 0 and starts shard 1
+        blocks.insert(16, blocks[15])
         lo, hi = ShardPlan.plan(3, len(blocks)).ranges[1]
         assert blocks[lo - 1] is blocks[lo]
-
-        # the reference: the shards one after another on one cache
-        cache = AnalysisCache(tmp_path / "sequential")
-        expected = {"hits": 0, "misses": 0, "stores": 0}
-        for a, b in ShardPlan.plan(3, len(blocks)).ranges:
-            part = CampaignEngine(SerialExecutor(), cache=cache).run(job, blocks[a:b])
-            for key, n in part.metrics.cache.items():
-                expected[key] += n
-        assert expected["hits"] == 1
 
         serial = CampaignEngine(SerialExecutor()).run(job, blocks)
         executor = PoolExecutor(workers=2) if workers > 1 else SerialExecutor()
@@ -774,26 +793,14 @@ class TestPipelinedIdentity:
             executor, cache=AnalysisCache(tmp_path / "pipelined"), shards=3
         ) as engine:
             pipelined = engine.run(job, blocks)
-        assert pipelined.metrics.cache == expected
+        unsharded = CampaignEngine(
+            SerialExecutor(), cache=AnalysisCache(tmp_path / "unsharded")
+        ).run(job, blocks)
+        n = len(blocks)
+        assert pipelined.metrics.cache == unsharded.metrics.cache == {
+            "hits": 0, "misses": n, "stores": n,
+        }
         assert [pickle.dumps(r.analysis) for r in pipelined.results] == [
             pickle.dumps(r.analysis) for r in serial.results
         ]
-
-    def test_a_read_back_that_misses_is_computed(self, tmp_path):
-        """A memory-only cache too small to hold a shard evicts the
-        in-flight key before it is read back: the sequential loop
-        misses it too, so the pipeline computes it after all."""
-        tasks = [3, 0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]  # task 3 opens shards 0 and 1
-        expected = {"hits": 0, "misses": 0, "stores": 0}
-        cache = AnalysisCache(max_items=1)
-        for a, b in ShardPlan.plan(3, len(tasks)).ranges:
-            part = CampaignEngine(SerialExecutor(), cache=cache).run(_KeyedSquare(), tasks[a:b])
-            for key, n in part.metrics.cache.items():
-                expected[key] += n
-        assert expected["misses"] == 12
-        with CampaignEngine(
-            PoolExecutor(workers=2), cache=AnalysisCache(max_items=1), shards=3
-        ) as engine:
-            run = engine.run(_KeyedSquare(), tasks)
-        assert run.metrics.cache == expected
-        assert list(run.results) == [t * t for t in tasks]
+        assert _cache_files(tmp_path / "pipelined") == _cache_files(tmp_path / "unsharded")
