@@ -13,6 +13,10 @@ Whole-campaign throughput and peak memory are not measured here: that
 is the repo benchmark's job (``perfbench/``), which runs every workload
 in fresh processes and checks its outputs.
 
+The ``cache_keys`` section times cache keying, not a kernel: each task's
+whole input dict tokenized and hashed against the per-run keyer, with
+every key asserted equal.
+
 ``measure_cusum_scaling`` exists because the first question these
 numbers raised was "why is ``cusum_rows`` only ~1.2x batched?".  The
 answer used to be "because ``detect_cusum_batch`` only hoisted NaN
@@ -26,6 +30,7 @@ instead of flat.  See docs/algorithms.md §14.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import pickle
@@ -42,6 +47,7 @@ __all__ = [
     "DEFAULT_SECTIONS",
     "count_matrix_fixture",
     "measure_batched_kernels",
+    "measure_cache_keys",
     "measure_cusum_scaling",
     "measure_front_half",
     "measure_kernels",
@@ -60,6 +66,7 @@ DEFAULT_SECTIONS = (
     "prober_lanes",
     "front_half",
     "truth",
+    "cache_keys",
 )
 
 QUARTER_S = 84 * 86_400.0
@@ -71,6 +78,7 @@ FRONT_HALF_BLOCKS = 16  # responsive blocks: 64 lanes, one lane-kernel chunk
 #: the 26-week window
 FRONT_HALF_ROWS = ((LANES_DATASET, 128), (FRONT_HALF_DATASET, FRONT_HALF_BLOCKS))
 TRUTH_BLOCKS = 48  # responsive blocks per truth window
+CACHE_KEY_BLOCKS = 300  # the funnel-2w benchmark world: 300 blocks of seed 20
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 PROBER_LANE_COUNTS = (4, 8, 16, 32, 64, 256, 1024)
 #: campaign-h1's detection chunk: 28 blocks x 4 observers over 26 weeks
@@ -465,6 +473,57 @@ def measure_truth(n_blocks: int = TRUTH_BLOCKS) -> dict[str, dict[str, float]]:
     return out
 
 
+def measure_cache_keys(n_blocks: int = CACHE_KEY_BLOCKS) -> dict[str, dict[str, float]]:
+    """Cache keys per task against one keyer per run.
+
+    Every block of the ``funnel-2w``-shaped world (``covid_world(n_blocks,
+    20)``) is keyed for a ``LANES_DATASET`` block analysis twice: per
+    task, as ``sha256(stable_token((kind, CACHE_SCHEMA, inputs)))`` over
+    the job's whole input dict (which tokenizes the world for every key),
+    and by the callable of one ``BlockAnalysisJob.cache_keyer()`` call,
+    whose build is timed with it.  Every key is asserted equal before
+    anything is recorded.  Keyed ``block-analysis:blocks``.
+    """
+    from .core.pipeline import BlockPipeline
+    from .datasets.catalog import dataset
+    from .experiments.common import covid_world
+    from .runtime.cache import CACHE_SCHEMA, stable_token
+    from .runtime.jobs import BlockAnalysisJob
+
+    world = covid_world(n_blocks, 20, diurnal_boost=1.0)
+    job = BlockAnalysisJob(world=world, ds=dataset(LANES_DATASET), pipeline=BlockPipeline())
+    inputs = {
+        "world": job.world,
+        "ds": job.ds,
+        "pipeline": job.pipeline,
+        "observer_style": job.observer_style,
+    }
+
+    def per_task() -> list[str]:
+        return [
+            hashlib.sha256(
+                stable_token(("block-analysis", CACHE_SCHEMA, {**inputs, "spec": s})).encode()
+            ).hexdigest()
+            for s in world.blocks
+        ]
+
+    def per_run() -> list[str | None]:
+        key = job.cache_keyer()
+        return [key(spec) for spec in world.blocks]
+
+    per_task_s, want = _best_of(per_task, repeats=2)
+    per_run_s, got = _best_of(per_run, repeats=3)
+    assert got == want and None not in got
+    return {
+        f"block-analysis:{len(world.blocks)}": {
+            "keys": float(len(got)),
+            "per_task_s": per_task_s,
+            "per_run_s": per_run_s,
+            "speedup": per_task_s / per_run_s,
+        }
+    }
+
+
 def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     """Measure each named section; unknown names raise ``ValueError``."""
     runners: dict[str, Callable[[], Any]] = {
@@ -474,6 +533,7 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
         "prober_lanes": measure_prober_lanes,
         "front_half": measure_front_half,
         "truth": measure_truth,
+        "cache_keys": measure_cache_keys,
     }
     out: dict[str, Any] = {}
     for name in sections:

@@ -11,6 +11,7 @@ jnw / ejnw) and compare the distributions at the paper's 6-hour and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ..datasets.builder import DatasetBuilder
 from ..datasets.catalog import DatasetSpec
 from ..net.observations import merge_observations
 from ..net.world import BlockSpec, WorldModel
-from ..runtime.cache import task_key
+from ..runtime.cache import task_keyer
 from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
@@ -73,10 +74,11 @@ class _ScanTimeJob:
     ds: DatasetSpec
     max_scans: int
 
-    def cache_key(self, spec: BlockSpec) -> str | None:
-        return task_key(
+    def cache_keyer(self) -> Callable[[BlockSpec], str | None]:
+        return task_keyer(
             "fig3-scan",
-            {"world": self.world, "ds": self.ds, "max_scans": self.max_scans, "spec": spec},
+            {"world": self.world, "ds": self.ds, "max_scans": self.max_scans},
+            "spec",
         )
 
     def __call__(self, spec: BlockSpec) -> dict[str, float | None]:

@@ -18,7 +18,7 @@ rule ID     name                  invariant
                                   ``hash()`` calls in deterministic packages
 ``REP003``  picklability          engine-dispatched ``*Job`` classes capture no
                                   lambdas, nested functions, or open handles
-``REP004``  cache-key-            ``cache_key``/``cache_token`` cover every
+``REP004``  cache-key-            ``cache_keyer``/``cache_token`` cover every
             completeness          public field; token-shaping code edits
                                   require a ``CACHE_SCHEMA`` bump
 ``REP007``  import-layering       module-level imports follow the declarative

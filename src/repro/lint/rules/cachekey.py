@@ -4,11 +4,11 @@ The content-addressed block cache (``repro.runtime.cache``) is only
 correct while two properties hold:
 
 1. **field coverage** — a class that contributes its own identity to the
-   key (a ``cache_key`` job or a ``cache_token`` provider) must fold in
+   key (a ``cache_keyer`` job or a ``cache_token`` provider) must fold in
    *every* public field.  A forgotten field means two different
    configurations collide on one cache entry and silently share results.
 2. **schema discipline** — any edit to the token-shaping code itself
-   (``stable_token``, ``task_key``, every ``cache_key``/``cache_token``
+   (``stable_token``, ``task_keyer``, every ``cache_keyer``/``cache_token``
    method) can move result bits without changing any input field, so it
    must be accompanied by a :data:`repro.runtime.cache.CACHE_SCHEMA`
    bump.  The rule enforces this mechanically: it hashes the
@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FINGERPRINT_VERSION = 1
 CACHE_MODULE = "src/repro/runtime/cache.py"
-TOKEN_FUNCTIONS = ("stable_token", "task_key")
-TOKEN_METHODS = ("cache_key", "cache_token")
+TOKEN_FUNCTIONS = ("stable_token", "task_keyer")
+TOKEN_METHODS = ("cache_keyer", "cache_token")
 _COVERS_ALL = ("fields", "astuple", "asdict")
 
 
@@ -233,7 +233,7 @@ def _coverage_violations(ctx: "LintContext") -> list[Violation]:
 @register(
     "REP004",
     "cache-key-completeness",
-    "cache_key/cache_token must cover every public field, and token-"
+    "cache_keyer/cache_token must cover every public field, and token-"
     "shaping code edits require a CACHE_SCHEMA bump (AST fingerprint)",
 )
 def check(ctx: "LintContext") -> list[Violation]:

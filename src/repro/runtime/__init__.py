@@ -25,7 +25,13 @@ memory-mappable on-disk layout between shards
 coordinator RSS for paper-scale worlds.
 """
 
-from .cache import AnalysisCache, CACHE_SCHEMA, default_cache, stable_token, task_key
+from .cache import (
+    AnalysisCache,
+    CACHE_SCHEMA,
+    default_cache,
+    stable_token,
+    task_keyer,
+)
 from .engine import (
     BlockResult,
     CampaignEngine,
@@ -68,5 +74,5 @@ __all__ = [
     "peek_run_log",
     "resolve_shards",
     "stable_token",
-    "task_key",
+    "task_keyer",
 ]

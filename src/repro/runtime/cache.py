@@ -18,8 +18,19 @@ that.  The qualified class names mean a renamed or restructured config
 class invalidates naturally; bumping :data:`CACHE_SCHEMA` invalidates
 everything at once (do this whenever a kernel or pipeline change alters
 results without changing any input field).  Objects the tokenizer does
-not understand make the task *uncacheable* (``task_key`` returns
-``None``) rather than wrongly cacheable.
+not understand make the task *uncacheable* (its key is ``None``) rather
+than wrongly cacheable.
+
+One hash state per run: a job keys every block of a run through
+:func:`task_keyer`, which tokenizes the job-invariant inputs (the
+world's token alone is ~8.7k characters) once into a ``sha256`` state
+and per task only copies it and feeds in the task's token and the
+fixed tail.  The bytes hashed are exactly
+``stable_token((kind, CACHE_SCHEMA, inputs))`` with the task in its
+slot; ``task_keyer`` is the only code that assembles a key.  Schema 4
+marks that rewrite of the key code (and ``stable_token``'s per-class
+field-name table): no token changes, but every edit to token-shaping
+code bumps the schema, with no exception.
 
 Storage
 -------
@@ -53,7 +64,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -64,7 +75,7 @@ __all__ = [
     "CACHE_SCHEMA",
     "default_cache",
     "stable_token",
-    "task_key",
+    "task_keyer",
 ]
 
 #: Bump to invalidate every existing cache entry (result-affecting
@@ -73,10 +84,16 @@ __all__ = [
 #: per-block result bits at the float-rounding level.
 #: 3: window-local truth (per-day counter-based truth streams) changed
 #: every time-varying block's ground truth.
-CACHE_SCHEMA = 3
+#: 4: keys hash the job-invariant inputs once per run (``task_keyer``);
+#: every token is unchanged, the schema marks the token-code rewrite.
+CACHE_SCHEMA = 4
 
 #: Length of the ``sha256`` digest that heads every disk entry.
 _DIGEST_BYTES = 32
+
+#: Field names of every dataclass type :func:`stable_token` has met
+#: (``dataclasses.fields`` rebuilds its tuple on every call).
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def stable_token(obj: Any) -> str:
@@ -107,10 +124,11 @@ def stable_token(obj: Any) -> str:
     if token is not None and not dataclasses.is_dataclass(obj):
         return f"o({type(obj).__qualname__},{stable_token(token())})"
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ",".join(
-            f"{f.name}={stable_token(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
-        )
+        names = _FIELD_NAMES.get(type(obj))
+        if names is None:
+            names = tuple(f.name for f in dataclasses.fields(obj))
+            _FIELD_NAMES[type(obj)] = names
+        fields = ",".join([f"{name}={stable_token(getattr(obj, name))}" for name in names])
         return f"d({type(obj).__qualname__},{fields})"
     if isinstance(obj, (tuple, list)):
         return "(" + ",".join(stable_token(v) for v in obj) + ")"
@@ -122,13 +140,46 @@ def stable_token(obj: Any) -> str:
     raise TypeError(f"cannot build a stable cache token for {type(obj)!r}")
 
 
-def task_key(kind: str, inputs: dict[str, Any]) -> str | None:
-    """Cache key for one job call, or None when inputs are uncacheable."""
+def task_keyer(
+    kind: str, inputs: dict[str, Any], vary: str
+) -> Callable[[Any], str | None]:
+    """``key(task)``: the cache key of ``{**inputs, vary: task}`` for ``kind``.
+
+    A key is ``sha256(stable_token((kind, CACHE_SCHEMA, {**inputs, vary:
+    task})))``.  That token is the invariant text before the task's slot
+    in the dict's sorted order, the task's token, and the invariant text
+    after it.  The text before is hashed here, once, into a ``sha256``
+    state and the text after is kept as bytes, so a key costs the task's
+    token, a state copy and the tail.  When an invariant input cannot be
+    tokenized, every task is uncacheable and ``key`` returns None; so
+    does a task that cannot be.
+    """
     try:
-        token = stable_token((kind, CACHE_SCHEMA, inputs))
+        head = f"({stable_token(kind)},{stable_token(CACHE_SCHEMA)},{{"
+        slot = stable_token(vary)
+        items = sorted((stable_token(k), stable_token(v)) for k, v in inputs.items())
     except TypeError:
-        return None
-    return hashlib.sha256(token.encode()).hexdigest()
+        return _uncacheable
+    before = "".join(f"{k}:{v}," for k, v in items if k < slot)
+    state = hashlib.sha256(f"{head}{before}{slot}:".encode())
+    tail = ("".join(f",{k}:{v}" for k, v in items if k > slot) + "})").encode()
+
+    def key(task: Any) -> str | None:
+        try:
+            token = stable_token(task)
+        except TypeError:
+            return None
+        digest = state.copy()
+        digest.update(token.encode())
+        digest.update(tail)
+        return digest.hexdigest()
+
+    return key
+
+
+def _uncacheable(task: Any) -> None:
+    """The key of every task of a job whose invariant inputs do not tokenize."""
+    return None
 
 
 class AnalysisCache:

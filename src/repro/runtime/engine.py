@@ -507,7 +507,9 @@ class CampaignEngine:
         identical to an unsharded run.
 
         When the engine has a cache and ``fn`` exposes a
-        ``cache_key(task)`` method, each task's key is consulted before
+        ``cache_keyer()`` method, it is called once per run for the
+        run's ``key(task)`` callable (the job-invariant inputs are
+        hashed there, once), and each task's key is consulted before
         dispatch and its result stored after; hits bypass the executor
         entirely (their :class:`BlockResult` carries no stage records,
         because no stage ran) but land in the same result slot, so
@@ -515,7 +517,7 @@ class CampaignEngine:
         hit when its entry is on disk as its shard is consulted, which
         is before the previous shard is stored: a key that appears in
         two adjacent shards is computed (and stored) twice, with the
-        same result.  Jobs without ``cache_key`` run uncached, as do
+        same result.  Jobs without ``cache_keyer`` run uncached, as do
         tasks whose key comes back ``None`` (uncacheable inputs).
 
         Every run opens a ``campaign`` span on the ambient (or given)
@@ -545,6 +547,11 @@ class CampaignEngine:
         metrics = RunMetrics(
             label=label, executor=self.executor.name, n_tasks=len(tasks), wall_s=0.0
         )
+        # the run's key(task): the job-invariant inputs are hashed here, once
+        make_keyer = getattr(fn, "cache_keyer", None)
+        keyer: Callable[[Any], str | None] | None = None
+        if self.cache is not None and make_keyer is not None:
+            keyer = make_keyer()
         spill = SpillDir.create() if n_shards > 1 else None
         results: list[Any] = []
         readers = []
@@ -560,7 +567,7 @@ class CampaignEngine:
                 if isinstance(tracer, Tracer) and parent_id is not None:
                     traced = _TracedDispatch(tracer=tracer, parent_id=parent_id)
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    shard = self._consult(fn, tasks[lo:hi])
+                    shard = self._consult(keyer, tasks[lo:hi])
                     shard.index = i
                     if spill is not None:
                         shard.tags = {"shard": i, "shards": n_shards}
@@ -683,12 +690,13 @@ class CampaignEngine:
         return []
 
     # -- caching -----------------------------------------------------------
-    def _consult(self, fn: Callable[[Any], Any], tasks: list[Any]) -> _Shard:
+    def _consult(
+        self, keyer: Callable[[Any], str | None] | None, tasks: list[Any]
+    ) -> _Shard:
         """Split a shard's tasks into cache hits and pending."""
-        keyfn = getattr(fn, "cache_key", None)
-        if self.cache is None or keyfn is None:
+        if self.cache is None or keyer is None:
             return _Shard(tasks, None, {}, list(range(len(tasks))))
-        keys: list[str | None] = [keyfn(task) for task in tasks]
+        keys: list[str | None] = [keyer(task) for task in tasks]
         shard = _Shard(tasks, keys, {}, [])
         for i, key in enumerate(keys):
             if key is not None:

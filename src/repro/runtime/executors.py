@@ -309,21 +309,18 @@ class PoolExecutor:
         self.payload["pool_spawns"] += 1
         return pool
 
-    def _teardown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-            self._pool_box.clear()
-
     def close(self) -> None:
         """Shut down the persistent pool and join its workers (idempotent).
 
         Chunks still queued are cancelled; a chunk a worker already
-        runs finishes first, so no worker outlives this call.
+        runs finishes first, so no worker, and none of the pool's
+        manager and queue-feeder threads, outlives this call: a later
+        fork never copies a lock one of them holds.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
-        self._teardown_pool()
+            self._pool = None
+            self._pool_box.clear()
 
     def __enter__(self) -> "PoolExecutor":
         return self
@@ -387,14 +384,16 @@ class PoolExecutor:
     def _fall_back(self, exc: BaseException, pool: ProcessPoolExecutor) -> str:
         """Pool infrastructure failure: ``pool`` is no longer trustworthy.
 
-        Tear it down unless a sibling submission already did (a later
-        submission may respawn), and return the reason; the caller runs
+        Shut it down and join it unless a sibling submission already did
+        (a later submission may respawn), and return the reason; the caller runs
         its uncollected tasks in-process so no block is lost.
         """
         self.fallback_reason = f"pool failed: {type(exc).__name__}: {exc}"
         self.payload["fallbacks"] += 1
         if pool is self._pool:
-            self._teardown_pool()
+            # joined, not just signalled: a broken pool's threads would
+            # otherwise outlive close(), which no longer holds the pool
+            self.close()
         return self.fallback_reason
 
     def __repr__(self) -> str:

@@ -28,7 +28,7 @@ on every executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..core.stages import PIPELINE_STAGES, StageContext, StageMeter
 from ..datasets.catalog import DatasetSpec
 from ..net.world import BlockSpec, WorldModel
 from ..obs.trace import annotate, get_tracer
-from .cache import task_key
+from .cache import task_keyer
 from .engine import BlockResult
 
 if TYPE_CHECKING:  # datasets.builder composes over this package
@@ -63,24 +63,26 @@ class BlockAnalysisJob:
     pipeline: BlockPipeline
     observer_style: str = "adaptive"
 
-    def cache_key(self, spec: BlockSpec) -> str | None:
-        """Content address of this job's result for one block.
+    def cache_keyer(self) -> Callable[[BlockSpec], str | None]:
+        """Content address of this job's result, per block: ``key(spec)``.
 
         Covers everything ``__call__`` derives its output from: world
         identity, dataset window + observers, pipeline parameters, the
         probing algorithm, and the block spec itself (seed, kind,
-        events, loss).  None (uncacheable) if any of it fails to
-        tokenize — the engine then just computes as usual.
+        events, loss).  The job-invariant part is hashed once, when this
+        is called (:func:`~repro.runtime.cache.task_keyer`); the engine
+        calls it once per run.  A key is None (uncacheable) if any of it
+        fails to tokenize — the engine then just computes as usual.
         """
-        return task_key(
+        return task_keyer(
             "block-analysis",
             {
                 "world": self.world,
                 "ds": self.ds,
                 "pipeline": self.pipeline,
                 "observer_style": self.observer_style,
-                "spec": spec,
             },
+            "spec",
         )
 
     def __call__(self, spec: BlockSpec) -> BlockResult:

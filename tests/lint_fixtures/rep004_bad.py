@@ -9,5 +9,5 @@ class WindowSpec:
     threshold: float
     kind: str = "scan"
 
-    def cache_key(self):
+    def cache_keyer(self):
         return ("window", self.n_days, self.kind)  # threshold is missing

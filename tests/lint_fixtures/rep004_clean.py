@@ -10,7 +10,7 @@ class WindowSpec:
     threshold: float
     kind: str = "scan"
 
-    def cache_key(self):
+    def cache_keyer(self):
         return ("window", self.n_days, self.threshold, self.kind)
 
 

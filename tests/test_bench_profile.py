@@ -29,6 +29,13 @@ class TestBenchCli:
         assert all(stats["speedup"] > 0 for stats in doc["kernels"].values())
         assert "kernels/prober:" in capsys.readouterr().out
 
+    def test_cache_keys_section_asserts_and_times_both_routes(self):
+        from repro.bench import measure_cache_keys
+
+        (name, stats), = measure_cache_keys(n_blocks=20).items()
+        assert name == "block-analysis:20" and stats["keys"] == 20.0
+        assert stats["per_task_s"] > 0 and stats["per_run_s"] > 0
+
     @pytest.mark.parametrize("name", ["definitely-not-a-section", "engine", "scale"])
     def test_unknown_section_is_an_error(self, name):
         from repro.bench import run_sections

@@ -181,7 +181,7 @@ def test_rep004_flags_missing_field(tmp_path):
     )
     violations = _rep004_run(root)
     assert len(violations) == 1
-    assert "WindowSpec.cache_key" in violations[0].message
+    assert "WindowSpec.cache_keyer" in violations[0].message
     assert "'threshold'" in violations[0].message
 
 
@@ -231,6 +231,53 @@ def test_rep004_requires_schema_bump_for_token_code_edits(tmp_path):
 
     write_fingerprint(build_context(root))
     assert lint_rule(root, "REP004") == []
+
+
+CACHE_KEYER_V1 = CACHE_V1 + '''
+
+def task_keyer(kind, inputs, vary):
+    head = stable_token((kind, CACHE_SCHEMA))
+    return lambda task: head + stable_token({**inputs, vary: task})
+'''
+
+KEYED_JOB = '''
+from dataclasses import dataclass
+
+from .cache import task_keyer
+
+
+@dataclass(frozen=True)
+class ScanJob:
+    world: object
+    max_scans: int
+
+    def cache_keyer(self):
+        return task_keyer("scan", {"world": self.world, "max_scans": self.max_scans}, "spec")
+'''
+
+
+def test_rep004_covers_task_keyer_and_cache_keyer(tmp_path):
+    cache, jobs = "src/repro/runtime/cache.py", "src/repro/runtime/jobs.py"
+    root = make_tree(tmp_path, {cache: CACHE_KEYER_V1, jobs: KEYED_JOB})
+    write_fingerprint(build_context(root))
+    assert lint_rule(root, "REP004") == []
+
+    # the per-run keyer's token code changed, the schema did not: violation
+    edited = CACHE_KEYER_V1.replace("(kind, CACHE_SCHEMA))", "(CACHE_SCHEMA, kind))")
+    make_tree(root, {cache: edited})
+    violations = lint_rule(root, "REP004")
+    assert len(violations) == 1
+    assert "CACHE_SCHEMA bump" in violations[0].message
+    assert "cache.py::task_keyer" in violations[0].message
+    make_tree(root, {cache: CACHE_KEYER_V1})
+    assert lint_rule(root, "REP004") == []
+
+    # so is a job's cache_keyer, which must also cover every public field
+    make_tree(root, {jobs: KEYED_JOB.replace(', "max_scans": self.max_scans', "")})
+    messages = [v.message for v in lint_rule(root, "REP004")]
+    assert len(messages) == 2
+    assert any("ScanJob.cache_keyer" in m and "CACHE_SCHEMA bump" in m for m in messages)
+    assert any("does not cover field 'max_scans'" in m for m in messages)
 
 
 def test_rep004_docstring_edits_do_not_change_the_fingerprint(tmp_path):

@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+import datetime as dt
+import enum
+import hashlib
+import os
 import pickle
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.runtime.executors as executors_mod
 from repro.core.pipeline import BlockPipeline
 from repro.core.stages import PIPELINE_STAGES
 from repro.datasets.builder import DatasetBuilder
 from repro.datasets.catalog import dataset
+from repro.experiments.common import covid_world
+from repro.experiments.fig3 import _ScanTimeJob
 from repro.net.world import WorldModel, scenario_covid2020
 from repro.runtime import (
+    CACHE_SCHEMA,
     AnalysisCache,
     BlockAnalysisJob,
     BlockResult,
@@ -23,7 +35,7 @@ from repro.runtime import (
     StageTotals,
     default_engine,
     stable_token,
-    task_key,
+    task_keyer,
 )
 
 DATASET = "2020it89-match-ejnw"  # two weeks, four observers: cheap but real
@@ -33,6 +45,12 @@ DATASET = "2020it89-match-ejnw"  # two weeks, four observers: cheap but real
 def world200() -> WorldModel:
     """The acceptance-scale world: 200 routed blocks."""
     return WorldModel(scenario_covid2020(), n_blocks=200, seed=7)
+
+
+@pytest.fixture(scope="module")
+def funnel_world() -> WorldModel:
+    """The shape of the benchmark's funnel world: 300 blocks, seed 20."""
+    return covid_world(300, 20, diurnal_boost=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +410,7 @@ class TestAnalysisCache:
         engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         run = engine.run(_square, [1, 2, 3], label="squares")
         assert run.results == [1, 4, 9]
-        assert run.metrics.cache is None  # fn has no cache_key: never consulted
+        assert run.metrics.cache is None  # fn has no cache_keyer: never consulted
         assert not any(tmp_path.iterdir())  # and nothing was stored
 
     def test_cached_hits_drop_stage_records(self, world200, tmp_path):
@@ -405,16 +423,78 @@ class TestAnalysisCache:
         assert warm.metrics.funnel["routed"] == self.N
 
 
+class _Shade(enum.IntEnum):
+    DARK = 1
+    LIGHT = 2
+
+
+class _Tag(str):
+    """A ``str`` subclass: tokenized as the ``str`` it is."""
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: object
+    y: object
+
+
+def _stable_token_reference(obj):
+    """``stable_token`` as first written: the tokens every key must keep."""
+    if obj is None or isinstance(obj, (bool, int)):
+        return repr(obj)
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, str):
+        return "s" + repr(obj)
+    if isinstance(obj, bytes):
+        return "b" + hashlib.sha256(obj).hexdigest()
+    if isinstance(obj, enum.Enum):
+        return f"e({type(obj).__qualname__}:{obj.name})"
+    if isinstance(obj, (dt.datetime, dt.date, dt.time)):
+        return f"t({obj.isoformat()})"
+    if isinstance(obj, np.ndarray):
+        arr = np.ascontiguousarray(obj)
+        digest = hashlib.sha256(arr.tobytes()).hexdigest()
+        return f"a({arr.dtype.str},{arr.shape},{digest})"
+    if isinstance(obj, np.generic):
+        return _stable_token_reference(obj.item())
+    token = getattr(obj, "cache_token", None)
+    if token is not None and not dataclasses.is_dataclass(obj):
+        return f"o({type(obj).__qualname__},{_stable_token_reference(token())})"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        inner = ",".join(
+            f"{f.name}={_stable_token_reference(getattr(obj, f.name))}"
+            for f in dataclasses.fields(obj)
+        )
+        return f"d({type(obj).__qualname__},{inner})"
+    if isinstance(obj, (tuple, list)):
+        return "(" + ",".join(_stable_token_reference(v) for v in obj) + ")"
+    if isinstance(obj, dict):
+        items = sorted(
+            (_stable_token_reference(k), _stable_token_reference(v)) for k, v in obj.items()
+        )
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(obj, (set, frozenset)):
+        return "f{" + ",".join(sorted(_stable_token_reference(v) for v in obj)) + "}"
+    raise TypeError(f"cannot build a stable cache token for {type(obj)!r}")
+
+
+def _reference_key(kind, inputs):
+    """The key of one task, tokenized whole by the reference tokenizer."""
+    token = _stable_token_reference((kind, CACHE_SCHEMA, inputs))
+    return hashlib.sha256(token.encode()).hexdigest()
+
+
 class TestTaskKey:
     def test_deterministic_and_spec_sensitive(self, world200):
         job = BlockAnalysisJob(
             world=world200, ds=dataset(DATASET), pipeline=BlockPipeline()
         )
         specs = list(world200.blocks)[:2]
-        key = job.cache_key(specs[0])
+        key = job.cache_keyer()(specs[0])
         assert isinstance(key, str) and len(key) == 64
-        assert key == job.cache_key(specs[0])
-        assert key != job.cache_key(specs[1])
+        assert key == job.cache_keyer()(specs[0])
+        assert key != job.cache_keyer()(specs[1])
 
     def test_pipeline_parameters_change_the_key(self, world200):
         spec = list(world200.blocks)[0]
@@ -427,10 +507,110 @@ class TestTaskKey:
             pipeline=BlockPipeline(),
             observer_style="bayesian",
         )
-        assert a.cache_key(spec) != b.cache_key(spec)
+        assert a.cache_keyer()(spec) != b.cache_keyer()(spec)
 
     def test_unkeyable_inputs_return_none(self):
-        assert task_key("kind", {"fn": lambda: None}) is None
+        assert task_keyer("kind", {"fn": lambda: None}, "x")(1) is None
+
+    @pytest.mark.parametrize("world_name", ["world200", "funnel_world"])
+    def test_keyer_equals_reference_key_for_every_block(self, world_name, request):
+        world = request.getfixturevalue(world_name)
+        ds = dataset(DATASET)
+        jobs = {
+            "block-analysis": BlockAnalysisJob(world=world, ds=ds, pipeline=BlockPipeline()),
+            "fig3-scan": _ScanTimeJob(world=world, ds=ds, max_scans=40),
+        }
+        for kind, job in jobs.items():
+            keyer = job.cache_keyer()
+            invariant = {f.name: getattr(job, f.name) for f in fields(job)}
+            for spec in world.blocks:
+                assert keyer(spec) == _reference_key(kind, {**invariant, "spec": spec})
+
+    def test_keyer_slot_can_sort_anywhere(self):
+        inputs = {"b": 2.5, "d": (1, "x"), "f": None}
+        for vary in ("a", "c", "e", "g"):
+            keyer = task_keyer("kind", inputs, vary)
+            for task in (0, "t", (1, 2)):
+                assert keyer(task) == _reference_key("kind", {**inputs, vary: task})
+        assert task_keyer("kind", {}, "a")(1) == _reference_key("kind", {"a": 1})
+        # the task takes its slot, as in ``{**inputs, vary: task}``
+        assert task_keyer("kind", inputs, "b")(7) == _reference_key("kind", {**inputs, "b": 7})
+
+    def test_unkeyable_spec_gets_none(self, world200):
+        job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
+        keyer = job.cache_keyer()
+        assert keyer(object()) is None
+        assert keyer(lambda: None) is None
+        assert keyer(world200.blocks[0]) is not None  # the keyer survives a bad task
+
+    def test_unkeyable_invariant_input_runs_every_task_uncached(self, tmp_path):
+        job = _OpaqueKeyed(handle=object())
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), shards=2)
+        for _ in range(2):
+            run = engine.run(job, list(range(6)))
+            assert list(run.results) == [x * x for x in range(6)]
+            assert run.metrics.cache == {"hits": 0, "misses": 6, "stores": 0}
+        assert not any(tmp_path.iterdir())
+
+    def test_keying_leaves_the_job_and_its_pool_payload_unchanged(self, world200, tmp_path):
+        ds = dataset(DATASET)
+        blocks = list(world200.blocks)[:12]
+        fresh = pickle.dumps(BlockAnalysisJob(world=world200, ds=ds, pipeline=BlockPipeline()))
+        job = BlockAnalysisJob(world=world200, ds=ds, pipeline=BlockPipeline())
+        job.cache_keyer()(blocks[0])
+        assert pickle.dumps(job) == fresh  # no memo rides inside the job
+        payloads = []
+        for cache in (None, AnalysisCache(tmp_path)):
+            executor = PoolExecutor(workers=2)
+            with CampaignEngine(executor, cache, shards=1) as engine:
+                engine.run(job, blocks)
+            payloads.append(executor.payload)
+        uncached, cached = payloads
+        assert pickle.dumps(job) == fresh
+        # the pool ships the parent's job bytes whether or not the run keyed
+        assert cached["fn_bytes"] == uncached["fn_bytes"] > 0
+        assert cached["fn_bytes"] % len(pickle.dumps(job.map_chunk)) == 0
+
+    def test_an_engine_run_builds_its_keyer_once(self, world200, tmp_path, monkeypatch):
+        calls = []
+        original = BlockAnalysisJob.cache_keyer
+
+        def spy(job):
+            calls.append(job)
+            return original(job)
+
+        monkeypatch.setattr(BlockAnalysisJob, "cache_keyer", spy)
+        blocks = list(world200.blocks)[:30]
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), shards=3)
+        DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        assert len(calls) == 1  # one run of three shards
+        warm = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        assert len(calls) == 2
+        assert warm.metrics.cache["hits"] == 30
+        assert warm.metrics.shards["shards"] == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+            st.binary(max_size=4), st.dates(), st.datetimes(), st.sampled_from(list(_Shade)),
+            st.sampled_from([np.float64(0.5), np.int32(3), np.arange(3), True, _Tag("x")]),
+        ),
+        lambda kids: st.one_of(
+            st.tuples(kids, kids),
+            st.lists(kids, max_size=3),
+            st.dictionaries(st.text(max_size=3), kids, max_size=3),
+            st.frozensets(st.integers(), max_size=3),
+            st.builds(_Point, kids, kids),
+        ),
+        max_leaves=12,
+    ))
+    def test_stable_token_matches_the_reference(self, value):
+        assert stable_token(value) == _stable_token_reference(value)
+
+    def test_stable_token_of_a_world_matches_the_reference(self, funnel_world):
+        objs = [funnel_world, dataset(DATASET), BlockPipeline(), *funnel_world.blocks]
+        assert [stable_token(o) for o in objs] == [_stable_token_reference(o) for o in objs]
 
     def test_stable_token_dict_order_insensitive(self):
         assert stable_token({"a": 1, "b": 2}) == stable_token({"b": 2, "a": 1})
@@ -438,6 +618,75 @@ class TestTaskKey:
 
 def _square(x: int) -> int:
     return x * x
+
+
+@dataclass(frozen=True)
+class _OpaqueKeyed:
+    """A keyed job whose invariant input has no stable token."""
+
+    handle: object
+
+    def cache_keyer(self):
+        return task_keyer("opaque", {"handle": self.handle}, "x")
+
+    def __call__(self, x):
+        return x * x
+
+
+@dataclass(frozen=True)
+class _DieInWorker:
+    """Kills the pool worker that runs task ``victim``; the coordinator
+    (pid ``home``) runs it like any other task."""
+
+    victim: int
+    home: int
+
+    def __call__(self, x):
+        if x == self.victim and os.getpid() != self.home:
+            os._exit(1)
+        return x * x
+
+
+def _new_threads(before):
+    return [t.name for t in threading.enumerate() if t not in before]
+
+
+class TestForkSafety:
+    """No thread of a pool outlives ``close()``, so a later fork (the next
+    pool's workers) never copies a lock that one of them holds."""
+
+    def test_healthy_pool(self, world200):
+        before = set(threading.enumerate())
+        with CampaignEngine(PoolExecutor(workers=2), shards=2) as engine:
+            DatasetBuilder(world200).analyze(
+                DATASET, blocks=list(world200.blocks)[:20], engine=engine
+            )
+            assert _new_threads(before)  # the persistent pool's threads
+        assert _new_threads(before) == []
+
+    def test_pool_spawn_failure(self, monkeypatch, world200):
+        class ExplodingPool:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no processes for you")
+
+        monkeypatch.setattr(executors_mod, "ProcessPoolExecutor", ExplodingPool)
+        before = set(threading.enumerate())
+        executor = PoolExecutor(workers=2)
+        with CampaignEngine(executor) as engine:
+            DatasetBuilder(world200).analyze(
+                DATASET, blocks=list(world200.blocks)[:20], engine=engine
+            )
+        assert executor.payload["fallbacks"] == 1
+        assert _new_threads(before) == []
+
+    def test_pool_broken_mid_run(self):
+        before = set(threading.enumerate())
+        executor = PoolExecutor(workers=2)
+        with CampaignEngine(executor, shards=1) as engine:
+            run = engine.run(_DieInWorker(victim=0, home=os.getpid()), list(range(8)))
+        assert "BrokenProcessPool" in executor.fallback_reason
+        assert run.results == [x * x for x in range(8)]  # no task lost
+        assert _new_threads(before) == []
 
 
 def _explode(x: int) -> int:
@@ -533,8 +782,8 @@ class _PerBlock:
     def __call__(self, spec):
         return self.job(spec)
 
-    def cache_key(self, spec):
-        return self.job.cache_key(spec)
+    def cache_keyer(self):
+        return self.job.cache_keyer()
 
 
 class TestTracedUntracedAgree:

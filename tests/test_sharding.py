@@ -100,8 +100,8 @@ class _Watched:
         self.job = job
         self.refs = []
 
-    def cache_key(self, spec):
-        return self.job.cache_key(spec)
+    def cache_keyer(self):
+        return self.job.cache_keyer()
 
     def map_chunk(self, specs):
         results = self.job.map_chunk(specs)
