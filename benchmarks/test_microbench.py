@@ -6,11 +6,10 @@ algorithms over realistic quarter-length inputs, plus the campaign
 engine's serial vs. parallel throughput over a whole world (with the
 per-stage timing breakdown printed for both).
 
-The kernel-vs-oracle measurement cores and fixtures live in
-:mod:`repro.bench` so that ``repro bench`` and the ``*_artifact`` tests
-here time exactly the same code.  Each artifact test rewrites its own
-section of ``BENCH_kernels.json`` through
-:func:`repro.bench.write_sections` and leaves the other sections alone.
+The quarter fixture comes from :mod:`repro.bench`, whose ``repro
+bench`` command times the kernels against their oracles, is the only
+writer of ``BENCH_kernels.json`` and fails when a speedup is not above
+its floor (``SPEEDUP_FLOORS``).
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import (
-    BENCH_FILE,
-    measure_batched_kernels,
-    measure_cusum_scaling,
-    measure_kernels,
-    count_matrix_fixture,
-    quarter_block_fixture,
-    write_sections,
-)
+from repro.bench import quarter_block_fixture
 from repro.core.reconstruction import full_scan_durations, reconstruct
 from repro.core.repair import one_loss_repair
 from repro.core.trend import TrendExtractor
@@ -140,81 +131,6 @@ def test_cusum_quarter_hourly_reference(benchmark):
     y = np.concatenate([np.zeros(1000), np.full(1016, -3.0)]) + rng.normal(0, 0.1, 2016)
     result = benchmark(detect_cusum_reference, y, 1.0, 0.0055)
     assert len(result.downward) >= 1
-
-
-def test_kernel_speedups_artifact(quarter_block):
-    """Record vectorized-vs-reference speedups in BENCH_kernels.json.
-
-    The artifact is the acceptance record (CI uploads it); the assertion
-    bound is looser than the >=3x the quarter fixture shows on idle
-    hardware so noisy shared runners don't flake.
-    """
-    kernels = measure_kernels(quarter_block)
-    write_sections(BENCH_FILE, {"kernels": kernels})
-    print()
-    for name, stats in kernels.items():
-        print(
-            f"  {name}: {stats['reference_s'] * 1e3:.1f}ms -> "
-            f"{stats['vectorized_s'] * 1e3:.1f}ms ({stats['speedup']:.1f}x)"
-        )
-    assert kernels["prober"]["speedup"] > 1.5
-    assert kernels["full_scan_durations"]["speedup"] > 1.5
-    assert kernels["cusum"]["speedup"] > 1.5
-
-
-# ---------------------------------------------------------------------------
-# batched columnar kernels vs per-block scalar loops
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def count_matrix():
-    """256 plausible two-week count series sharing one round grid."""
-    return count_matrix_fixture()
-
-
-def test_batched_speedups_artifact(count_matrix):
-    """Record batched-vs-scalar speedups in BENCH_kernels.json.
-
-    The trend stage carries the acceptance bound: the batched kernel
-    must clear 3x over the per-block loop at the 256-block batch.
-    """
-    batched = measure_batched_kernels(count_matrix)
-    write_sections(BENCH_FILE, {"batched": batched})
-    print()
-    for name, stats in batched.items():
-        print(
-            f"  {name}: {stats['scalar_s'] * 1e3:.1f}ms -> "
-            f"{stats['batched_s'] * 1e3:.1f}ms ({stats['speedup']:.1f}x)"
-        )
-    assert batched["trend"]["speedup"] > 3.0
-    assert batched["classify"]["speedup"] > 1.5
-    # per-row CUSUM is already vectorized; batching only drops call
-    # overhead, so just require it not to regress materially
-    assert batched["cusum_rows"]["speedup"] > 0.8
-
-
-def test_cusum_rows_scaling_artifact():
-    """Record the cusum_rows batch-size sweep in BENCH_kernels.json.
-
-    The sweep answers "does the cusum_rows speedup grow with the batch
-    size B?": yes, up to a point — ``detect_cusum_batch`` advances every
-    row's segments together in the row-parallel ``_cusum_pass_batch``
-    kernel, so the per-call Python work is amortised over the batch.
-    The committed sweep reads ~1.5x at B=16 rising to ~2x at B=256, and
-    falling back to ~1.6x at B=1024.  See docs/algorithms.md §14.
-    """
-    scaling = measure_cusum_scaling()
-    write_sections(BENCH_FILE, {"cusum_rows_scaling": scaling})
-    print()
-    for b, stats in scaling.items():
-        print(
-            f"  B={b}: {stats['scalar_s'] * 1e3:.1f}ms -> "
-            f"{stats['batched_s'] * 1e3:.1f}ms ({stats['speedup']:.2f}x, "
-            f"{stats['rows_per_sec_batched']:.0f} rows/s)"
-        )
-    for stats in scaling.values():
-        # only guard against a real regression where batching becomes
-        # materially slower than the per-row loop
-        assert stats["speedup"] > 0.6
 
 
 # ---------------------------------------------------------------------------

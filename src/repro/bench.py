@@ -5,10 +5,10 @@ asserts byte-identity between the two before a time is recorded — a
 speedup over a kernel that disagrees is meaningless.  The ``truth``
 section instead times window-local truth against generating the same
 blocks from the scenario epoch, asserting the window's columns agree.
-``repro bench``
-writes the measured sections into ``BENCH_kernels.json``; the
-``benchmarks/test_microbench.py`` artifact tests import the same
-measurement functions and fixtures, so both time exactly the same code.
+``repro bench`` writes the measured sections into
+``BENCH_kernels.json``, and is the only writer of that file; it then
+exits 1 if a row's speedup is not above its :data:`SPEEDUP_FLOORS`
+entry.
 Whole-campaign throughput and peak memory are not measured here: that
 is the repo benchmark's job (``perfbench/``), which runs every workload
 in fresh processes and checks its outputs.
@@ -45,6 +45,8 @@ import numpy as np
 __all__ = [
     "BENCH_FILE",
     "DEFAULT_SECTIONS",
+    "SPEEDUP_FLOORS",
+    "below_floor",
     "count_matrix_fixture",
     "measure_batched_kernels",
     "measure_cache_keys",
@@ -81,12 +83,24 @@ TRUTH_BLOCKS = 48  # responsive blocks per truth window
 CACHE_KEY_BLOCKS = 300  # the funnel-2w benchmark world: 300 blocks of seed 20
 CUSUM_BATCH_SIZES = (16, 64, 256, 1024)
 PROBER_LANE_COUNTS = (4, 8, 16, 32, 64, 256, 1024)
-#: campaign-h1's detection chunk: 28 blocks x 4 observers over 26 weeks
-LONG_WINDOW_LANES = 112
+#: rows of at most this many lanes also time one call per lane (a
+#: one-lane call costs ~20 ms per two-week lane, ~0.2 s per 26-week lane)
+ONE_LANE_MAX = 16
+#: campaign-h1's detection chunk: 28 blocks x 4 observers over 26 weeks,
+#: next to one block's four lanes
+LONG_WINDOW_LANES = (4, 112)
+#: the speedup each row must beat, loose so that noisy shared runners
+#: pass (the one-lane prober has none: it costs about what its oracle does)
+SPEEDUP_FLOORS: dict[str, dict[str, float]] = {
+    "kernels": {"full_scan_durations": 1.5, "cusum": 1.5},
+    "batched": {"trend": 3.0, "classify": 1.5, "cusum_rows": 0.8},
+    "cusum_rows_scaling": {str(b): 0.6 for b in CUSUM_BATCH_SIZES},
+    "prober_lanes": {"4": 1.5, f"{FRONT_HALF_DATASET}:4": 1.5},
+}
 
 
 # ---------------------------------------------------------------------------
-# fixtures (shared with benchmarks/test_microbench.py)
+# fixtures (the quarter fixture is shared with benchmarks/test_microbench.py)
 # ---------------------------------------------------------------------------
 def quarter_block_fixture():
     """One block's quarter-length truth, probe order, and observation log."""
@@ -134,7 +148,13 @@ def _best_of(fn: Callable[..., Any], *args: Any, repeats: int = 3, **kwargs: Any
 # measurement cores
 # ---------------------------------------------------------------------------
 def measure_kernels(quarter_block=None) -> dict[str, dict[str, float]]:
-    """Vectorized-vs-reference speedups on the quarter fixture."""
+    """Vectorized-vs-reference speedups on the quarter fixture.
+
+    ``prober`` times one lane through the lane kernel
+    (``TrinocularObserver.observe``, a one-lane ``observe_batch``)
+    against the scalar ``observe_reference``; ``full_scan_durations``
+    and ``cusum`` time the vectorized kernels against their oracles.
+    """
     from .core.reconstruction import full_scan_durations, full_scan_durations_reference
     from .net.prober import TrinocularObserver
     from .timeseries.detect import detect_cusum, detect_cusum_reference
@@ -148,7 +168,8 @@ def measure_kernels(quarter_block=None) -> dict[str, dict[str, float]]:
     ref_s, ref_log = _best_of(
         lambda: obs.observe_reference(truth, order, rng=np.random.default_rng(1))
     )
-    assert np.array_equal(fast_log.times, ref_log.times)
+    for field in ("times", "addresses", "results"):
+        assert np.array_equal(getattr(fast_log, field), getattr(ref_log, field))
     prober = {"vectorized_s": fast_s, "reference_s": ref_s, "speedup": ref_s / fast_s}
 
     fast_s, fast_d = _best_of(full_scan_durations, log, truth.addresses)
@@ -259,29 +280,36 @@ def measure_cusum_scaling(
 def measure_prober_lanes(
     lane_counts: Sequence[int] = PROBER_LANE_COUNTS,
 ) -> dict[str, dict[str, float]]:
-    """Lane-parallel ``observe_batch`` against per-lane ``observe``.
+    """What batching lanes buys: ``L`` one-lane calls against one ``L``-lane call.
 
     The lanes are the (block, observer) pairs of a covid world's
     responsive blocks over ``LANES_DATASET`` (the benchmark's
     ``funnel-2w`` window), with the runtime's own loss models, cursors
-    and generator seeds; the first ``L`` lanes are timed both ways for
-    each ``L``, keyed by ``L``.  One more row times
-    :data:`LONG_WINDOW_LANES` lanes over the 26-week ``FRONT_HALF_DATASET`` window (the shape of
-    ``campaign-h1``'s detection chunk, where the kernel's per-round cost
-    rather than its per-probe cost sets the time), keyed
+    and generator seeds.  For each ``L`` the first ``L`` lanes go
+    through one ``observe_batch`` call (``lanes_s``); on rows of at
+    most :data:`ONE_LANE_MAX` lanes they also go through one
+    ``TrinocularObserver.observe`` call each (``one_lane_s``, and the
+    ``speedup`` of batching).  Rows are keyed by ``L``.  The
+    :data:`LONG_WINDOW_LANES` rows do the same over the 26-week
+    ``FRONT_HALF_DATASET`` window (112 lanes is the shape of
+    ``campaign-h1``'s detection chunk, where the kernel's per-round
+    cost rather than its per-probe cost sets the time), keyed
     ``"<dataset>:<L>"``.  Both sides include building every probe log
-    (the batch assembles them on access), and every log is asserted
-    equal before anything is recorded.
+    (the batch assembles them on access).  Before anything is recorded
+    the batched logs are asserted equal to the one-lane ones, to the
+    previous row's on the lanes they share, and, for the row's last
+    lane, to ``observe_reference``.
     """
     out = {str(n): row for n, row in _time_lanes(LANES_DATASET, lane_counts).items()}
-    for n, row in _time_lanes(FRONT_HALF_DATASET, (LONG_WINDOW_LANES,)).items():
+    for n, row in _time_lanes(FRONT_HALF_DATASET, LONG_WINDOW_LANES).items():
         out[f"{FRONT_HALF_DATASET}:{n}"] = row
     return out
 
 
 def _time_lanes(ds_name: str, lane_counts: Sequence[int]) -> dict[int, dict[str, float]]:
-    """``observe_batch`` against per-lane ``observe`` over dataset
-    ``ds_name``'s window, for the first ``L`` lanes of a covid world, per ``L``."""
+    """One ``L``-lane ``observe_batch`` call (and, for small ``L``, ``L``
+    one-lane calls) over dataset ``ds_name``'s window, for the first
+    ``L`` lanes of a covid world, per ``L`` in ascending order."""
     from .datasets.builder import setup_lane
     from .datasets.catalog import dataset
     from .net.prober import ProbeTarget, observe_batch, probe_order
@@ -309,7 +337,7 @@ def _time_lanes(ds_name: str, lane_counts: Sequence[int]) -> dict[int, dict[str,
     def setup(spec: Any, name: str, truth: Any) -> Any:
         return setup_lane(world, spec, name, "adaptive", truth.n_addresses)
 
-    def per_lane(chosen: list[tuple[Any, ...]]) -> list[Any]:
+    def one_lane(chosen: list[tuple[Any, ...]]) -> list[Any]:
         return [
             setup(spec, name, truth).observe(truth, order, start, ds.duration_s)
             for spec, name, truth, order, _ in chosen
@@ -324,22 +352,42 @@ def _time_lanes(ds_name: str, lane_counts: Sequence[int]) -> dict[int, dict[str,
         )
         return list(logs)
 
+    def same(a: Any, b: Any) -> bool:
+        return all(
+            np.array_equal(getattr(a, f), getattr(b, f))
+            for f in ("times", "addresses", "results")
+        )
+
+    def oracle(spec: Any, name: str, truth: Any, order: Any) -> Any:
+        lane = setup(spec, name, truth)
+        return lane.observer.observe_reference(
+            truth,
+            order,
+            lane.loss,
+            lane.rng,
+            start_s=start,
+            duration_s=ds.duration_s,
+            start_cursor=lane.start_cursor,
+        )
+
     out: dict[int, dict[str, float]] = {}
+    previous: list[Any] = []
     for n in lane_counts:
         chosen = lanes[:n]
-        lane_s, lane_logs = _best_of(per_lane, chosen, repeats=2)
         batch_s, batch_logs = _best_of(batched, chosen, repeats=2)
-        for a, b in zip(batch_logs, lane_logs):
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.addresses, b.addresses)
-            assert np.array_equal(a.results, b.results)
-        out[n] = {
+        assert all(same(a, b) for a, b in zip(batch_logs, previous))
+        assert same(batch_logs[-1], oracle(*chosen[-1][:4]))
+        row = {
             "lanes": float(n),
-            "probes": float(sum(len(log) for log in lane_logs)),
-            "per_lane_s": lane_s,
+            "probes": float(sum(len(log) for log in batch_logs)),
             "lanes_s": batch_s,
-            "speedup": lane_s / batch_s,
         }
+        if n <= ONE_LANE_MAX:
+            one_s, one_logs = _best_of(one_lane, chosen, repeats=2)
+            assert all(same(a, b) for a, b in zip(batch_logs, one_logs))
+            row.update(one_lane_s=one_s, speedup=one_s / batch_s)
+        out[n] = row
+        previous = batch_logs
     return out
 
 
@@ -546,12 +594,23 @@ def run_sections(sections: Iterable[str]) -> dict[str, Any]:
     return out
 
 
+def below_floor(sections: dict[str, Any]) -> list[str]:
+    """One line per measured row whose speedup is not above its floor."""
+    out = []
+    for section, floors in SPEEDUP_FLOORS.items():
+        for row, floor in floors.items():
+            stats = sections.get(section, {}).get(row)
+            if stats is not None and not stats["speedup"] > floor:
+                out.append(f"{section}/{row}: {stats['speedup']:.2f}x, floor {floor}x")
+    return out
+
+
 def write_sections(path: "str | os.PathLike[str]", sections: dict[str, Any]) -> None:
     """Replace the named top-level sections of the bench file in place.
 
     Sections not named are left as they are, so ``repro bench
-    --sections X`` and each pytest artifact test refresh only their own
-    numbers.  A missing or unreadable file starts empty.
+    --sections X`` refreshes only its own numbers.  A missing or
+    unreadable file starts empty.
     """
     p = Path(path)
     try:
@@ -572,8 +631,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro bench",
         description=(
             "Time the vectorized/batched kernels against their scalar "
-            "oracles (asserting identical output first) and write the "
-            "measured sections into BENCH_kernels.json."
+            "oracles (asserting identical output first), write the "
+            "measured sections into BENCH_kernels.json, and fail if a "
+            "speedup is not above its floor."
         ),
     )
     parser.add_argument(
@@ -593,8 +653,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"bench: wrote {', '.join(sections)} to {args.output}")
     for section, payload in sections.items():
         for sub, stats in payload.items():
-            print(f"  {section}/{sub}: {stats['speedup']:.2f}x")
-    return 0
+            if "speedup" in stats:
+                print(f"  {section}/{sub}: {stats['speedup']:.2f}x")
+    failed = below_floor(sections)
+    for line in failed:
+        print(f"bench: speedup not above its floor: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

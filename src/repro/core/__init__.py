@@ -4,7 +4,6 @@ from .aggregate import BlockRecord, CellStats, CoverageReport, GridAggregator
 from .changes import ChangeDetector, ChangeEvent, ChangeReport
 from .combine import (
     ObserverHealth,
-    combine_observers,
     compare_observers,
     flag_outlier_observers,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ChangeEvent",
     "ChangeReport",
     "ObserverHealth",
-    "combine_observers",
     "compare_observers",
     "flag_outlier_observers",
     "DiurnalTest",

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..net.observations import ObservationSeries, merge_observations
+from ..net.observations import ObservationSeries
 
-__all__ = ["ObserverHealth", "combine_observers", "compare_observers", "flag_outlier_observers"]
+__all__ = ["ObserverHealth", "compare_observers", "flag_outlier_observers"]
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,6 @@ class ObserverHealth:
     def suspicious(self) -> bool:
         """Markedly below consensus: congested path or broken site."""
         return self.deviation < -0.05
-
-
-def combine_observers(series: list[ObservationSeries]) -> ObservationSeries:
-    """Merge per-observer logs into one stream (§2.7)."""
-    return merge_observations(series)
 
 
 def compare_observers(series: list[ObservationSeries]) -> list[ObserverHealth]:

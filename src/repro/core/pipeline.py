@@ -23,12 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..net.observations import ObservationSeries
+from ..net.observations import ObservationSeries, merge_observations
 from ..net.usage import ROUND_SECONDS
 from ..timeseries.detect import zscore_rows
 from ..timeseries.series import BlockMatrix, TimeSeries, group_block_matrices
 from .changes import ChangeDetector, ChangeReport
-from .combine import combine_observers
 from .outages import OutageDetector, corroborate_changes
 from .reconstruction import Reconstruction, reconstruct
 from .repair import one_loss_repair
@@ -125,7 +124,7 @@ class BlockPipeline:
         """Merge per-observer logs into one time-ordered stream (§2.4)."""
         ctx = ctx if ctx is not None else StageContext()
         with ctx.stage("combine", n_in=sum(len(s) for s in per_observer)) as active:
-            merged = combine_observers(per_observer)
+            merged = merge_observations(per_observer)
             active.n_out = len(merged)
         return merged
 

@@ -4,12 +4,14 @@ The builder glues the substrate to the pipeline: for each block of a
 :class:`~repro.net.world.WorldModel` it generates ground truth, runs the
 requested observers over a dataset window (with per-path loss models),
 and hands the probe logs to a :class:`~repro.core.pipeline.BlockPipeline`.
-:func:`simulate_chunk` is the one production simulate path: it does the
-same simulation for a whole chunk of blocks, probing every (block,
-observer) lane of the chunk in one :func:`~repro.net.prober.observe_batch`
-when :func:`batches_lanes` accepts the chunk and lane by lane otherwise.
-The builder's per-block methods are its oracle and the experiments'
-helpers; both set lanes up through :func:`setup_lane`.
+:func:`simulate_chunk` is the one simulate path: it does the simulation
+for a whole chunk of blocks, probing every (block, observer) lane of the
+chunk in one :func:`~repro.net.prober.observe_batch` when
+:func:`batches_lanes` accepts the dataset (the adaptive Trinocular sites)
+and lane by lane otherwise (the survey, the §2.8 prober, the bayesian
+style).  The builder's per-block methods (:meth:`DatasetBuilder.observe_dataset`,
+:meth:`DatasetBuilder.reconstruct_block`, the runtime's oracle) are its
+one-block case; every lane is set up through :func:`setup_lane`.
 
 The builder keeps no state between calls: every window is simulated from
 its own start, over exactly the columns it asks for, so an answer never
@@ -22,7 +24,7 @@ give probe logs that share a prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,11 +67,6 @@ __all__ = [
     "simulate_chunk",
     "unresponsive_analysis",
 ]
-
-#: Below this many lanes in a chunk, per-lane ``observe`` beats the lane
-#: kernel's fixed per-round cost (``repro bench``'s ``prober_lanes``
-#: section puts the crossover between 4 and 8 lanes).
-MIN_BATCH_LANES = 8
 
 #: Anything that probes one lane: a Trinocular site (adaptive or
 #: bayesian), the survey, or the §2.8 additional prober.
@@ -234,15 +231,15 @@ class DatasetBuilder:
         return log.slice_time(start_s, start_s + duration_s)
 
     def observe_dataset(
-        self, spec: BlockSpec, ds: DatasetSpec | str
+        self, spec: BlockSpec, ds: DatasetSpec | str, *, truth: BlockTruth | None = None
     ) -> list[ObservationSeries]:
-        """All of a dataset's observer logs for one block."""
+        """All of a dataset's observer logs for one block, probed together.
+
+        ``truth`` is the block's :meth:`truth` for the dataset window,
+        when the caller has it already."""
         ds = dataset(ds) if isinstance(ds, str) else ds
-        start = ds.start_s(self.world.epoch)
-        truth = self.truth(spec, start, ds.duration_s)
-        return [
-            self.observe(spec, obs, start, ds.duration_s, truth=truth) for obs in ds.observers
-        ]
+        truths = None if truth is None else [truth]
+        return simulate_chunk(self.world, [spec], ds, self.observer_style, truths).logs(0)
 
     # -- analysis -----------------------------------------------------------
     def reconstruct_block(
@@ -256,26 +253,21 @@ class DatasetBuilder:
         """Simulate one block's observers and reconstruct its count series.
 
         This is the front half of :meth:`analyze_block` (truth, probe,
-        repair, combine, reconstruct).  The runtime gets the same
-        reconstructions, byte for byte, from :func:`simulate_chunk` plus
-        :class:`~repro.core.front_half.LaneBlock` (lane-kernel chunks) or
-        :func:`reconstruct_logs` (lanes probed one by one) per block;
-        this per-block form is its oracle.
+        repair, combine, reconstruct): a one-block :func:`simulate_chunk`
+        whose logs take the log route (:func:`reconstruct_logs`).  The
+        runtime gets the same reconstructions, byte for byte, from
+        whole chunks, straight from the lane kernel's rounds
+        (:class:`~repro.core.front_half.LaneBlock`); this per-block form
+        is its oracle.
         """
         ds = dataset(ds) if isinstance(ds, str) else ds
         pipeline = pipeline or self.pipeline
         ctx = ctx if ctx is not None else StageContext()
-        start = ds.start_s(self.world.epoch)
-        with ctx.stage("truth") as active:
-            truth = self.truth(spec, start, ds.duration_s)
-            active.n_out = truth.active.size
-        with ctx.stage("probe", n_in=len(ds.observers)) as active:
-            logs = [
-                self.observe(spec, obs, start, ds.duration_s, truth=truth)
-                for obs in ds.observers
-            ]
-            active.n_out = sum(len(log) for log in logs)
-        return reconstruct_logs(pipeline, logs, truth.addresses, start, ds, ctx)
+        sim = simulate_chunk(self.world, [spec], ds, self.observer_style)
+        meter = StageMeter()
+        logs = sim.logs(0)
+        sim.record(0, ctx, meter.shares(1))
+        return reconstruct_logs(pipeline, logs, sim.addresses[0], sim.start_s, ds, ctx)
 
     def analyze_block(
         self,
@@ -448,17 +440,14 @@ def reconstruct_logs(
     return pipeline.stage_reconstruct(merged, addresses, grid, ctx)
 
 
-def batches_lanes(ds: DatasetSpec, observer_style: str, n_blocks: int) -> bool:
-    """Whether :func:`simulate_chunk` probes a chunk of ``n_blocks`` in one batch.
+def batches_lanes(ds: DatasetSpec, observer_style: str) -> bool:
+    """Whether :func:`simulate_chunk` probes a chunk's lanes in one batch.
 
-    It does for the adaptive Trinocular sites with at least
-    :data:`MIN_BATCH_LANES` lanes; other chunks (the survey, the §2.8
-    prober, the bayesian style, small chunks) are probed lane by lane.
+    It does for the adaptive Trinocular sites; other chunks (the survey,
+    the §2.8 prober, the bayesian style) are probed lane by lane.
     """
-    return (
-        observer_style == "adaptive"
-        and all(name in TRINOCULAR_SITES for name in ds.observers)
-        and n_blocks * len(ds.observers) >= MIN_BATCH_LANES
+    return observer_style == "adaptive" and all(
+        name in TRINOCULAR_SITES for name in ds.observers
     )
 
 
@@ -494,36 +483,60 @@ class ChunkSimulation:
         end_s = self.start_s + self.ds.duration_s
         return [self.lanes[i].slice_time(self.start_s, end_s) for i in self.lane_ids(j)]
 
+    def record(self, j: int, ctx: StageContext, assembly: StageShare) -> None:
+        """Record block ``j``'s ``truth`` and ``probe`` stages in ``ctx``.
+
+        ``assembly`` is the probing work done for the block after the
+        chunk was simulated (resolving its lanes or assembling its logs).
+        """
+        truth, probe = self.truth_cost[j], self.probe_cost[j]
+        ctx.record_batched(
+            "truth", wall_s=truth.wall_s, n_out=self.truth_cells[j], cpu_s=truth.cpu_s
+        )
+        ctx.record_batched(
+            "probe",
+            wall_s=probe.wall_s + assembly.wall_s,
+            n_in=len(self.ds.observers),
+            n_out=self.n_probes[j],
+            n_batch=len(self.addresses),
+            cpu_s=probe.cpu_s + assembly.cpu_s,
+        )
+
 
 def simulate_chunk(
     world: WorldModel,
     specs: Sequence[BlockSpec],
     ds: DatasetSpec,
     observer_style: str = "adaptive",
+    truths: Iterable[BlockTruth] | None = None,
 ) -> ChunkSimulation:
     """Generate truth and probe every observer lane of a chunk of blocks.
 
     Each block's truth is generated once through :meth:`WorldModel.truth`
-    and every lane is set up by :func:`setup_lane`, on the streams
-    :meth:`DatasetBuilder.observe` uses, so every log is bit-identical
-    to the per-block one.  When :func:`batches_lanes` accepts the chunk,
-    only the window's truth columns are kept (packed, in probe order)
-    and all lanes run in one :func:`~repro.net.prober.observe_batch`;
-    otherwise each lane runs through its observer's own ``observe``
-    while its block's truth is live.
+    (or drawn, one block at a time, from ``truths``: the caller's own
+    truths for the window, in block order) and every lane is set up by
+    :func:`setup_lane` on its own streams, so a block's logs do not
+    depend on the chunk it is simulated in, nor on whether
+    :meth:`DatasetBuilder.observe` probes one of its lanes alone.  When
+    :func:`batches_lanes` accepts the dataset, only the window's truth
+    columns are kept (packed, in probe order) and all lanes run in one
+    :func:`~repro.net.prober.observe_batch`; otherwise each lane runs
+    through its observer's own ``observe`` while its block's truth is
+    live.
     """
     start = ds.start_s(world.epoch)
     end = start + ds.duration_s
-    batched = batches_lanes(ds, observer_style, len(specs))
+    batched = batches_lanes(ds, observer_style)
     batch: list[ProbeLane] = []
     per_lane: list[ObservationSeries] = []
     addresses: list[np.ndarray] = []
     truth_cost: list[StageShare] = []
     truth_cells: list[int] = []
     lane_cost: list[StageShare] = []
+    given = None if truths is None else iter(truths)
     for spec in specs:
         meter = StageMeter()
-        truth = world.truth(spec, ds.duration_s, start_s=start)
+        truth = world.truth(spec, ds.duration_s, start_s=start) if given is None else next(given)
         order = probe_order(truth.n_addresses, spec.seed)
         lanes = [
             setup_lane(world, spec, name, observer_style, truth.n_addresses)

@@ -22,9 +22,9 @@ import numpy as np
 from ..core.pipeline import BlockPipeline
 from ..net.events import Calendar
 from ..net.loss import BernoulliLoss, DiurnalCongestionLoss
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import SparseUsage, round_grid
-from .common import fmt_table
+from .common import SITES, fmt_table, observe_blocks, site_lanes
 
 __all__ = ["RepairAblationResult", "run"]
 
@@ -63,28 +63,26 @@ def run(seed: int = 66) -> RepairAblationResult:
     false_without = false_with = 0
     ratios_without: list[float] = []
     ratios_with: list[float] = []
-    for b in range(N_BLOCKS):
-        block_seed = seed + 53 * b
+    seeds = [seed + 53 * b for b in range(N_BLOCKS)]
+    truths = []
+    for block_seed in seeds:
         usage = SparseUsage(
             n_addresses=int(np.random.default_rng(block_seed).integers(80, 140)),
             mean_on_days=6.0,
             mean_off_days=3.0,
             stale_addresses=0,
         )
-        truth = usage.generate(
-            block_seed,
-            round_grid(DURATION_DAYS * 86_400.0),
-            calendar,
+        truths.append(
+            usage.generate(block_seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
         )
-        order = probe_order(truth.n_addresses, block_seed)
-        logs = []
-        for i, name in enumerate("ejnw"):
-            loss = congested if name == "w" else clean
-            logs.append(
-                TrinocularObserver(name, phase_offset_s=103.0 * (i + 1)).observe(
-                    truth, order, loss, np.random.default_rng([block_seed, i])
-                )
-            )
+    # every block's four sites, probed in one lane-kernel call; site w
+    # probes through the congested path
+    losses = [congested if name == "w" else clean for name in SITES]
+    lanes = [
+        site_lanes(truth, probe_order(truth.n_addresses, s), s, 103.0, losses=losses)
+        for s, truth in zip(seeds, truths)
+    ]
+    for truth, logs in zip(truths, observe_blocks(lanes)):
         for repair, ratios in ((False, ratios_without), (True, ratios_with)):
             analysis = BlockPipeline(apply_repair=repair).analyze(logs, truth.addresses)
             verdict = analysis.classification.diurnal

@@ -13,19 +13,21 @@ Three claims are exercised:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from ..core.reconstruction import full_scan_durations
 from ..core.refresh import (
     FbsLogisticModel,
-    estimate_fbs_hours,
     select_for_additional_probing,
 )
-from ..datasets.builder import DatasetBuilder
+from ..datasets.builder import DatasetBuilder, simulate_chunk
 from ..datasets.catalog import DatasetSpec, dataset
 from ..net.observations import merge_observations
+from ..net.usage import BlockTruth
 from ..net.world import BlockSpec, WorldModel
+from ..obs.trace import annotate, get_tracer
 from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
 
@@ -65,19 +67,34 @@ class _FbsSampleJob:
     ds: DatasetSpec
 
     def __call__(self, spec: BlockSpec) -> tuple[int, float, float]:
+        return self.map_chunk((spec,))[0]
+
+    def map_chunk(self, specs: tuple[BlockSpec, ...]) -> tuple[tuple[int, float, float], ...]:
+        """Every block's lanes probed in one lane-kernel call (in a
+        ``chunk`` span), then each block's sample in a ``block`` span."""
         builder = DatasetBuilder(self.world)
         start = self.ds.start_s(self.world.epoch)
-        truth = builder.truth(spec, start, self.ds.duration_s)
-        merged = merge_observations(
-            [
-                builder.observe(spec, o, start, self.ds.duration_s, truth=truth)
-                for o in self.ds.observers
-            ]
-        )
-        durations = full_scan_durations(merged, truth.addresses, max_scans=8)
-        hours = float(np.median(durations)) / 3600.0 if durations.size else 7 * 24.0
-        a = builder.availability(spec, start, self.ds.duration_s, truth=truth)
-        return truth.n_addresses, a, hours
+        sizes: list[tuple[int, float]] = []  # (|E(b)|, A), taken while the truth is live
+
+        def truths() -> Iterator[BlockTruth]:
+            for spec in specs:
+                truth = builder.truth(spec, start, self.ds.duration_s)
+                a = builder.availability(spec, start, self.ds.duration_s, truth=truth)
+                sizes.append((truth.n_addresses, a))
+                yield truth
+
+        tracer = get_tracer()
+        with tracer.span("chunk", attrs={"n_blocks": len(specs)}):
+            sim = simulate_chunk(self.world, specs, self.ds, truths=truths())
+        out = []
+        for j, spec in enumerate(specs):
+            with tracer.span("block"):
+                annotate(block=spec.block.cidr, dataset=self.ds.name)
+                merged = merge_observations(sim.logs(j))
+                durations = full_scan_durations(merged, sim.addresses[j], max_scans=8)
+                hours = float(np.median(durations)) / 3600.0 if durations.size else 7 * 24.0
+                out.append((*sizes[j], hours))
+        return tuple(out)
 
 
 def run(
@@ -124,9 +141,7 @@ def run(
     if slowest is not None:
         _, spec = slowest
         truth = builder.truth(spec, start, ds.duration_s)
-        base_logs = [
-            builder.observe(spec, o, start, ds.duration_s, truth=truth) for o in ds.observers
-        ]
+        base_logs = builder.observe_dataset(spec, ds, truth=truth)
         base = full_scan_durations(
             merge_observations(base_logs), truth.addresses, max_scans=8
         )

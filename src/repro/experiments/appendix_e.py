@@ -22,9 +22,9 @@ import numpy as np
 from ..core.network_type import NetworkTypeClassifier
 from ..core.pipeline import BlockPipeline
 from ..net.events import Calendar, WorkFromHome
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import WorkplaceUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["AppendixEResult", "run"]
 
@@ -58,9 +58,9 @@ def run(seed: int = 36) -> AppendixEResult:
     classifier = NetworkTypeClassifier()
     rng = np.random.default_rng(seed)
 
-    cs = detected = workplace = 0
-    for b in range(N_BLOCKS):
-        block_seed = seed + 43 * b
+    seeds = [seed + 43 * b for b in range(N_BLOCKS)]
+    truths = []
+    for block_seed in seeds:
         calendar = Calendar(
             epoch=EPOCH,
             tz_hours=TZ,
@@ -73,14 +73,15 @@ def run(seed: int = 36) -> AppendixEResult:
             n_servers=int(rng.integers(1, 4)),
             presence=float(rng.uniform(0.75, 0.9)),
         )
-        truth = usage.generate(block_seed, round_grid(84 * 86_400.0), calendar)
-        order = probe_order(truth.n_addresses, block_seed)
-        logs = [
-            TrinocularObserver(name, phase_offset_s=107.0 * (i + 1)).observe(
-                truth, order, rng=np.random.default_rng([block_seed, i])
-            )
-            for i, name in enumerate("ejnw")
-        ]
+        truths.append(usage.generate(block_seed, round_grid(84 * 86_400.0), calendar))
+    # every block's four sites, probed in one lane-kernel call
+    lanes = [
+        site_lanes(truth, probe_order(truth.n_addresses, s), s, 107.0)
+        for s, truth in zip(seeds, truths)
+    ]
+
+    cs = detected = workplace = 0
+    for truth, logs in zip(truths, observe_blocks(lanes)):
         analysis = pipeline.analyze(logs, truth.addresses)
         if not analysis.is_change_sensitive:
             continue

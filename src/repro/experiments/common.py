@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,12 +24,17 @@ from ..core.aggregate import BlockRecord, GridAggregator
 from ..core.pipeline import BlockAnalysis, BlockPipeline
 from ..datasets.builder import DatasetBuilder, DatasetResult, block_record
 from ..datasets.catalog import dataset
+from ..net.loss import LossModel
+from ..net.observations import ObservationSeries
+from ..net.prober import ProbeLane, ProbeTarget, TrinocularObserver, observe_batch
+from ..net.usage import BlockTruth
 from ..net.world import WorldModel, scenario_baseline2023, scenario_covid2020
 from ..obs.trace import get_tracer
 from ..runtime import envconfig
 from ..runtime.engine import CampaignEngine, RunMetrics, engine_scope
 
 __all__ = [
+    "SITES",
     "Campaign",
     "bench_scale",
     "control_campaign",
@@ -36,9 +42,14 @@ __all__ = [
     "covid_world",
     "control_world",
     "fmt_table",
+    "observe_blocks",
+    "site_lanes",
     "sparkline",
     "top_peaks",
 ]
+
+#: the four Trinocular sites the single-block experiments probe with
+SITES = "ejnw"
 
 
 def bench_scale(default: int = 400) -> int:
@@ -208,6 +219,58 @@ def _cached_campaign(kind: str, n_blocks: int, seed: int) -> Campaign:
         return _run_campaign(world, "2020m1-ejnw", "2020h1-ejnw")
     world = control_world(n_blocks, seed, diurnal_boost=3.0)
     return _run_campaign(world, "2023q1-ejnw", "2023q1-ejnw")
+
+
+# ---------------------------------------------------------------------------
+# probing hand-built blocks
+# ---------------------------------------------------------------------------
+def site_lanes(
+    truth: BlockTruth,
+    order: np.ndarray,
+    seed: int,
+    phase_step_s: float,
+    *,
+    sites: Sequence[str] = SITES,
+    losses: Sequence[LossModel | None] | None = None,
+    salt: tuple[int, ...] = (),
+    start_s: float = 0.0,
+    duration_s: float | None = None,
+) -> list[ProbeLane]:
+    """One block's Trinocular site lanes, ready for :func:`observe_blocks`.
+
+    Site ``i`` of ``sites`` starts ``phase_step_s * (i + 1)`` seconds
+    into each round, probes through ``losses[i]`` (no loss when None)
+    and draws its loss from ``default_rng([seed, i, *salt])``.
+    """
+    end_s = None if duration_s is None else start_s + duration_s
+    target = ProbeTarget.of(truth, order, start_s, end_s)
+    losses = losses or [None] * len(sites)
+    return [
+        ProbeLane(
+            TrinocularObserver(name, phase_offset_s=phase_step_s * (i + 1)),
+            target,
+            losses[i],
+            np.random.default_rng([seed, i, *salt]),
+            start_s,
+            duration_s,
+        )
+        for i, name in enumerate(sites)
+    ]
+
+
+def observe_blocks(
+    blocks: Sequence[Sequence[ProbeLane]],
+) -> Iterator[list[ObservationSeries]]:
+    """Probe every block's lanes in one :func:`observe_batch` call.
+
+    Yields each block's logs in turn, assembled as they are asked for,
+    so only one block's logs need be live at a time.
+    """
+    logs = observe_batch([lane for lanes in blocks for lane in lanes])
+    at = 0
+    for lanes in blocks:
+        yield [logs[i] for i in range(at, at + len(lanes))]
+        at += len(lanes)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import numpy as np
 
 from ..core.pipeline import BlockAnalysis, BlockPipeline
 from ..net.events import Calendar, Holiday, WorkFromHome
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import WorkplaceUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig1Result", "run", "build_usc_block"]
 
@@ -77,12 +77,7 @@ def build_usc_block(seed: int = 1144):
 def run(seed: int = 1144) -> Fig1Result:
     """Simulate and analyze the Figure 1 block."""
     calendar, truth, order = build_usc_block(seed)
-    logs = [
-        TrinocularObserver(name, phase_offset_s=137.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, name in enumerate("ejnw")
-    ]
+    [logs] = observe_blocks([site_lanes(truth, order, seed, 137.0)])
     analysis = BlockPipeline(detect_on_all=True).analyze(logs, truth.addresses)
 
     day_groups = analysis.counts.daily_groups()

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, datetime
 
-import numpy as np
-
 from ..core.pipeline import BlockAnalysis, BlockPipeline
 from ..net.events import Calendar, Renumbering, WorkFromHome
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import DynamicPoolUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig11Result", "run"]
 
@@ -63,12 +61,7 @@ def _analyze(usage, calendar, seed: int) -> BlockAnalysis:
     # detector's trailing boundary guard
     truth = usage.generate(seed, round_grid(112 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
-    logs = [
-        TrinocularObserver(name, phase_offset_s=149.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, name in enumerate("ejnw")
-    ]
+    [logs] = observe_blocks([site_lanes(truth, order, seed, 149.0)])
     return BlockPipeline(detect_on_all=True).analyze(logs, truth.addresses)
 
 

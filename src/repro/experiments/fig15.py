@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date, datetime
 
-import numpy as np
-
 from ..core.pipeline import BlockAnalysis, BlockPipeline
 from ..net.events import Calendar, Migration
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import DynamicPoolUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig15Result", "run"]
 
@@ -60,12 +58,7 @@ def run(seed: int = 65) -> Fig15Result:
     )
     truth = usage.generate(seed, round_grid(84 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
-    logs = [
-        TrinocularObserver(name, phase_offset_s=173.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, name in enumerate("ejnw")
-    ]
+    [logs] = observe_blocks([site_lanes(truth, order, seed, 173.0)])
     analysis = BlockPipeline(detect_on_all=True).analyze(logs, truth.addresses)
     return Fig15Result(analysis=analysis, migration_day=migration_day)
 

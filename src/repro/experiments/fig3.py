@@ -16,10 +16,11 @@ from typing import Callable
 import numpy as np
 
 from ..core.reconstruction import full_scan_durations
-from ..datasets.builder import DatasetBuilder
+from ..datasets.builder import DatasetBuilder, simulate_chunk
 from ..datasets.catalog import DatasetSpec
 from ..net.observations import merge_observations
 from ..net.world import BlockSpec, WorldModel
+from ..obs.trace import annotate, get_tracer
 from ..runtime.cache import task_keyer
 from ..runtime.engine import CampaignEngine, engine_scope
 from .common import bench_scale, covid_world, fmt_table
@@ -82,21 +83,28 @@ class _ScanTimeJob:
         )
 
     def __call__(self, spec: BlockSpec) -> dict[str, float | None]:
-        builder = DatasetBuilder(self.world)
-        start = self.ds.start_s(self.world.epoch)
-        truth = builder.truth(spec, start, self.ds.duration_s)
-        logs = {
-            o: builder.observe(spec, o, start, self.ds.duration_s, truth=truth)
-            for o in "ejnw"
-        }
-        out: dict[str, float | None] = {}
-        for combo in OBSERVER_SETS:
-            merged = merge_observations([logs[o] for o in combo])
-            durations = full_scan_durations(
-                merged, truth.addresses, max_scans=self.max_scans
-            )
-            out[combo] = float(np.median(durations)) if durations.size else None
-        return out
+        return self.map_chunk((spec,))[0]
+
+    def map_chunk(self, specs: tuple[BlockSpec, ...]) -> tuple[dict[str, float | None], ...]:
+        """Every block's lanes probed in one lane-kernel call (in a
+        ``chunk`` span), then each block's medians in a ``block`` span."""
+        tracer = get_tracer()
+        with tracer.span("chunk", attrs={"n_blocks": len(specs)}):
+            sim = simulate_chunk(self.world, specs, self.ds)
+        out = []
+        for j, spec in enumerate(specs):
+            with tracer.span("block"):
+                annotate(block=spec.block.cidr, dataset=self.ds.name)
+                logs = dict(zip(self.ds.observers, sim.logs(j)))
+                medians: dict[str, float | None] = {}
+                for combo in OBSERVER_SETS:
+                    merged = merge_observations([logs[o] for o in combo])
+                    durations = full_scan_durations(
+                        merged, sim.addresses[j], max_scans=self.max_scans
+                    )
+                    medians[combo] = float(np.median(durations)) if durations.size else None
+                out.append(medians)
+        return tuple(out)
 
 
 def run(

@@ -16,10 +16,10 @@ import numpy as np
 from ..core.reconstruction import reconstruct
 from ..net.events import Calendar
 from ..net.observations import merge_observations
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import DynamicPoolUsage, WorkplaceUsage, round_grid
 from ..timeseries.series import SECONDS_PER_HOUR, TimeSeries
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig4Result", "run"]
 
@@ -62,12 +62,7 @@ def _compare(name: str, usage, seed: int) -> BlockComparison:
     calendar = Calendar(epoch=EPOCH, tz_hours=0.0)
     truth = usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
-    logs = [
-        TrinocularObserver(obs, phase_offset_s=131.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, obs in enumerate("ejnw")
-    ]
+    [logs] = observe_blocks([site_lanes(truth, order, seed, 131.0)])
     recon = reconstruct(merge_observations(logs), truth.addresses, truth.col_times)
 
     truth_series = TimeSeries(truth.col_times, truth.counts()).resample_mean(SECONDS_PER_HOUR)

@@ -22,11 +22,11 @@ import numpy as np
 from ..core.pipeline import BlockPipeline
 from ..core.reconstruction import full_scan_durations
 from ..net.events import Calendar
-from ..net.observations import merge_observations
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.observations import ObservationSeries, merge_observations
+from ..net.prober import probe_order
 from ..net.survey import SurveyObserver
-from ..net.usage import DynamicPoolUsage, round_grid
-from .common import fmt_table
+from ..net.usage import BlockTruth, DynamicPoolUsage, round_grid
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig5Result", "run", "TIME_EDGES_H", "SIZE_EDGES"]
 
@@ -83,7 +83,7 @@ class Fig5Result:
         return checks
 
 
-def _sweep_block(pool_size: int, trough: float, seed: int) -> SweptBlock:
+def _sweep_truth(pool_size: int, trough: float, seed: int) -> BlockTruth:
     calendar = Calendar(epoch=EPOCH, tz_hours=2.0)
     peak = min(trough + 0.45, 0.95)
     usage = DynamicPoolUsage(
@@ -93,19 +93,16 @@ def _sweep_block(pool_size: int, trough: float, seed: int) -> SweptBlock:
         quiet_week_probability=0.0,
         stale_addresses=0,
     )
-    truth = usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
-    order = probe_order(truth.n_addresses, seed)
+    return usage.generate(seed, round_grid(DURATION_DAYS * 86_400.0), calendar)
 
+
+def _sweep_block(
+    truth: BlockTruth, logs: list[ObservationSeries], trough: float, seed: int
+) -> SweptBlock:
     pipeline = BlockPipeline()
     survey_log = SurveyObserver().observe(truth, rng=np.random.default_rng([seed, 9]))
     truth_cls = pipeline.analyze([survey_log], truth.addresses).classification
 
-    logs = [
-        TrinocularObserver(name, phase_offset_s=131.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, name in enumerate("ejnw")
-    ]
     recon_cls = pipeline.analyze(logs, truth.addresses).classification
     durations = full_scan_durations(
         merge_observations(logs), truth.addresses, max_scans=8
@@ -123,10 +120,21 @@ def _sweep_block(pool_size: int, trough: float, seed: int) -> SweptBlock:
 
 
 def run(seed: int = 28) -> Fig5Result:
-    blocks = []
-    for i, pool_size in enumerate(POOL_SIZES):
-        for j, trough in enumerate(TROUGHS):
-            blocks.append(_sweep_block(pool_size, trough, seed + 37 * i + j))
+    cases = [
+        (pool_size, trough, seed + 37 * i + j)
+        for i, pool_size in enumerate(POOL_SIZES)
+        for j, trough in enumerate(TROUGHS)
+    ]
+    truths = [_sweep_truth(*case) for case in cases]
+    # every block's four sites, probed in one lane-kernel call
+    lanes = [
+        site_lanes(truth, probe_order(truth.n_addresses, s), s, 131.0)
+        for truth, (_, _, s) in zip(truths, cases)
+    ]
+    blocks = [
+        _sweep_block(truth, logs, trough, s)
+        for truth, (_, trough, s), logs in zip(truths, cases, observe_blocks(lanes))
+    ]
 
     heatmap = np.zeros((len(SIZE_EDGES) - 1, len(TIME_EDGES_H) - 1), dtype=int)
     for b in blocks:

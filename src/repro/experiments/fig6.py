@@ -26,9 +26,9 @@ from ..core.repair import one_loss_repair
 from ..net.events import Calendar
 from ..net.loss import BernoulliLoss, DiurnalCongestionLoss
 from ..net.observations import ObservationSeries, merge_observations
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import SparseUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["Fig6Result", "run"]
 
@@ -88,12 +88,11 @@ def run(seed: int = 63) -> Fig6Result:
     )
     clean = BernoulliLoss(0.004)
 
-    logs: dict[str, ObservationSeries] = {}
-    for i, name in enumerate(OBSERVERS):
-        loss = congested if name == LOSSY else clean
-        logs[name] = TrinocularObserver(name, phase_offset_s=101.0 * (i + 1)).observe(
-            truth, order, loss, np.random.default_rng([seed, i])
-        )
+    losses = [congested if name == LOSSY else clean for name in OBSERVERS]
+    [probed] = observe_blocks(
+        [site_lanes(truth, order, seed, 101.0, sites=OBSERVERS, losses=losses)]
+    )
+    logs: dict[str, ObservationSeries] = dict(zip(OBSERVERS, probed))
 
     rates_raw = {name: series.reply_rate() for name, series in logs.items()}
     rates_raw["all"] = merge_observations(list(logs.values())).reply_rate()

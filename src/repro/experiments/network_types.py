@@ -21,9 +21,9 @@ import numpy as np
 from ..core.network_type import NetworkTypeClassifier, timezone_from_longitude
 from ..core.pipeline import BlockPipeline
 from ..net.events import Calendar
-from ..net.prober import TrinocularObserver, probe_order
+from ..net.prober import probe_order
 from ..net.usage import DynamicPoolUsage, HomeEveningUsage, WorkplaceUsage, round_grid
-from .common import fmt_table
+from .common import fmt_table, observe_blocks, site_lanes
 
 __all__ = ["NetworkTypesResult", "run"]
 
@@ -87,20 +87,20 @@ def run(seed: int = 33) -> NetworkTypesResult:
     pipeline = BlockPipeline()
     confusion: dict[tuple[str, str], int] = {}
     cases = _blocks(seed)
-    for kind, tz, usage, block_seed in cases:
-        calendar = Calendar(epoch=EPOCH, tz_hours=tz)
-        truth = usage.generate(
+    truths = [
+        usage.generate(
             block_seed,
             round_grid(DURATION_DAYS * 86_400.0),
-            calendar,
+            Calendar(epoch=EPOCH, tz_hours=tz),
         )
-        order = probe_order(truth.n_addresses, block_seed)
-        logs = [
-            TrinocularObserver(name, phase_offset_s=113.0 * (i + 1)).observe(
-                truth, order, rng=np.random.default_rng([block_seed, i])
-            )
-            for i, name in enumerate("ejnw")
-        ]
+        for _, tz, usage, block_seed in cases
+    ]
+    # every block's four sites, probed in one lane-kernel call
+    lanes = [
+        site_lanes(truth, probe_order(truth.n_addresses, block_seed), block_seed, 113.0)
+        for truth, (_, _, _, block_seed) in zip(truths, cases)
+    ]
+    for (kind, tz, _, _), truth, logs in zip(cases, truths, observe_blocks(lanes)):
         analysis = pipeline.analyze(logs, truth.addresses)
         # the classifier only gets what a real analyst has: counts and a
         # longitude-equivalent timezone estimate

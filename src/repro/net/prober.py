@@ -10,6 +10,11 @@ scan slowly (§3.1, Figure 5) and what the §2.8 additional prober
 
 Observers start unsynchronized (``phase_offset_s``), which is what makes
 combining observers shorten full-block-scan times (§2.7, Figure 3).
+
+One kernel probes every adaptive lane: :func:`observe_batch` resolves
+many (block, observer) lanes together, :meth:`TrinocularObserver.observe`
+is its one-lane call, and :meth:`TrinocularObserver.observe_reference`
+is the scalar oracle both must match bit for bit.
 """
 
 from __future__ import annotations
@@ -127,200 +132,17 @@ class TrinocularObserver:
         the per-round limit.  Lost probes are recorded as non-replies —
         an observer cannot tell loss from inactivity.
 
-        Vectorized simulation, bit-identical to
-        :meth:`observe_reference` (including the uniform-draw stream the
-        loss model consumes).  The per-probe Python loop is gone:
-
-        * the permuted truth of the columns the window touches is stored
-          column-major as one ``bytes`` object (never the whole truth:
-          a two-week window reads ~2k of a year's ~48k columns), so
-          resolving a round is a single C-speed ``find`` over
-          its at-most-``max_probes`` candidate window (two ``find`` calls
-          when the window wraps the cursor or crosses a truth column) —
-          dark rounds and first-reply rounds cost the same;
-        * candidate probe times are built for all rounds at once with a
-          row-wise ``cumsum`` (sequential accumulation, so the floats
-          match the reference's repeated ``t += spacing`` exactly) and
-          truth columns are derived from them in bulk;
-        * because the cursor never resets, probe ``i`` of the run targets
-          ``order[(start_cursor + i) % m]`` — the output arrays are
-          assembled in one shot from the per-round probe counts, with a
-          round's final probe marked positive only when its reply
-          survived loss.
-
-        Only loss draws stay sequential (one uniform per active-truth
-        probe, in probe order, from the same lazily refilled 4096-chunk
-        buffer), because each draw's outcome decides whether the round
-        continues.
+        One lane of :func:`observe_batch`: the window's truth columns are
+        packed (:meth:`ProbeTarget.of`) and the lane kernel resolves the
+        rounds, bit-identical to :meth:`observe_reference` (including
+        the uniform-draw stream the loss model consumes).  A caller with
+        several lanes to probe passes them to :func:`observe_batch` in
+        one call, which costs far less than one call per lane.
         """
-        loss = loss or NoLoss()
-        rng = rng or np.random.default_rng(0)
-        if duration_s is None:
-            duration_s = truth.duration_s - start_s
-        end_s = start_s + duration_s
-
-        m = int(order.size)
-        if m == 0 or truth.n_cols == 0:
-            return _empty_series(self.name)
-        if m != truth.n_addresses:
-            raise ValueError("order must permute the block's E(b) addresses")
-
-        round_starts = self.round_starts(start_s, end_s)
-        n_rounds = round_starts.size
-        if n_rounds == 0:
-            # the scalar implementation prefilled its draw buffer before
-            # noticing the window was empty; consume the same uniforms so
-            # callers sharing the generator stay bit-compatible
-            rng.random(4096)
-            return _empty_series(self.name)
-        loss_p = loss.loss_probability(round_starts) if loss.max_probability() > 0 else None
-
-        n_cols = truth.n_cols
-        col_origin = float(truth.col_times[0])
-        inv_round = 1.0 / truth.round_seconds
-        max_probes = min(self.max_probes_per_round, m)
-        spacing = self.probe_spacing_s
-        K = max_probes
-
-        T = _candidate_times(round_starts, K, spacing)
-        n_time = (T < end_s).sum(axis=1).astype(np.int64)
-        rem_arr = np.minimum(n_time, K)
-
-        # per-probe truth columns; a round spans < round_seconds so it
-        # touches at most two, and only rounds straddling a column
-        # boundary (rare) need a crossover index — everything else reads
-        # its first probe's column throughout (jc = K sentinel)
-        c0_arr = np.clip(
-            ((round_starts - col_origin) * inv_round).astype(np.int64), 0, n_cols - 1
-        )
-        jc_arr = np.full(n_rounds, K, dtype=np.int64)
-        c1_arr = c0_arr
-        if K > 1:
-            c_last = np.clip(
-                ((T[:, K - 1] - col_origin) * inv_round).astype(np.int64),
-                0,
-                n_cols - 1,
-            )
-            cross = np.flatnonzero(c_last != c0_arr)
-            if cross.size:
-                Cx = np.clip(
-                    ((T[cross] - col_origin) * inv_round).astype(np.int64),
-                    0,
-                    n_cols - 1,
-                )
-                jc_x = (Cx == Cx[:, :1]).sum(axis=1)
-                jc_arr[cross] = jc_x
-                c1_arr = c0_arr.copy()
-                c1_arr[cross] = Cx[np.arange(cross.size), jc_x]
-
-        # permuted truth of the touched columns [lo, hi], column-major
-        # bytes: column c's cursor walk is the slice [(c - lo) * m,
-        # (c - lo + 1) * m), searched with C-speed find
-        lo = int(c0_arr.min())
-        hi = int(max(c0_arr.max(), c1_arr.max()))
-        colbytes = np.ascontiguousarray(truth.active[:, lo : hi + 1][order].T).tobytes()
-        c0_arr = c0_arr - lo
-        c1_arr = c1_arr - lo
-
-        # uniform draws for loss, consumed lazily — identical stream to
-        # the reference: one draw per active-truth probe when p > 0
-        draw_buf = rng.random(4096)
-        draw_i = 0
-
-        k_out: list[int] = []
-        hit_out: list[bool] = []
-        k_app, hit_app = k_out.append, hit_out.append
-        c1_l = c1_arr.tolist()
-        p_l = loss_p.tolist() if loss_p is not None else None
-        find = colbytes.find
-
-        cur = start_cursor % m
-        for r, (rem, c0, jc) in enumerate(
-            zip(rem_arr.tolist(), c0_arr.tolist(), jc_arr.tolist())
-        ):
-            p = 0.0 if p_l is None else p_l[r]
-            if p == 0.0 and jc >= rem:
-                # fast path: one column, no loss — find the round's first
-                # active target (two searches when the cursor walk wraps)
-                base = c0 * m
-                end1 = cur + rem
-                if end1 > m:
-                    end1 = m
-                f = find(1, base + cur, base + end1)
-                if f >= 0:
-                    k = f - base - cur + 1
-                    hit = True
-                else:
-                    got = end1 - cur
-                    if rem > got:
-                        f = find(1, base, base + rem - got)
-                    if f >= 0:
-                        k = got + f - base + 1
-                        hit = True
-                    else:
-                        k = rem
-                        hit = False
-                k_app(k)
-                hit_app(hit)
-                cur += k
-                if cur >= m:
-                    cur -= m
-                continue
-            j = 0
-            hit = False
-            while j < rem:
-                # sub-window [j, seg_end) reads a single truth column
-                if j < jc:
-                    c = c0
-                    seg_end = jc if jc < rem else rem
-                else:
-                    c = c1_l[r]
-                    seg_end = rem
-                # first active target in the sub-window (cursor walk may
-                # wrap the block, hence up to two contiguous searches)
-                base = c * m
-                a = cur + j
-                if a >= m:
-                    a -= m
-                end1 = a + (seg_end - j)
-                if end1 > m:
-                    end1 = m
-                f = find(1, base + a, base + end1)
-                if f >= 0:
-                    j += f - base - a
-                elif seg_end - j > end1 - a:
-                    f = find(1, base, base + (seg_end - j) - (end1 - a))
-                    if f >= 0:
-                        j += (end1 - a) + (f - base)
-                if f < 0:
-                    j = seg_end
-                    continue
-                st = True
-                if p > 0.0:
-                    if draw_i >= 4096:
-                        draw_buf = rng.random(4096)
-                        draw_i = 0
-                    if draw_buf[draw_i] < p:
-                        st = False
-                    draw_i += 1
-                j += 1
-                if st:
-                    hit = True
-                    break
-            k_app(j)
-            hit_app(hit)
-            cur += j
-            if cur >= m:
-                cur -= m
-        return _assemble_log(
-            self.name,
-            T,
-            np.asarray(k_out, dtype=np.int64),
-            np.asarray(hit_out, dtype=bool),
-            order,
-            truth.addresses,
-            start_cursor,
-        )
+        end_s = None if duration_s is None else start_s + duration_s
+        target = ProbeTarget.of(truth, order, start_s, end_s)
+        lane = ProbeLane(self, target, loss, rng, start_s, duration_s, start_cursor)
+        return observe_batch([lane])[0]
 
     def round_starts(self, start_s: float, end_s: float) -> np.ndarray:
         """Start times of the rounds that begin inside ``[start_s, end_s)``."""
@@ -343,12 +165,11 @@ class TrinocularObserver:
         duration_s: float | None = None,
         start_cursor: int = 0,
     ) -> ObservationSeries:
-        """Probe-by-probe oracle for :meth:`observe` (tests only).
+        """Probe-by-probe oracle for :func:`observe_batch` (tests only).
 
-        The original scalar round loop; :meth:`observe` must reproduce
-        its output bit-for-bit, including which uniforms the loss model
-        consumes.  Does not feed the probe-volume counters, so running
-        the oracle beside the production path leaves telemetry intact.
+        The original scalar round loop; every lane of the lane kernel,
+        and so :meth:`observe`, must reproduce its output bit-for-bit,
+        including which uniforms the loss model consumes.
         """
         loss = loss or NoLoss()
         rng = rng or np.random.default_rng(0)
@@ -358,12 +179,7 @@ class TrinocularObserver:
 
         m = int(order.size)
         if m == 0 or truth.n_cols == 0:
-            return ObservationSeries(
-                times=np.array([]),
-                addresses=np.array([], dtype=np.int16),
-                results=np.array([], dtype=bool),
-                observer=self.name,
-            )
+            return _empty_series(self.name)
         if m != truth.n_addresses:
             raise ValueError("order must permute the block's E(b) addresses")
 
@@ -452,7 +268,8 @@ class ProbeTarget:
     row ``order[i]``) over the columns ``[first_col, first_col + width)``,
     eight columns per byte.  ``n_cols``, ``origin`` and ``round_seconds``
     describe the whole truth grid, so probe times map to columns exactly
-    as :meth:`TrinocularObserver.observe` maps them on the whole truth.
+    as :meth:`TrinocularObserver.observe_reference` maps them on the whole
+    truth.
     """
 
     addresses: np.ndarray  # int16 [m], truth row order
@@ -612,7 +429,7 @@ class ProbeLogs:
 
 
 def observe_batch(lanes: "Sequence[ProbeLane]") -> ProbeLogs:
-    """Run :meth:`TrinocularObserver.observe` on many lanes at once.
+    """Probe many lanes at once: the lane kernel, the one production prober.
 
     Lane ``i``'s log and every lane generator's end state are
     bit-identical to calling ``lane.observer.observe_reference`` once
@@ -770,7 +587,7 @@ class _LaneKernel:
         self.n_rounds = np.array([x.n_rounds for x in live], dtype=np.int64)
         self.m = np.array([t.m for t in targets], dtype=np.int64)
         self.K = np.minimum([o.max_probes_per_round for o in observers], self.m)
-        # the same Python expression observe() uses for round 0's start
+        # the same Python expression observe_reference() uses for round 0's start
         self.base = np.array(
             [lane.start_s + o.phase_offset_s for lane, o in zip(lanes, observers)]
         )
@@ -944,7 +761,7 @@ class _LaneKernel:
         """Find the lanes whose round ``r`` reads truth column ``c_first + r``.
 
         With whole-second times, ``t - origin`` is an exact integer and
-        observe()'s ``int((t - origin) * (1 / round_seconds))`` is its
+        observe_reference()'s ``int((t - origin) * (1 / round_seconds))`` is its
         floor quotient, unless ``t`` lies within rounding error (far
         below a second) of a column edge.  A lane whose rounds step by
         exactly one column, whose first probe comes at least a second
@@ -952,7 +769,7 @@ class _LaneKernel:
         next one therefore reads column ``c_first + r`` in round ``r``
         and never straddles; every round but its last has the full
         budget.  The other lanes, and every lane's last round, keep
-        observe()'s float expressions.
+        observe_reference()'s float expressions.
         """
         span = (self.K - 1) * self.spacing
         exact = [self.base, self.origin, self.step, self.spacing, self.column_s]
@@ -1011,7 +828,8 @@ class _LaneKernel:
 
     # -- rounds --------------------------------------------------------------
     def _columns(self, times: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """observe()'s time -> truth column map; the last axis runs over ``lanes``."""
+        """observe_reference()'s time -> truth column map; the last axis runs
+        over ``lanes``."""
         cols = ((times - self.origin[lanes]) * self.inv[lanes]).astype(np.int64)
         return np.clip(cols, 0, self.last_col[lanes])
 
@@ -1029,7 +847,7 @@ class _LaneKernel:
         Verified lanes read ``c_first + r``.  The other lanes' rounds are
         bounded from above without the exact cumsum, and only rounds
         whose bound reaches the window end or the next column are
-        computed exactly, as observe() computes them; so is every lane's
+        computed exactly, as observe_reference() computes them; so is every lane's
         last round.  Those cells ``(fi, fr)`` (lane, round in the slab)
         get a probe budget ``rem`` and a crossover index ``jc`` (``K``
         when none) into a second column ``c1``; every other cell has
@@ -1415,12 +1233,7 @@ class AdditionalProber:
 
         m = int(order.size)
         if m == 0:
-            return ObservationSeries(
-                times=np.array([]),
-                addresses=np.array([], dtype=np.int16),
-                results=np.array([], dtype=bool),
-                observer=self.name,
-            )
+            return _empty_series(self.name)
         per_round = self.probes_per_round(m)
         spacing = self.round_seconds / max(per_round, 1)
 

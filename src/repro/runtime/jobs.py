@@ -9,13 +9,15 @@ byte-identical between serial and parallel execution.
 The engine dispatches :class:`BlockAnalysisJob` through
 :meth:`BlockAnalysisJob.map_chunk`, which analyses a whole chunk of
 blocks in one call: :func:`~repro.datasets.builder.simulate_chunk` (the
-one production simulate path) probes the chunk's observer lanes, each
-block is repaired, combined and reconstructed (straight from the lane
-kernel's rounds by :class:`~repro.core.front_half.LaneBlock` when the
-kernel probed the chunk), and the analysis tail — classify, trend,
-detect — runs over all of the chunk's reconstructions at once through
-the batched columnar kernels.  ``__call__`` stays the per-block oracle:
-it runs one block through the dataset builder's ``analyze_block``.
+one simulate path) probes the chunk's observer lanes, in one lane-kernel
+call for the adaptive Trinocular sites, each block is repaired, combined
+and reconstructed (straight from the lane kernel's rounds by
+:class:`~repro.core.front_half.LaneBlock` when the kernel probed the
+chunk), and the analysis tail — classify, trend, detect — runs over all
+of the chunk's reconstructions at once through the batched columnar
+kernels.  ``__call__`` stays the per-block oracle: it runs one block
+through the dataset builder's ``analyze_block``, a one-block simulation
+whose logs take the log route and the scalar tail.
 
 Jobs are executor-agnostic: the process pool
 (:class:`~repro.runtime.executors.PoolExecutor`) pickles the job once
@@ -108,9 +110,10 @@ class BlockAnalysisJob:
 
         :func:`~repro.datasets.builder.simulate_chunk` generates every
         responsive block's truth and probes its observer lanes (in a
-        ``chunk`` span): all lanes of the chunk together when
-        :func:`~repro.datasets.builder.batches_lanes` accepts it, else
-        block by block, lane by lane, so that only one block's probe
+        ``chunk`` span): all lanes of the chunk together in the lane
+        kernel when :func:`~repro.datasets.builder.batches_lanes` accepts
+        the dataset, else block by block, lane by lane (the survey, the
+        §2.8 prober, the bayesian style), so that only one block's probe
         logs are live at a time.  Each block is then repaired, combined
         and reconstructed in its own ``block`` span (see
         :meth:`_reconstruct`), with the firewalled short-circuit, funnel
@@ -136,7 +139,7 @@ class BlockAnalysisJob:
                 out[i] = _unresponsive_result(spec)
         responsive = [specs[i] for i in live]
         step = 1  # probed lane by lane: one block's probe logs live at a time
-        if batches_lanes(self.ds, self.observer_style, len(responsive)):
+        if batches_lanes(self.ds, self.observer_style):
             step = max(len(responsive), 1)
         recons: list[Reconstruction] = []
         ctxs: list[StageContext] = []
@@ -179,22 +182,7 @@ class BlockAnalysisJob:
         meter = StageMeter()
         block = LaneBlock.of(sim.lanes, sim.lane_ids(j), sim.addresses[j], grid)
         logs = sim.logs(j) if block is None else []
-        assembly = meter.shares(1)
-        truth, probe = sim.truth_cost[j], sim.probe_cost[j]
-        ctx.record_batched(
-            "truth",
-            wall_s=truth.wall_s,
-            n_out=sim.truth_cells[j],
-            cpu_s=truth.cpu_s,
-        )
-        ctx.record_batched(
-            "probe",
-            wall_s=probe.wall_s + assembly.wall_s,
-            n_in=len(self.ds.observers),
-            n_out=sim.n_probes[j],
-            n_batch=len(sim.addresses),
-            cpu_s=probe.cpu_s + assembly.cpu_s,
-        )
+        sim.record(j, ctx, meter.shares(1))
         if block is None:
             return reconstruct_logs(
                 self.pipeline, logs, sim.addresses[j], sim.start_s, self.ds, ctx

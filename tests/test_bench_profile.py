@@ -29,6 +29,45 @@ class TestBenchCli:
         assert all(stats["speedup"] > 0 for stats in doc["kernels"].values())
         assert "kernels/prober:" in capsys.readouterr().out
 
+    def test_a_speedup_at_its_floor_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        import repro.bench as bench
+        from repro.cli import main as cli_main
+
+        rows = {
+            "full_scan_durations": {"speedup": 5.0},
+            "cusum": {"speedup": 1.5},  # a floor must be beaten, not met
+        }
+        monkeypatch.setattr(bench, "run_sections", lambda names: {"kernels": rows})
+        out = tmp_path / "bench.json"
+        assert cli_main(["bench", "--sections", "kernels", "--output", str(out)]) == 1
+        assert json.loads(out.read_text()) == {"kernels": rows}  # still recorded
+        err = capsys.readouterr().err
+        assert "kernels/cusum: 1.50x, floor 1.5x" in err
+        assert "full_scan_durations" not in err
+
+    def test_floors_name_rows_the_sections_measure(self):
+        from repro.bench import (
+            CUSUM_BATCH_SIZES,
+            DEFAULT_SECTIONS,
+            FRONT_HALF_DATASET,
+            LONG_WINDOW_LANES,
+            ONE_LANE_MAX,
+            PROBER_LANE_COUNTS,
+            SPEEDUP_FLOORS,
+        )
+
+        assert set(SPEEDUP_FLOORS) <= set(DEFAULT_SECTIONS)
+        assert sorted(SPEEDUP_FLOORS["kernels"]) == ["cusum", "full_scan_durations"]
+        assert sorted(SPEEDUP_FLOORS["batched"]) == ["classify", "cusum_rows", "trend"]
+        assert set(SPEEDUP_FLOORS["cusum_rows_scaling"]) == {str(b) for b in CUSUM_BATCH_SIZES}
+        lane_rows = {str(n) for n in PROBER_LANE_COUNTS}
+        lane_rows |= {f"{FRONT_HALF_DATASET}:{n}" for n in LONG_WINDOW_LANES}
+        assert set(SPEEDUP_FLOORS["prober_lanes"]) <= lane_rows
+        # only rows that also time one-lane calls have a speedup
+        assert all(
+            int(row.rsplit(":", 1)[-1]) <= ONE_LANE_MAX for row in SPEEDUP_FLOORS["prober_lanes"]
+        )
+
     def test_cache_keys_section_asserts_and_times_both_routes(self):
         from repro.bench import measure_cache_keys
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,13 +112,16 @@ class TestStatelessBuilder:
         start = ds.start_s(small_world.epoch)
         half = ds.duration_s / 2
         specs = [s for s in small_world.blocks if s.responsive_by_design][:15]
+        half_ds = replace(ds, weeks=ds.weeks / 2)
+        assert half_ds.duration_s == half
         differ = 0
         for spec in specs:
             full_truth = builder.truth(spec, start, ds.duration_s)
             half_truth = builder.truth(spec, start, half)
-            for name in ds.observers:
-                full = builder.observe(spec, name, start, ds.duration_s, truth=full_truth)
-                fresh = builder.observe(spec, name, start, half, truth=half_truth)
+            # each window's four lanes, probed in one call
+            fulls = builder.observe_dataset(spec, ds, truth=full_truth)
+            freshes = builder.observe_dataset(spec, half_ds, truth=half_truth)
+            for full, fresh in zip(fulls, freshes, strict=True):
                 differ += not _same_log(fresh, full.slice_time(start, start + half))
         assert differ == 0
 
@@ -144,3 +149,28 @@ class TestStatelessBuilder:
                 calls.clear()
                 run(spec)
                 assert calls == [spec.block.cidr]
+
+    def test_chunk_jobs_match_their_per_block_calls(self, world60, monkeypatch):
+        from repro.experiments.additional_probing import _FbsSampleJob
+        from repro.experiments.fig3 import _ScanTimeJob
+
+        calls = []
+        real = WorldModel.truth
+
+        def counting(self, spec, *args, **kwargs):
+            calls.append(spec.block.cidr)
+            return real(self, spec, *args, **kwargs)
+
+        m1, q1 = dataset("2020m1-ejnw"), dataset("2020q1-ejnw")
+        specs = tuple(s for s in world60.blocks if s.responsive_by_design)[:3]
+        for job in (
+            _ScanTimeJob(world=world60, ds=q1, max_scans=4),
+            _FbsSampleJob(world=world60, ds=m1),
+        ):
+            one_by_one = tuple(job(spec) for spec in specs)
+            with monkeypatch.context() as mp:
+                mp.setattr(WorldModel, "truth", counting)
+                calls.clear()
+                chunked = job.map_chunk(specs)
+            assert chunked == one_by_one
+            assert calls == [spec.block.cidr for spec in specs]

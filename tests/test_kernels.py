@@ -72,7 +72,7 @@ def assert_same_series(fast: ObservationSeries, slow: ObservationSeries) -> None
 
 
 def both_observations(obs, truth, order, loss, seed, **kwargs):
-    """Run the vectorized and reference probers on twin RNG streams."""
+    """Run the one-lane kernel and the reference prober on twin RNG streams."""
     rng_fast = np.random.default_rng(seed)
     rng_slow = np.random.default_rng(seed)
     fast = obs.observe(truth, order, loss, rng_fast, **kwargs)
@@ -201,13 +201,13 @@ class TestProberEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# lane-parallel prober vs the per-lane prober and its scalar oracle
+# lane-parallel prober: lanes together vs each lane alone vs the oracle
 # ---------------------------------------------------------------------------
 def check_lanes(specs):
     """Run ``observe_batch`` over lanes built from ``specs`` and compare
-    every lane with ``observe`` and ``observe_reference`` on twin
-    generators: arrays, dtypes and each generator's next draw must all
-    match.
+    every lane with ``observe`` (the kernel on that lane alone) and
+    ``observe_reference`` on twin generators: arrays, dtypes and each
+    generator's next draw must all match.
 
     A spec is ``(observer, truth, order, loss, seed, kwargs)``; lanes
     with the same ``truth`` and ``order`` objects share one packed target.

@@ -7,11 +7,14 @@ two sites, reproducing the paper's decision to discard them for 2020.
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from repro.core.combine import compare_observers, flag_outlier_observers
-from repro.datasets.builder import DatasetBuilder
+from repro.datasets.builder import simulate_chunk
+from repro.datasets.catalog import DatasetSpec
 from repro.net.world import WorldModel, scenario_covid2020
 
 OBSERVERS = ("c", "e", "g", "j", "n", "w")
@@ -20,18 +23,20 @@ OBSERVERS = ("c", "e", "g", "j", "n", "w")
 @pytest.fixture(scope="module")
 def health_survey():
     world = WorldModel(scenario_covid2020(), n_blocks=40, seed=55)
-    builder = DatasetBuilder(world)
+    # one week from day 92, every responsive block's six lanes probed in
+    # one call
+    week = DatasetSpec(
+        name="health-week",
+        start=(world.epoch + timedelta(days=92)).date(),
+        weeks=1,
+        observers=OBSERVERS,
+    )
+    assert week.start_s(world.epoch) == 92 * 86_400.0
+    specs = [spec for spec in world.blocks if spec.responsive_by_design]
+    sim = simulate_chunk(world, specs, week)
     per_block = []
-    for spec in world.blocks:
-        if not spec.responsive_by_design:
-            continue
-        start = 92 * 86_400.0
-        truth = builder.truth(spec, start, 7 * 86_400.0)
-        logs = [
-            builder.observe(spec, obs, start, 7 * 86_400.0, truth=truth)
-            for obs in OBSERVERS
-        ]
-        health = compare_observers(logs)
+    for j in range(len(specs)):
+        health = compare_observers(sim.logs(j))
         if all(np.isfinite(h.reply_rate) for h in health):
             per_block.append(health)
     return per_block

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from datetime import datetime
 
-import numpy as np
-
 from repro.core.pipeline import BlockPipeline
+from repro.experiments.common import observe_blocks, site_lanes
 from repro.net.events import Calendar, Outage
-from repro.net.prober import TrinocularObserver, probe_order
+from repro.net.prober import probe_order
 from repro.net.usage import DynamicPoolUsage, round_grid
 
 EPOCH = datetime(2020, 1, 1)
@@ -24,12 +23,8 @@ def _analyze(corroborate: bool, seed: int = 81):
     usage = DynamicPoolUsage(pool_size=48, peak=0.8, trough=0.1, quiet_week_probability=0.0)
     truth = usage.generate(seed, round_grid(28 * 86_400.0), calendar)
     order = probe_order(truth.n_addresses, seed)
-    logs = [
-        TrinocularObserver(name, phase_offset_s=97.0 * (i + 1)).observe(
-            truth, order, rng=np.random.default_rng([seed, i])
-        )
-        for i, name in enumerate("ejnw")
-    ]
+    # the four sites' lanes, probed in one call
+    [logs] = observe_blocks([site_lanes(truth, order, seed, 97.0)])
     pipeline = BlockPipeline(detect_on_all=True, corroborate_outages=corroborate)
     return pipeline.analyze(logs, truth.addresses)
 

@@ -253,12 +253,9 @@ class TestBlockAnalysisJob:
         rounds, never through the log route, with the oracle's bytes and
         the oracle's stage names and sizes."""
         import repro.datasets.builder as builder_mod
-        from repro.datasets.builder import MIN_BATCH_LANES
 
         job = BlockAnalysisJob(world=world200, ds=dataset(ds), pipeline=BlockPipeline())
         chunk = tuple(world200.blocks[:20])
-        lanes = sum(spec.responsive_by_design for spec in chunk) * len(job.ds.observers)
-        assert lanes >= MIN_BATCH_LANES
         # every lane loses replies: the scenario's base loss is Bernoulli
         assert world200.scenario.base_loss.max_probability() > 0
         oracle = [job(spec) for spec in chunk]
@@ -277,20 +274,21 @@ class TestBlockAnalysisJob:
             ]
 
     def test_small_chunk_never_calls_the_builder(self, world200, monkeypatch):
-        """Below MIN_BATCH_LANES the chunk is still simulated by
-        simulate_chunk, not by the per-block oracle."""
-        from repro.datasets.builder import MIN_BATCH_LANES
+        """A one-block chunk is simulated by simulate_chunk, not by the
+        per-block oracle, and reconstructs from the lane rounds, never
+        through the log route."""
+        import repro.datasets.builder as builder_mod
 
         job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
         chunk = tuple(world200.blocks[:1])
-        lanes = sum(spec.responsive_by_design for spec in chunk) * len(job.ds.observers)
-        assert 0 < lanes < MIN_BATCH_LANES
+        assert chunk[0].responsive_by_design
         oracle = [pickle.dumps(job(spec).analysis) for spec in chunk]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("map_chunk called the per-block oracle")
+            raise AssertionError("map_chunk called the per-block oracle or the log route")
 
         monkeypatch.setattr(DatasetBuilder, "reconstruct_block", refuse)
+        monkeypatch.setattr(builder_mod, "reconstruct_logs", refuse)
         assert [pickle.dumps(r.analysis) for r in job.map_chunk(chunk)] == oracle
 
     def test_all_firewalled_chunk_simulates_nothing(self, world200, monkeypatch):
@@ -865,23 +863,6 @@ class TestChunkedPhaseA:
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=warm)
         assert result.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
         self.assert_matches(result, oracle)
-
-    def test_lane_threshold_is_invisible(self, world200, blocks, oracle, monkeypatch):
-        """Chunks below MIN_BATCH_LANES probe per lane; forcing either
-        side of the threshold gives the same bytes."""
-        import repro.datasets.builder as builder_mod
-
-        job = BlockAnalysisJob(world=world200, ds=dataset(DATASET), pipeline=BlockPipeline())
-        chunk = tuple(blocks[:12])
-        assert any(spec.responsive_by_design for spec in chunk)
-        outputs = []
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(builder_mod, "MIN_BATCH_LANES", threshold)
-            results = job.map_chunk(chunk)
-            assert [r.key for r in results] == [spec.block.cidr for spec in chunk]
-            outputs.append([pickle.dumps(r.analysis) for r in results])
-        assert outputs[0] == outputs[1]
-        assert outputs[0] == [oracle[spec.block.cidr] for spec in chunk]
 
     def test_progress_counts_every_block_once(self, world200, blocks, tmp_path):
         import json
