@@ -34,22 +34,35 @@ code bumps the schema, with no exception.
 
 Storage
 -------
-The cache is its directory (``--cache DIR`` / ``REPRO_CACHE``): one
-pickle per key under ``DIR/<k[:2]>/<k>.pkl``, written with atomic
-renames, so parallel runs and repeated invocations are safe.  The cache
-object holds no result, so a sharded run's spilled shards are not
-pinned in memory behind it, and every hit is a disk read of exactly the
-stored object — the engine guarantees cached, serial, and parallel runs
-stay byte-identical.
+The cache is its directory (``--cache DIR`` / ``REPRO_CACHE``), and the
+directory holds one SQLite database, ``DIR/cache.sqlite``: one row per
+key in one table, ``entries(key TEXT PRIMARY KEY, blob BLOB)``.  The
+engine reads a shard's keys with one :meth:`AnalysisCache.get_many`
+over one connection and writes the shard's results with one
+:meth:`AnalysisCache.put_many`, one transaction, so a shard costs one
+open and one commit however many blocks it holds, and the whole cache
+is one file.  The cache object holds no result and no connection:
+it connects per batch, so no connection crosses a pool's fork, and a
+sharded run's spilled shards are not pinned in memory behind it.  Every
+hit is a read of exactly the stored object — the engine guarantees
+cached, serial, and parallel runs stay byte-identical.
 
-An entry file is the 32-byte ``sha256`` digest of the pickle followed
-by the pickle itself; ``get`` checks the digest before unpickling, so a
-flipped byte can never be served as a wrong hit.  An entry that cannot
-be read back (a digest mismatch, an entry written without a digest,
-truncated bytes, or a class that no longer exists) is a miss: the block
-is recomputed and ``put`` atomically replaces the entry.
+A row's blob is the 32-byte ``sha256`` digest of the pickle followed by
+the pickle itself (``pickle.dumps(result, HIGHEST_PROTOCOL)``);
+``get_many`` checks the digest before unpickling, so a flipped byte can
+never be served as a wrong hit.  An entry that cannot be read back (a
+digest mismatch, a blob without a digest, truncated bytes, or a class
+that no longer exists) is a miss: the block is recomputed and
+``put_many`` replaces the row.  A database that cannot be opened or is
+not a database makes every read a miss and every store a no-op (0
+stored), so the run still ends in the right answer; delete the file to
+start over.  A read never creates the database.
 
-Sharded runs (``--shards N``) read and write the same paths: a key
+Entries of the earlier per-file layout (``DIR/<k[:2]>/<k>.pkl``) are not
+read: the first run after that upgrade is cold, and the old files can
+be deleted.
+
+Sharded runs (``--shards N``) read and write the same rows: a key
 hashes the job inputs only, never the shard id, so re-partitioning the
 same world stays warm in both directions.
 """
@@ -62,9 +75,8 @@ import enum
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -88,8 +100,15 @@ __all__ = [
 #: every token is unchanged, the schema marks the token-code rewrite.
 CACHE_SCHEMA = 4
 
-#: Length of the ``sha256`` digest that heads every disk entry.
+#: Length of the ``sha256`` digest that heads every entry's blob.
 _DIGEST_BYTES = 32
+
+#: The one file of a cache directory.
+_DATABASE = "cache.sqlite"
+
+#: Seconds a connection waits for another process's transaction to end
+#: before it gives up (a read then misses, a store stores nothing).
+_BUSY_TIMEOUT_S = 60.0
 
 #: Field names of every dataclass type :func:`stable_token` has met
 #: (``dataclasses.fields`` rebuilds its tuple on every call).
@@ -187,55 +206,118 @@ class AnalysisCache:
 
     The cache is dumb on purpose: it maps keys to pickled results and
     never interprets them.  Correctness rests entirely on the key —
-    see the module docstring for the schema.
+    see the module docstring for the schema.  It holds only its path
+    (it pickles as one) and opens a connection per batch.
     """
 
     def __init__(self, directory: "str | os.PathLike[str]") -> None:
         self.directory = Path(directory)
 
-    def get(self, key: str) -> tuple[bool, Any]:
-        """(hit, value) for the entry stored under ``key``.
+    @property
+    def path(self) -> Path:
+        """The database file, ``DIR/cache.sqlite``."""
+        return self.directory / _DATABASE
 
-        Any failure to read or unpickle the entry is a miss, never an
-        error: the caller recomputes and :meth:`put` overwrites it.
+    def get_many(self, keys: Sequence[str | None]) -> dict[int, Any]:
+        """``{position: value}`` for every key of ``keys`` with a readable entry.
+
+        One read-only connection serves the whole batch; a ``None`` key
+        and a missing or unreadable entry are left out (a miss, never an
+        error: the caller recomputes and :meth:`put_many` replaces the
+        row).  A key listed twice is unpickled twice, so no two
+        positions share one object.  No keys, no connection; and the
+        read-only connection never creates the database or ``DIR``.
         """
-        try:
-            with open(self._path(key), "rb") as fh:
-                blob = fh.read()
-            payload = memoryview(blob)[_DIGEST_BYTES:]
-            if hashlib.sha256(payload).digest() != blob[:_DIGEST_BYTES]:
-                return False, None  # damaged, truncated, or without a digest
-            value = pickle.loads(payload)
-        except Exception:
-            # a missing entry, or an intact one that no longer loads
-            # (a module or class that no longer exists)
-            return False, None
-        return True, value
+        found: dict[int, Any] = {}
+        if not any(key is not None for key in keys):
+            return found
+        import sqlite3  # here, not at the top: ~1 MiB of RSS uncached runs never need
 
-    def put(self, key: str, value: Any) -> bool:
-        """Store a result; True when it is durably on disk."""
-        path = self._path(key)
         try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            blob = hashlib.sha256(payload).digest() + payload
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)  # atomic: parallel writers race safely
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+            uri = f"{self.path.absolute().as_uri()}?mode=ro"
+            conn = sqlite3.connect(
+                uri, uri=True, timeout=_BUSY_TIMEOUT_S, isolation_level=None
+            )
+        except sqlite3.Error:
+            return found  # no database yet, or one that cannot be opened
+        try:
+            conn.execute("BEGIN")  # one snapshot for the batch
+            for i, key in enumerate(keys):
+                if key is None:
+                    continue
+                row = conn.execute(
+                    "SELECT blob FROM entries WHERE key = ?", (key,)
+                ).fetchone()
+                if row is not None:
+                    hit, value = _load(row[0])
+                    if hit:
+                        found[i] = value
+        except sqlite3.Error:
+            pass  # not a database, or no table yet: the rest are misses
+        finally:
+            conn.close()
+        return found
 
-    def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
+    def put_many(self, items: Sequence[tuple[str, Any]]) -> int:
+        """Store ``(key, value)`` pairs in one transaction; the count stored.
+
+        The batch is one ``BEGIN IMMEDIATE … COMMIT`` of ``INSERT OR
+        REPLACE`` rows, so it is atomic: a reader in any process sees
+        all of it or none, concurrent writers wait for each other, and
+        a row that failed to read back is replaced.  The commit runs
+        under SQLite's defaults (rollback journal, ``synchronous=FULL``),
+        which sync the journal and the database before it returns: a
+        committed batch survives a crash of this process or of the
+        machine, and a crash mid-commit leaves the previous rows intact.
+        Returns ``len(items)`` once committed, 0 when the
+        database cannot be written (locked past the busy timeout,
+        unwritable, or not a database).  No items, no connection.
+        """
+        if not items:
+            return 0
+        import sqlite3
+
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None
+            )
+        except (OSError, sqlite3.Error):
+            return 0
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, blob BLOB NOT NULL)"
+            )
+            conn.executemany(
+                "INSERT OR REPLACE INTO entries VALUES (?, ?)",
+                ((key, _entry(value)) for key, value in items),
+            )
+            conn.execute("COMMIT")
+        except sqlite3.Error:
+            return 0  # closing rolls the open transaction back
+        finally:
+            conn.close()
+        return len(items)
+
+
+def _entry(value: Any) -> bytes:
+    """A row's blob: the pickle's ``sha256`` digest, then the pickle."""
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(payload).digest() + payload
+
+
+def _load(blob: Any) -> tuple[bool, Any]:
+    """(hit, value) for a row's blob; anything unreadable is a miss."""
+    try:
+        payload = memoryview(blob)[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() != blob[:_DIGEST_BYTES]:
+            return False, None  # damaged, truncated, or without a digest
+        return True, pickle.loads(payload)
+    except Exception:
+        # not a blob, or an intact entry that no longer loads (a module
+        # or class that no longer exists)
+        return False, None
 
 
 def default_cache() -> AnalysisCache | None:

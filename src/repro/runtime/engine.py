@@ -521,7 +521,10 @@ class CampaignEngine:
         tasks whose key comes back ``None`` (uncacheable inputs).
 
         Every run opens a ``campaign`` span on the ambient (or given)
-        tracer.  When that tracer is enabled, each task runs through
+        tracer, and under it, per shard, one ``cache.get`` and one
+        ``cache.put`` span when the run is cached (one batch each way)
+        and one ``spill.write`` span when it is sharded.  When that
+        tracer is enabled, each task runs through
         :class:`TracedCall` so per-block spans, CPU seconds and peak RSS
         ship back; they are adopted when their shard is collected, the
         spans under that shard's tags and the resources into the
@@ -567,10 +570,10 @@ class CampaignEngine:
                 if isinstance(tracer, Tracer) and parent_id is not None:
                     traced = _TracedDispatch(tracer=tracer, parent_id=parent_id)
                 for i, (lo, hi) in enumerate(plan.ranges):
-                    shard = self._consult(keyer, tasks[lo:hi])
-                    shard.index = i
-                    if spill is not None:
-                        shard.tags = {"shard": i, "shards": n_shards}
+                    tags = {"shard": i, "shards": n_shards} if spill is not None else {}
+                    with tracer.tagged(**tags):
+                        shard = self._consult(keyer, tasks[lo:hi], tracer)
+                    shard.index, shard.tags = i, tags
                     if i == 0:
                         progress.begin(
                             label,
@@ -674,45 +677,56 @@ class CampaignEngine:
         assert job is not None
         with tracer.tagged(**shard.tags):
             computed = job.collect()
-        metrics.fallback = metrics.fallback or job.pending.fallback_reason
-        shard.job = None
-        results = self._merge_results(len(shard.tasks), shard.hits, shard.pending, computed)
-        self._tally(metrics, results)
-        if shard.keys is not None:
-            stores = self._store_results(shard.keys, shard.pending, computed)
-            metrics.cache = _add_counts(
-                metrics.cache,
-                {"hits": len(shard.hits), "misses": len(shard.pending), "stores": stores},
+            metrics.fallback = metrics.fallback or job.pending.fallback_reason
+            shard.job = None
+            results = self._merge_results(
+                len(shard.tasks), shard.hits, shard.pending, computed
             )
-        if spill is None:
-            return results
-        readers.append(spill.write_shard(shard.index, results))
+            self._tally(metrics, results)
+            if shard.keys is not None:
+                stores = self._store_results(shard.keys, shard.pending, computed, tracer)
+                metrics.cache = _add_counts(
+                    metrics.cache,
+                    {"hits": len(shard.hits), "misses": len(shard.pending), "stores": stores},
+                )
+            if spill is None:
+                return results
+            with tracer.span("spill.write", attrs={"items": len(results)}):
+                readers.append(spill.write_shard(shard.index, results))
         return []
 
     # -- caching -----------------------------------------------------------
     def _consult(
-        self, keyer: Callable[[Any], str | None] | None, tasks: list[Any]
+        self,
+        keyer: Callable[[Any], str | None] | None,
+        tasks: list[Any],
+        tracer: Tracer | NoopTracer,
     ) -> _Shard:
-        """Split a shard's tasks into cache hits and pending."""
+        """Split a shard's tasks into cache hits and pending.
+
+        The shard's keys are looked up in one batch (one ``cache.get``
+        span with its ``keys`` and ``hits``).
+        """
         if self.cache is None or keyer is None:
             return _Shard(tasks, None, {}, list(range(len(tasks))))
         keys: list[str | None] = [keyer(task) for task in tasks]
-        shard = _Shard(tasks, keys, {}, [])
-        for i, key in enumerate(keys):
-            if key is not None:
-                found, value = self.cache.get(key)
-                if found:
-                    shard.hits[i] = value
-                    continue
-            shard.pending.append(i)
-        return shard
+        keyed = sum(key is not None for key in keys)
+        with tracer.span("cache.get", attrs={"keys": keyed}) as span:
+            hits = self.cache.get_many(keys)
+            span.set(hits=len(hits))
+        pending = [i for i in range(len(tasks)) if i not in hits]
+        return _Shard(tasks, keys, hits, pending)
 
     def _store_results(
-        self, keys: list[str | None] | None, pending: list[int], computed: list[Any]
+        self,
+        keys: list[str | None],
+        pending: list[int],
+        computed: list[Any],
+        tracer: Tracer | NoopTracer,
     ) -> int:
-        if self.cache is None or keys is None:
-            return 0
-        stores = 0
+        """Store a shard's keyed results in one batch (one ``cache.put`` span)."""
+        assert self.cache is not None
+        items: list[tuple[str, Any]] = []
         for i, value in zip(pending, computed):
             key = keys[i]
             if key is None:
@@ -721,7 +735,10 @@ class CampaignEngine:
                 # stage records describe the compute that just happened;
                 # a later hit must not replay them as if it ran stages
                 value = replace(value, stages=())
-            stores += int(self.cache.put(key, value))
+            items.append((key, value))
+        with tracer.span("cache.put", attrs={"keys": len(items)}) as span:
+            stores = self.cache.put_many(items)
+            span.set(stores=stores)
         return stores
 
     @staticmethod

@@ -168,6 +168,43 @@ class TestTracingDoesNotPerturbResults:
         campaign_spans = [s for s in tracer.finished if s.name == "campaign"]
         assert any(s.attrs.get("cache_hits") == 64 for s in campaign_spans)
 
+    def test_sharded_cached_run_traces_its_store(self, tmp_path):
+        """A traced 3-shard cached run opens one ``cache.get``, one
+        ``cache.put`` and one ``spill.write`` span per shard under its
+        ``campaign``; its results equal the untraced run's."""
+        from repro.runtime import AnalysisCache
+
+        world = covid_world(64, 26, diurnal_boost=2.0)
+        dataset = "2020it89-match-ejnw"
+        untraced = DatasetBuilder(world).analyze(
+            dataset,
+            engine=CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path / "a"), shards=3),
+        )
+        with use_tracer(Tracer()) as tracer:
+            traced = DatasetBuilder(world).analyze(
+                dataset,
+                engine=CampaignEngine(
+                    SerialExecutor(), AnalysisCache(tmp_path / "b"), shards=3
+                ),
+            )
+        assert traced.metrics.cache == untraced.metrics.cache == {
+            "hits": 0, "misses": 64, "stores": 64,
+        }
+        assert list(traced.analyses) == list(untraced.analyses)
+        for cidr, analysis in untraced.analyses.items():
+            assert pickle.dumps(traced.analyses[cidr]) == pickle.dumps(analysis)
+        (campaign,) = [s for s in tracer.finished if s.name == "campaign"]
+        for name in ("cache.get", "cache.put", "spill.write"):
+            spans = [s for s in tracer.finished if s.name == name]
+            assert len(spans) == 3, name
+            assert all(s.parent_id == campaign.span_id for s in spans)
+            assert sorted(s.attrs["shard"] for s in spans) == [0, 1, 2]
+        gets = [s for s in tracer.finished if s.name == "cache.get"]
+        puts = [s for s in tracer.finished if s.name == "cache.put"]
+        assert sum(s.attrs["keys"] for s in gets) == 64
+        assert sum(s.attrs["hits"] for s in gets) == 0
+        assert sum(s.attrs["stores"] for s in puts) == 64
+
     def test_without_trace_flag_no_files_are_written(self, tmp_path, monkeypatch):
         # engine runs plus --metrics must never write anything to disk
         monkeypatch.chdir(tmp_path)

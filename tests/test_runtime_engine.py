@@ -6,8 +6,10 @@ import dataclasses
 import datetime as dt
 import enum
 import hashlib
+import multiprocessing
 import os
 import pickle
+import sqlite3
 import threading
 from dataclasses import dataclass, fields
 
@@ -354,8 +356,9 @@ class TestAnalysisCache:
         blocks = self._blocks(world200)
         engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
-        for pkl in tmp_path.rglob("*.pkl"):
-            pkl.write_bytes(b"not a pickle")
+        assert len(_rows(tmp_path)) == self.N
+        _execute(tmp_path, "UPDATE entries SET blob = ?", (b"not a pickle",))
+        assert set(_rows(tmp_path).values()) == {b"not a pickle"}
         fresh = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         result = DatasetBuilder(world200).analyze(
             DATASET, blocks=blocks, engine=fresh
@@ -371,18 +374,22 @@ class TestAnalysisCache:
         blocks = self._blocks(world200)
         engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
-        entry = sorted(tmp_path.rglob("*.pkl"))[0]
-        blob = entry.read_bytes()
-        assert b"repro." in blob
-        # same length, so the pickle parses up to the import and then
-        # raises ModuleNotFoundError rather than an UnpicklingError
-        entry.write_bytes(blob.replace(b"repro.", b"reprX."))
+        key, blob = sorted(_rows(tmp_path).items())[0]
+        payload = blob[32:]
+        assert b"repro." in payload
+        # same length and a matching digest, so the entry passes its
+        # digest check, parses up to the import and then raises
+        # ModuleNotFoundError rather than an UnpicklingError
+        renamed = payload.replace(b"repro.", b"reprX.")
+        _set_blob(tmp_path, key, hashlib.sha256(renamed).digest() + renamed)
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(renamed)
         rerun = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=rerun)
         assert result.metrics.cache == {"hits": self.N - 1, "misses": 1, "stores": 1}
         for cidr, analysis in result.analyses.items():
             assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
-        assert entry.read_bytes() == blob  # put rewrote the damaged entry
+        assert _rows(tmp_path)[key] == blob  # put rewrote the damaged entry
         again = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
         healed = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=again)
         assert healed.metrics.cache == {"hits": self.N, "misses": 0, "stores": 0}
@@ -390,19 +397,71 @@ class TestAnalysisCache:
     def test_byte_flipped_entries_never_raise(self, tmp_path):
         cache = AnalysisCache(tmp_path)
         value = {"series": list(range(40)), "label": "block", "ratio": 0.25}
-        cache.put("ab" * 32, value)
-        entry = next(tmp_path.rglob("*.pkl"))
-        blob = entry.read_bytes()
+        key = "ab" * 32
+        assert cache.put_many([(key, value)]) == 1
+        blob = _rows(tmp_path)[key]
+        assert AnalysisCache(tmp_path).get_many([key]) == {0: value}
         for pos in range(len(blob)):
             for flip in (0x01, 0x80, 0xFF):
                 damaged = bytearray(blob)
                 damaged[pos] ^= flip
-                entry.write_bytes(bytes(damaged))
+                _set_blob(tmp_path, key, bytes(damaged))
                 # the entry's digest catches every flip, even one that
                 # would still unpickle: a plain miss, never an exception
                 # and never a wrong hit
-                hit, _ = AnalysisCache(tmp_path).get("ab" * 32)
-                assert hit is False
+                assert AnalysisCache(tmp_path).get_many([key]) == {}
+
+    def test_garbage_database_is_all_misses(self, world200, serial_result, tmp_path):
+        """A ``cache.sqlite`` that is not a database: every get misses,
+        every store stores nothing, nothing raises, and the run is the
+        serial run byte for byte."""
+        blocks = self._blocks(world200)
+        garbage = bytes(range(256)) * 64
+        (tmp_path / "cache.sqlite").write_bytes(garbage)
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), shards=2)
+        result = DatasetBuilder(world200).analyze(DATASET, blocks=blocks, engine=engine)
+        assert result.metrics.cache == {"hits": 0, "misses": self.N, "stores": 0}
+        assert len(result.analyses) == self.N
+        for cidr, analysis in result.analyses.items():
+            assert pickle.dumps(analysis) == pickle.dumps(serial_result.analyses[cidr])
+        assert (tmp_path / "cache.sqlite").read_bytes() == garbage
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite"]
+
+    def test_concurrent_writers_on_overlapping_keys(self, tmp_path):
+        """Two processes store overlapping keys into one directory at the
+        same time: both commit, every row's digest checks, and a
+        following run is all hits."""
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        done = ctx.Queue()
+        ranges = [(0, 120), (60, 180)]
+        writers = [
+            ctx.Process(target=_store_squares, args=(tmp_path, lo, hi, barrier, done))
+            for lo, hi in ranges
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        assert sorted(done.get(timeout=5) for _ in writers) == [120, 120]
+        rows = _rows(tmp_path)
+        keyer = _SquareKeyed().cache_keyer()
+        assert set(rows) == {keyer(x) for x in range(180)}
+        for blob in rows.values():
+            assert hashlib.sha256(blob[32:]).digest() == blob[:32]
+        engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path), shards=3)
+        run = engine.run(_SquareKeyed(), list(range(180)))
+        assert run.metrics.cache == {"hits": 180, "misses": 0, "stores": 0}
+        assert list(run.results) == [_padded_square(x) for x in range(180)]
+
+    def test_a_read_creates_nothing(self, tmp_path):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert AnalysisCache(missing).get_many(["ab" * 32, None]) == {}
+        assert not (tmp_path / "no").exists()
+        assert AnalysisCache(tmp_path).get_many(["ab" * 32]) == {}
+        assert AnalysisCache(tmp_path).put_many([]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_plain_tasks_bypass_cache(self, tmp_path):
         engine = CampaignEngine(SerialExecutor(), AnalysisCache(tmp_path))
@@ -629,6 +688,49 @@ class _OpaqueKeyed:
 
     def __call__(self, x):
         return x * x
+
+
+@dataclass(frozen=True)
+class _SquareKeyed:
+    """A cheap keyed job: its results are worth caching across processes."""
+
+    def cache_keyer(self):
+        return task_keyer("square", {}, "x")
+
+    def __call__(self, x):
+        return _padded_square(x)
+
+
+def _padded_square(x):
+    # a few KiB per entry, so two writers' transactions overlap in time
+    return (x * x, bytes(4096))
+
+
+def _store_squares(directory, lo, hi, barrier, done):
+    """One writer process: keys ``lo..hi`` of :class:`_SquareKeyed`."""
+    keyer = _SquareKeyed().cache_keyer()
+    items = [(keyer(x), _padded_square(x)) for x in range(lo, hi)]
+    barrier.wait(timeout=60)
+    done.put(AnalysisCache(directory).put_many(items))
+
+
+def _execute(directory, sql, params=()):
+    """Run one committed statement on a cache directory's database."""
+    conn = sqlite3.connect(directory / "cache.sqlite")
+    try:
+        with conn:
+            return conn.execute(sql, params).fetchall()
+    finally:
+        conn.close()
+
+
+def _rows(directory):
+    """``{key: blob}`` of every row of a cache directory's database."""
+    return dict(_execute(directory, "SELECT key, blob FROM entries"))
+
+
+def _set_blob(directory, key, blob):
+    _execute(directory, "UPDATE entries SET blob = ? WHERE key = ?", (blob, key))
 
 
 @dataclass(frozen=True)

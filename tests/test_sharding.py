@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import sqlite3
 import time
 import tracemalloc
 import weakref
@@ -706,10 +707,14 @@ POOL_SHARDED = {"workers": 2, "shards": 3}
 
 
 def _cache_files(root):
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*.pkl"))
-    }
+    """``{key: blob}`` of every row of ``root``'s cache database (never empty)."""
+    conn = sqlite3.connect(root / "cache.sqlite")
+    try:
+        rows = dict(conn.execute("SELECT key, blob FROM entries"))
+    finally:
+        conn.close()
+    assert rows
+    return rows
 
 
 def _forced_records(directory):
